@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DegenerateBatchError, ParameterError, ShapeError
 
@@ -146,6 +147,9 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
+# depthwise backward channel-block size: keeps the per-tap scatter cache-resident on large planes
+_DEPTHWISE_BLOCK_BYTES = 1 << 20
+
 
 def _conv_out_dims(h: int, w: int, p: ConvParams) -> tuple[int, int]:
     kh, kw = p.kernel
@@ -177,6 +181,11 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int)
     )
 
 
+def _is_depthwise(p: ConvParams) -> bool:
+    """One single-channel filter per input channel (groups == in_c == out_c)."""
+    return p.groups > 1 and p.groups == p.in_channels == p.out_channels
+
+
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """2-D cross-correlation with zero padding.
 
@@ -198,7 +207,7 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         cols = patches.reshape(n, c * kh * kw, oh * ow)
         w2 = p.weight.reshape(oc, c * kh * kw)
         out = np.matmul(w2, cols).reshape(n, oc, oh, ow)
-    elif p.groups == c and p.groups == oc and p.weight.shape[1] == 1:
+    elif _is_depthwise(p):
         # depthwise: one filter per channel, vectorized over channels
         cols = patches.reshape(n, c, kh * kw, oh * ow)
         w2 = p.weight.reshape(c, kh * kw)
@@ -246,26 +255,35 @@ def conv2d_backward(
 
     xp = _pad_input(x.data, p.padding)
     patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
-    go = grad_out.reshape(n, oc, oh * ow)
-
     grad_weight = np.empty_like(p.weight)
     gxp = np.zeros_like(xp)
-    for g in range(p.groups):
-        ci = slice(g * icpg, (g + 1) * icpg)
-        co = slice(g * ocpg, (g + 1) * ocpg)
-        cols = patches[:, ci].reshape(n, icpg * kh * kw, oh * ow)
-        go_g = go[:, co]
-        # dW = sum_n grad_out . cols^T
-        gw = np.matmul(go_g, cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_weight[co] = gw.reshape(ocpg, icpg, kh, kw)
-        # dX: scatter W^T . grad_out back onto the padded input
-        wg = p.weight[co].reshape(ocpg, icpg * kh * kw)
-        gcols = np.matmul(wg.T, go_g).reshape(n, icpg, kh, kw, oh, ow)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, ci, u : u + p.stride * oh : p.stride, v : v + p.stride * ow : p.stride] += gcols[
-                    :, :, u, v
-                ]
+    st = p.stride
+    if _is_depthwise(p):
+        # one vectorized multiply-add per tap, over a block of channels at a time
+        cb = max(1, _DEPTHWISE_BLOCK_BYTES // gxp[:, :1].nbytes)
+        for c0 in range(0, c, cb):
+            cs = slice(c0, c0 + cb)
+            go_b, gx_b, w_b = grad_out[:, cs], gxp[:, cs], p.weight[cs, 0]
+            for u in range(kh):
+                for v in range(kw):
+                    grad_weight[cs, 0, u, v] = np.einsum("ncij,ncij->c", patches[:, cs, u, v], go_b)
+                    gx_b[:, :, u : u + st * oh : st, v : v + st * ow : st] += go_b * w_b[:, u, v, None, None]
+    else:
+        go = grad_out.reshape(n, oc, oh * ow)
+        for g in range(p.groups):
+            ci = slice(g * icpg, (g + 1) * icpg)
+            co = slice(g * ocpg, (g + 1) * ocpg)
+            cols = patches[:, ci].reshape(n, icpg * kh * kw, oh * ow)
+            go_g = go[:, co]
+            # dW = sum_n grad_out . cols^T
+            gw = np.matmul(go_g, cols.transpose(0, 2, 1)).sum(axis=0)
+            grad_weight[co] = gw.reshape(ocpg, icpg, kh, kw)
+            # dX: scatter W^T . grad_out back onto the padded input
+            wg = p.weight[co].reshape(ocpg, icpg * kh * kw)
+            gcols = np.matmul(wg.T, go_g).reshape(n, icpg, kh, kw, oh, ow)
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[:, ci, u : u + st * oh : st, v : v + st * ow : st] += gcols[:, :, u, v]
 
     if p.padding:
         grad_x = gxp[:, :, p.padding : p.padding + h, p.padding : p.padding + w]
@@ -280,7 +298,9 @@ def conv2d_backward(
 
 def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.mean(x, axis=(0, 2, 3), dtype=np.float64)
-    var = np.mean((x.astype(np.float64) - mu[None, :, None, None]) ** 2, axis=(0, 2, 3))
+    # centre in the input dtype; the sum of squares still accumulates in float64
+    d = x - mu.astype(x.dtype)[None, :, None, None]
+    var = np.einsum("nchw,nchw->c", d, d, dtype=np.float64) / (x.size // x.shape[1])
     return mu, var
 
 
@@ -361,11 +381,10 @@ def batchnorm2d_backward(
 
 
 def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(t))
-    s = np.where(t >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    s = expit(t)
     # keep the output strictly inside (0,1) even where exp underflows
     one = np.asarray(1.0, dtype=s.dtype)
-    return np.clip(s, np.finfo(s.dtype).tiny, np.nextafter(one, 0.0))
+    return np.clip(s, np.finfo(s.dtype).tiny, np.nextafter(one, 0.0), out=s)
 
 
 def activate(x: Tensor4, kind: str) -> Tensor4:

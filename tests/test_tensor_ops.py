@@ -94,13 +94,23 @@ class TestConv2dBackward:
         gx, gw, gb = T.conv2d_backward(x, p, np.zeros((1, 3, 4, 4)))
         assert not gx.any() and not gw.any() and not gb.any()
 
-    @pytest.mark.parametrize("stride,padding,groups", [(1, 1, 1), (2, 1, 1), (1, 0, 2), (2, 2, 2)])
-    def test_finite_difference(self, stride, padding, groups):
+    @pytest.mark.parametrize(
+        "stride,padding,groups,cpg,k",
+        [
+            pytest.param(1, 1, 1, 2, 3, id="1-1-1"),
+            pytest.param(2, 1, 1, 2, 3, id="2-1-1"),
+            pytest.param(1, 0, 2, 2, 3, id="1-0-2"),
+            pytest.param(2, 2, 2, 2, 3, id="2-2-2"),
+            # depthwise: one input and one output channel per group
+            pytest.param(1, 1, 3, 1, 3, id="depthwise-3x3-s1-p1"),
+            pytest.param(2, 2, 3, 1, 5, id="depthwise-5x5-s2-p2"),
+        ],
+    )
+    def test_finite_difference(self, stride, padding, groups, cpg, k):
         rng = np.random.default_rng(11 + stride + padding + groups)
-        icpg, ocpg = 2, 2
-        x0 = rng.standard_normal((1, icpg * groups, 5, 5))
-        w0 = rng.standard_normal((ocpg * groups, icpg, 3, 3))
-        b0 = rng.standard_normal(ocpg * groups)
+        x0 = rng.standard_normal((1, cpg * groups, 5, 5))
+        w0 = rng.standard_normal((cpg * groups, cpg, k, k))
+        b0 = rng.standard_normal(cpg * groups)
         p = T.ConvParams(weight=w0, bias=b0, stride=stride, padding=padding, groups=groups)
         go = rng.standard_normal(T.conv2d(t4(x0), p).dims)
 
@@ -120,6 +130,25 @@ class TestConv2dBackward:
         assert max_rel_err(gx, numeric_grad(loss_x, x0)) < GRAD_TOL
         assert max_rel_err(gw, numeric_grad(loss_w, w0)) < GRAD_TOL
         assert max_rel_err(gb, numeric_grad(loss_b, b0)) < GRAD_TOL
+
+    def test_depthwise_matches_per_channel_convs(self):
+        # planes large enough that the channel-blocked depthwise path runs
+        # several blocks (here 3 + 3 + 2 channels)
+        rng = np.random.default_rng(21)
+        n, c, hw, k, stride, pad = 1, 8, 180, 5, 2, 2
+        x = rng.standard_normal((n, c, hw, hw))
+        assert c * n * (hw + 2 * pad) ** 2 * x.itemsize > 2 * T._DEPTHWISE_BLOCK_BYTES
+        w = rng.standard_normal((c, 1, k, k))
+        p = T.ConvParams(weight=w, stride=stride, padding=pad, groups=c)
+        go = rng.standard_normal(T.conv2d(T.Tensor4(x), p).dims)
+
+        gx, gw, _ = T.conv2d_backward(T.Tensor4(x), p, go)
+
+        for i in range(c):
+            q = T.ConvParams(weight=w[i : i + 1], stride=stride, padding=pad)
+            gx_i, gw_i, _ = T.conv2d_backward(T.Tensor4(x[:, i : i + 1]), q, go[:, i : i + 1])
+            assert np.array_equal(gx[:, i : i + 1], gx_i)
+            assert np.max(np.abs(gw[i] - gw_i[0])) <= 1e-6 * np.max(np.abs(gw_i))
 
     def test_grad_out_shape_error(self):
         x = t4(np.zeros((1, 1, 4, 4)))

@@ -2,9 +2,9 @@
 
 A self-contained numpy implementation of the EAR-U-Net segmentation
 network (EfficientNet-style encoder, attention-gated skips, residual
-decoder), its losses, the CT preprocessing/augmentation pipeline, the
-training loop, slice-wise volume inference and the five volumetric
-evaluation metrics, plus a CLI binding them together.
+decoder) with hand-written backward passes, its losses, the CT
+preprocessing/augmentation pipeline, volume and checkpoint file formats
+and the five volumetric evaluation metrics.
 """
 
 __version__ = "0.1.0"

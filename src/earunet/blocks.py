@@ -9,7 +9,7 @@ parameter gradients keyed by hierarchical names ("fc1.weight", ...).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,6 +219,7 @@ def _vec_activate_backward(arr: np.ndarray, kind: str, grad: np.ndarray) -> np.n
 
 
 def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
+    """Per-channel gating: x scaled by sigmoid(fc2(swish(fc1(gap(x)))))."""
     if x.c != p.fc1.weight.shape[0]:
         raise ShapeError(
             f"SE input channels {x.dims} do not match fc1 width {p.fc1.weight.shape}"
@@ -230,11 +231,6 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
     s = _vec_activate(h2, "sigmoid")
     y = Tensor4(x.data * s[:, :, None, None])
     return y, SeCtx(p, x, v, h1, a1, h2, s)
-
-
-def se_block(x: Tensor4, p: SeBlockParams) -> Tensor4:
-    """Per-channel gating: x scaled by sigmoid(fc2(swish(fc1(gap(x)))))."""
-    return se_block_forward(x, p)[0]
 
 
 def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
@@ -279,6 +275,9 @@ def _set_bn_modes(p: MbConvParams, mode: str) -> None:
 def mbconv_forward(
     x: Tensor4, p: MbConvParams, mode: str, rng: np.random.Generator
 ) -> tuple[Tensor4, MbConvCtx]:
+    """Expand -> depthwise -> SE -> project, with BN/swish between stages
+    and a drop-connected shortcut when the shapes allow one.  Only train
+    mode draws a keep mask from rng."""
     _set_bn_modes(p, mode)
     h = x
     expand_in = expand_pre = expand_act_in = None
@@ -307,12 +306,6 @@ def mbconv_forward(
         proj_in, proj_pre, keep_mask,
     )
     return y, ctx
-
-
-def mbconv(x: Tensor4, p: MbConvParams, mode: str, rng: np.random.Generator) -> Tensor4:
-    """Expand -> depthwise -> SE -> project, with BN/swish between stages
-    and a drop-connected shortcut when the shapes allow one."""
-    return mbconv_forward(x, p, mode, rng)[0]
 
 
 def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
@@ -372,6 +365,8 @@ class GateCtx:
 def attention_gate_forward(
     x: Tensor4, g: Tensor4, p: AttentionGateParams
 ) -> tuple[Tensor4, GateCtx]:
+    """Multiply skip features x by a mask in (0,1) computed from x and the
+    (upsampled) decoder features g."""
     if x.h % g.h or x.w % g.w or x.h // g.h != x.w // g.w:
         raise ShapeError(
             f"gate features {g.dims} do not divide skip features {x.dims} evenly"
@@ -397,12 +392,6 @@ def attention_gate_forward(
     alpha = activate(psi_pre, "sigmoid").data  # (n, 1, hx, wx)
     y = Tensor4(x.data * alpha)
     return y, GateCtx(p, x, up_chain, g_up, sum_pre, relu_out, psi_pre, alpha)
-
-
-def attention_gate(x: Tensor4, g: Tensor4, p: AttentionGateParams) -> Tensor4:
-    """Multiply skip features x by a mask in (0,1) computed from x and the
-    (upsampled) decoder features g."""
-    return attention_gate_forward(x, g, p)[0]
 
 
 def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, GradDict]:
@@ -441,6 +430,8 @@ class ResCtx:
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams) -> tuple[Tensor4, ResCtx]:
+    """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
+    shortcut; spatial dims are preserved."""
     pre1 = conv2d(x, p.conv1)
     act1_in = batchnorm2d(pre1, p.bn1)
     r1 = activate(act1_in, "relu")
@@ -453,12 +444,6 @@ def residual_block_forward(x: Tensor4, p: ResBlockParams) -> tuple[Tensor4, ResC
         sc = conv2d(x, p.shortcut_proj).data
     y = Tensor4(r2.data + sc)
     return y, ResCtx(p, x, pre1, act1_in, r1, pre2, act2_in)
-
-
-def residual_block(x: Tensor4, p: ResBlockParams) -> Tensor4:
-    """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
-    shortcut; spatial dims are preserved."""
-    return residual_block_forward(x, p)[0]
 
 
 def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:

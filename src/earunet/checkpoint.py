@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 
@@ -33,6 +32,7 @@ import numpy as np
 
 from .errors import FormatError, VersionError
 from .model import ModelConfig
+from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
 VERSION = 1
@@ -151,16 +151,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     payload = b"".join(parts)
 
     blob = MAGIC + struct.pack("<I", VERSION) + payload + struct.pack("<I", zlib.crc32(payload))
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, blob)
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:

@@ -1,14 +1,15 @@
-"""Central finite-difference verification of analytic gradients.
+"""Central finite-difference verification of the model's analytic gradients.
 
-Every kernel, every block and the assembled model are compared against
-central differences in float64.  Relative error uses a magnitude floor so
-near-zero entries are judged absolutely at floor scale.
+``check_model`` compares sampled entries of every trainable tensor of the
+assembled network against central differences in float64 (the kernels and
+blocks have their own oracles in the test suite).  Relative error uses a
+magnitude floor so near-zero entries are judged absolutely at floor scale.
 
-For composite chains a sampled set of entries per parameter tensor is
-checked, each at two step sizes: when the two estimates disagree the
-function is not locally smooth there (a relu kink moved across zero) and
-the entry is re-sampled, since finite differences carry no information at
-a kink.  Smooth entries dominate, so the filter rarely triggers.
+Each sampled entry is checked at two step sizes: when the two estimates
+disagree the function is not locally smooth there (a relu kink moved
+across zero) and the entry is re-sampled, since finite differences carry
+no information at a kink.  Smooth entries dominate, so the filter rarely
+triggers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blocks as B
 from . import model as M
 from . import tensor as T
 
@@ -94,186 +94,6 @@ def check_entries(
         report.merge(name, _rel(float(analytic.flat[idx]), fd2))
         report.checked += 1
         done += 1
-
-
-# ---------------------------------------------------------------------------
-# single ops (step 1e-3 per the kernel contract)
-
-OP_STEP = 1e-3
-
-
-def check_ops(seed: int = 0) -> CheckReport:
-    """Finite-difference every differentiable kernel on small instances."""
-    t0 = time.time()
-    report = CheckReport()
-    rng = np.random.default_rng(seed)
-
-    def t4(a):
-        return T.Tensor4(np.asarray(a, dtype=np.float64))
-
-    def full(name, loss, arr, analytic):
-        check_entries(report, name, loss, arr, analytic, rng, arr.size, OP_STEP)
-
-    for trial in range(3):
-        # conv2d
-        x = rng.standard_normal((1, 2, 5, 5))
-        w = rng.standard_normal((4, 1, 3, 3)) if trial == 2 else rng.standard_normal((3, 2, 3, 3))
-        groups = 2 if trial == 2 else 1
-        b = rng.standard_normal(w.shape[0])
-        stride = 2 if trial == 1 else 1
-        p = T.ConvParams(weight=w, bias=b, stride=stride, padding=1, groups=groups)
-        go = rng.standard_normal(T.conv2d(t4(x), p).dims)
-        gx, gw, gb = T.conv2d_backward(t4(x), p, go)
-        loss = lambda: float(np.sum(go * T.conv2d(t4(x), p).data))
-        full("conv2d.x", loss, x, gx)
-        full("conv2d.weight", loss, w, gw)
-        full("conv2d.bias", loss, b, gb)
-
-        # batch norm, both modes
-        for mode in (T.TRAIN, T.INFER):
-            xb = rng.standard_normal((2, 2, 3, 3))
-            s = T.BatchNormState(
-                gamma=rng.standard_normal(2) + 1.5,
-                beta=rng.standard_normal(2),
-                running_mean=rng.standard_normal(2) * 0.1,
-                running_var=1.0 + rng.random(2),
-                mode=mode,
-            )
-            gob = rng.standard_normal(xb.shape)
-            gx, gg, gbeta = T.batchnorm2d_backward(t4(xb), s, gob)
-            loss = lambda: float(np.sum(gob * T.batchnorm2d(t4(xb), s).data))
-            full(f"batchnorm2d[{mode}].x", loss, xb, gx)
-            full(f"batchnorm2d[{mode}].gamma", loss, s.gamma, gg)
-            full(f"batchnorm2d[{mode}].beta", loss, s.beta, gbeta)
-
-        # activations (inputs nudged off the relu kink)
-        for kind in ("relu", "swish", "sigmoid"):
-            xa = rng.standard_normal((1, 2, 4, 4))
-            xa[np.abs(xa) < 0.05] = 0.2
-            goa = rng.standard_normal(xa.shape)
-            ga = T.activate_backward(t4(xa), kind, goa)
-            loss = lambda: float(np.sum(goa * T.activate(t4(xa), kind).data))
-            full(f"activate[{kind}].x", loss, xa, ga)
-
-        # global average pool
-        xg = rng.standard_normal((2, 2, 3, 4))
-        gog = rng.standard_normal((2, 2, 1, 1))
-        gg = T.global_avg_pool_backward(t4(xg), gog)
-        loss = lambda: float(np.sum(gog * T.global_avg_pool(t4(xg)).data))
-        full("global_avg_pool.x", loss, xg, gg)
-
-        # bilinear 2x upsample
-        xu = rng.standard_normal((1, 2, 3, 4))
-        gou = rng.standard_normal((1, 2, 6, 8))
-        gu = T.upsample_bilinear_2x_backward(t4(xu), gou)
-        loss = lambda: float(np.sum(gou * T.upsample_bilinear_2x(t4(xu)).data))
-        full("upsample_bilinear_2x.x", loss, xu, gu)
-
-        # linear
-        xl = rng.standard_normal(4)
-        wl = rng.standard_normal((4, 3))
-        bl = rng.standard_normal(3)
-        gol = rng.standard_normal(3)
-        gx, gw, gb = T.linear_backward(xl, wl, gol)
-        loss = lambda: float(gol @ T.linear(xl, wl, bl))
-        full("linear.x", loss, xl, gx)
-        full("linear.weight", loss, wl, gw)
-        full("linear.bias", loss, bl, gb)
-
-    report.seconds = time.time() - t0
-    return report
-
-
-# ---------------------------------------------------------------------------
-# blocks
-
-BLOCK_STEP = 1e-5
-
-
-def check_blocks(seed: int = 0) -> CheckReport:
-    """Finite-difference each composite block on a random small instance."""
-    t0 = time.time()
-    report = CheckReport()
-    rng = np.random.default_rng(seed)
-
-    def t4(a):
-        return T.Tensor4(np.asarray(a, dtype=np.float64))
-
-    def full(name, loss, arrays, analytic):
-        for key, arr in arrays.items():
-            check_entries(report, f"{name}.{key}", loss, arr, analytic[key], rng, arr.size, BLOCK_STEP)
-
-    # squeeze-excitation
-    x = rng.standard_normal((2, 4, 3, 3))
-    se = B.init_se(rng, 4, dtype=np.float64)
-    go = rng.standard_normal(x.shape)
-    _, ctx = B.se_block_forward(t4(x), se)
-    _, grads = B.se_block_backward(ctx, go)
-    loss = lambda: float(np.sum(go * B.se_block(t4(x), se).data))
-    full(
-        "se_block",
-        loss,
-        {"fc1.weight": se.fc1.weight, "fc1.bias": se.fc1.bias,
-         "fc2.weight": se.fc2.weight, "fc2.bias": se.fc2.bias},
-        grads,
-    )
-
-    # mbconv with shortcut and stochastic depth
-    xm = rng.standard_normal((2, 4, 6, 6))
-    mb = B.init_mbconv(rng, 4, 4, kernel=3, stride=1, expansion=6, survive_p=0.8, dtype=np.float64)
-    gom = rng.standard_normal(xm.shape)
-    _, ctx = B.mbconv_forward(t4(xm), mb, T.TRAIN, np.random.default_rng(seed + 1))
-    _, grads = B.mbconv_backward(ctx, gom)
-    loss = lambda: float(
-        np.sum(gom * B.mbconv(t4(xm), mb, T.TRAIN, np.random.default_rng(seed + 1)).data)
-    )
-    arrays = {
-        "expand_conv.weight": mb.expand_conv.weight,
-        "expand_bn.gamma": mb.expand_bn.gamma, "expand_bn.beta": mb.expand_bn.beta,
-        "dw_conv.weight": mb.dw_conv.weight,
-        "dw_bn.gamma": mb.dw_bn.gamma, "dw_bn.beta": mb.dw_bn.beta,
-        "se.fc1.weight": mb.se.fc1.weight, "se.fc1.bias": mb.se.fc1.bias,
-        "se.fc2.weight": mb.se.fc2.weight, "se.fc2.bias": mb.se.fc2.bias,
-        "project_conv.weight": mb.project_conv.weight,
-        "project_bn.gamma": mb.project_bn.gamma, "project_bn.beta": mb.project_bn.beta,
-    }
-    full("mbconv", loss, arrays, grads)
-
-    # attention gate (g at half resolution)
-    xg = rng.standard_normal((1, 3, 4, 4))
-    gg = rng.standard_normal((1, 5, 2, 2))
-    gate = B.init_attention_gate(rng, 3, 5, dtype=np.float64)
-    gog = rng.standard_normal(xg.shape)
-    _, ctx = B.attention_gate_forward(t4(xg), t4(gg), gate)
-    _, _, grads = B.attention_gate_backward(ctx, gog)
-    loss = lambda: float(np.sum(gog * B.attention_gate(t4(xg), t4(gg), gate).data))
-    full(
-        "attention_gate",
-        loss,
-        {"wx.weight": gate.wx.weight, "wg.weight": gate.wg.weight,
-         "psi.weight": gate.psi.weight, "psi.bias": gate.psi.bias},
-        grads,
-    )
-
-    # residual block with projection, train-mode BN
-    xr = rng.standard_normal((2, 4, 4, 4))
-    res = B.init_res_block(rng, 4, 6, dtype=np.float64)
-    for bn in (res.bn1, res.bn2):
-        bn.mode = T.TRAIN
-        bn.beta[:] = 0.4
-    gor = rng.standard_normal((2, 6, 4, 4))
-    _, ctx = B.residual_block_forward(t4(xr), res)
-    _, grads = B.residual_block_backward(ctx, gor)
-    loss = lambda: float(np.sum(gor * B.residual_block(t4(xr), res).data))
-    arrays = {
-        "conv1.weight": res.conv1.weight, "bn1.gamma": res.bn1.gamma, "bn1.beta": res.bn1.beta,
-        "conv2.weight": res.conv2.weight, "bn2.gamma": res.bn2.gamma, "bn2.beta": res.bn2.beta,
-        "shortcut_proj.weight": res.shortcut_proj.weight,
-    }
-    full("residual_block", loss, arrays, grads)
-
-    report.seconds = time.time() - t0
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from . import blocks as B
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ParameterError, ShapeError
 from .tensor import (
     INFER,
     TRAIN,
@@ -366,7 +366,6 @@ class _LevelCtx:
 @dataclass
 class ModelCtx:
     cfg: ModelConfig
-    mode: str
     stem: _StemCtx
     stage_ctxs: list[list[B.MbConvCtx]]
     head9: _StemCtx
@@ -381,53 +380,70 @@ def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {h}, {w})")
 
 
+def _conv_bn_swish(x: Tensor4, conv: ConvParams, bn: BatchNormState) -> tuple[Tensor4, _StemCtx]:
+    pre = conv2d(x, conv)
+    act_in = batchnorm2d(pre, bn)
+    return activate(act_in, "swish"), _StemCtx(x, pre, act_in)
+
+
+def _decoder_level(
+    cur: Tensor4, skip: Tensor4, gate: B.AttentionGateParams, res: B.ResBlockParams
+) -> tuple[Tensor4, _LevelCtx]:
+    up = upsample_bilinear_2x(cur)
+    gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
+    cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
+    out, res_ctx = B.residual_block_forward(cat, res)
+    return out, _LevelCtx(up_in=cur, gate_ctx=gate_ctx, gated_c=gated.c, res_ctx=res_ctx)
+
+
 def _run_forward(
     params: ModelParams,
     cfg: ModelConfig,
     x: Tensor4,
     mode: str,
     rng: np.random.Generator | None,
-) -> tuple[Tensor4, ModelCtx]:
+) -> tuple[Tensor4, ModelCtx | None]:
+    """The one walk of the network.
+
+    Train mode records every layer's context for ``backward_from_context``
+    and needs an rng for the stochastic-depth draws.  Any other mode drops
+    each context as soon as its layer returns, so only the skip tensors
+    stay alive across layers, and returns no context.
+    """
     _check_input(cfg, x)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    record = mode == TRAIN
+    if record and rng is None:
+        raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
     set_model_mode(params, mode)
 
-    stem_pre = conv2d(x, params.stem_conv)
-    stem_act_in = batchnorm2d(stem_pre, params.stem_bn)
-    feats = activate(stem_act_in, "swish")
-    stem_ctx = _StemCtx(x, stem_pre, stem_act_in)
+    def keep(result):
+        out, ctx = result
+        return out, (ctx if record else None)
 
-    stage_outputs: dict[int, Tensor4] = {1: feats}
+    feats, stem_ctx = keep(_conv_bn_swish(x, params.stem_conv, params.stem_bn))
+    skips: dict[int, Tensor4] = {1: feats}
     stage_ctxs: list[list[B.MbConvCtx]] = []
     for si, stage in enumerate(params.stages, start=2):
         ctxs = []
         for blk in stage:
-            feats, ctx = B.mbconv_forward(feats, blk, mode, rng)
+            feats, ctx = keep(B.mbconv_forward(feats, blk, mode, rng))
             ctxs.append(ctx)
         stage_ctxs.append(ctxs)
-        stage_outputs[si] = feats
+        if si in cfg.skip_stages:
+            skips[si] = feats
 
-    head_pre = conv2d(feats, params.head_conv9)
-    head_act_in = batchnorm2d(head_pre, params.head_bn9)
-    bottleneck = activate(head_act_in, "swish")
-    head9_ctx = _StemCtx(feats, head_pre, head_act_in)
-
-    cur = bottleneck
+    feats, head9_ctx = keep(_conv_bn_swish(feats, params.head_conv9, params.head_bn9))
     levels: list[_LevelCtx] = []
     for level, (gate, res) in enumerate(zip(params.gates, params.decoder)):
-        skip = stage_outputs[cfg.skip_stages[-1 - level]]
-        up_in = cur
-        up = upsample_bilinear_2x(cur)
-        gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
-        cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
-        cur, res_ctx = B.residual_block_forward(cat, res)
-        levels.append(_LevelCtx(up_in=up_in, gate_ctx=gate_ctx, gated_c=gated.c, res_ctx=res_ctx))
+        skip = skips.pop(cfg.skip_stages[-1 - level])
+        feats, level_ctx = keep(_decoder_level(feats, skip, gate, res))
+        levels.append(level_ctx)
 
-    out_pre = conv2d(cur, params.out_conv)
+    out_pre = conv2d(feats, params.out_conv)
     y = activate(out_pre, "sigmoid")
-    ctx = ModelCtx(cfg, mode, stem_ctx, stage_ctxs, head9_ctx, levels, out_pre, cur)
-    return y, ctx
+    if not record:
+        return y, None
+    return y, ModelCtx(cfg, stem_ctx, stage_ctxs, head9_ctx, levels, out_pre, feats)
 
 
 def forward(
@@ -438,7 +454,7 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor4:
     """Per-pixel liver probability map, same spatial dims as the input,
-    every value strictly in (0,1)."""
+    every value strictly in (0,1).  Train mode needs an rng."""
     return _run_forward(params, cfg, x, mode, rng)[0]
 
 
@@ -450,30 +466,6 @@ def forward_training(
 ) -> tuple[Tensor4, ModelCtx]:
     """Train-mode forward that keeps the context needed for one backward."""
     return _run_forward(params, cfg, x, TRAIN, rng)
-
-
-def encoder_features(
-    params: ModelParams,
-    cfg: ModelConfig,
-    x: Tensor4,
-    mode: str = INFER,
-    rng: np.random.Generator | None = None,
-) -> list[Tensor4]:
-    """The nine encoder stage outputs, shallowest first."""
-    _check_input(cfg, x)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    set_model_mode(params, mode)
-    feats = activate(batchnorm2d(conv2d(x, params.stem_conv), params.stem_bn), "swish")
-    outputs = [feats]
-    for stage in params.stages:
-        for blk in stage:
-            feats = B.mbconv(feats, blk, mode, rng)
-        outputs.append(feats)
-    outputs.append(
-        activate(batchnorm2d(conv2d(feats, params.head_conv9), params.head_bn9), "swish")
-    )
-    return outputs
 
 
 def backward_from_context(
@@ -535,16 +527,13 @@ def backward(
     cfg: ModelConfig,
     x: Tensor4,
     grad_out: np.ndarray,
-    rng: np.random.Generator | None = None,
-    mode: str = TRAIN,
+    rng: np.random.Generator,
 ) -> B.GradDict:
     """Gradients of sum(grad_out * forward(x)) for every trainable parameter.
 
     Runs a train-mode forward internally; pass the same rng seed to
     reproduce a specific forward's stochastic-depth draws.
     """
-    if mode != TRAIN:
-        raise StateError("backward requires train mode")
     y, ctx = _run_forward(params, cfg, x, TRAIN, rng)
     if grad_out.shape != y.data.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {y.data.shape}")

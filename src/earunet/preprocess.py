@@ -169,6 +169,14 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
+def _image_chain(image: CtVolume, hu_lo: float, hu_hi: float, target_sz: float) -> CtVolume:
+    """Window, equalize and z-resample an image: the stages that run before
+    the training chain crops to the organ range."""
+    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
+    v = _stage("hist_equalize", hist_equalize, v)
+    return _stage("resample_z", resample_z, v, target_sz, "linear")
+
+
 def preprocess_volume(
     image: CtVolume,
     hu_lo: float = HU_WINDOW[0],
@@ -177,11 +185,8 @@ def preprocess_volume(
     size: int = SLICE_SIZE,
 ) -> CtVolume:
     """The mask-free part of the chain, as used for inference inputs."""
-    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
-    v = _stage("hist_equalize", hist_equalize, v)
-    v = _stage("resample_z", resample_z, v, target_sz, "linear")
-    v = _stage("resize_slices", resize_slices, v, size)
-    return v
+    v = _image_chain(image, hu_lo, hu_hi, target_sz)
+    return _stage("resize_slices", resize_slices, v, size)
 
 
 def preprocess_case(
@@ -200,9 +205,7 @@ def preprocess_case(
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
-    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
-    v = _stage("hist_equalize", hist_equalize, v)
-    v = _stage("resample_z", resample_z, v, target_sz, "linear")
+    v = _image_chain(image, hu_lo, hu_hi, target_sz)
     m = _stage("resample_z", resample_z, mask, target_sz, "nearest")
     v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m, margin)
     v = _stage("resize_slices", resize_slices, v, size)

@@ -31,19 +31,14 @@ def _check_mode(mode: str) -> None:
 
 @dataclass
 class Tensor4:
-    """A (n, c, h, w) array with an optional same-shape gradient slot."""
+    """A (n, c, h, w) array."""
 
     data: np.ndarray
-    grad: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)
         if self.data.ndim != 4:
             raise ShapeError(f"Tensor4 expects 4 dims (n,c,h,w), got shape {self.data.shape}")
-        if self.grad is not None and self.grad.shape != self.data.shape:
-            raise ShapeError(
-                f"grad shape {self.grad.shape} does not match data shape {self.data.shape}"
-            )
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -520,20 +515,8 @@ def sample_keep_mask(n: int, survive_p: float, rng: np.random.Generator) -> np.n
 
 
 def apply_keep_mask(x: Tensor4, mask: np.ndarray, survive_p: float) -> Tensor4:
+    """Zero the dropped samples of x and scale the kept ones by 1/survive_p,
+    which preserves the expectation."""
     scale = (mask / survive_p).astype(x.data.dtype)
     return Tensor4(x.data * scale[:, None, None, None])
 
-
-def drop_connect(x: Tensor4, survive_p: float, mode: str, rng: np.random.Generator) -> Tensor4:
-    """Per-sample drop of the whole tensor, rescaled to preserve expectation.
-
-    Infer mode is the identity; train mode keeps each sample with
-    probability survive_p and scales kept samples by 1/survive_p.
-    """
-    _check_mode(mode)
-    if not 0.0 < survive_p <= 1.0:
-        raise ParameterError(f"survive_p must be in (0,1], got {survive_p}")
-    if mode == INFER or survive_p == 1.0:
-        return Tensor4(x.data)
-    mask = sample_keep_mask(x.n, survive_p, rng)
-    return apply_keep_mask(x, mask, survive_p)

@@ -37,7 +37,7 @@ class TestSeBlock:
             fc1=B.LinearParams(np.zeros((4, 2)), np.zeros(2)),
             fc2=B.LinearParams(np.zeros((2, 4)), np.zeros(4)),
         )
-        out = B.se_block(x, p)
+        out = B.se_block_forward(x, p)[0]
         assert np.allclose(out.data, 0.5 * x.data, atol=1e-12)
 
     def test_channel_symmetry(self):
@@ -56,7 +56,7 @@ class TestSeBlock:
         rng = np.random.default_rng(2)
         x = t4(rng.standard_normal((1, 4, 3, 3)))
         p = B.init_se(rng, 4, dtype=np.float64)
-        got = B.se_block(x, p).data
+        got = B.se_block_forward(x, p)[0].data
 
         pooled = T.global_avg_pool(x).data.reshape(1, 4)
         h1 = T.linear(pooled[0], p.fc1.weight, p.fc1.bias)
@@ -77,7 +77,7 @@ class TestSeBlock:
     def test_channel_mismatch(self):
         p = B.init_se(np.random.default_rng(0), 4)
         with pytest.raises(ShapeError):
-            B.se_block(t4(np.zeros((1, 5, 2, 2))), p)
+            B.se_block_forward(t4(np.zeros((1, 5, 2, 2))), p)
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
@@ -89,10 +89,10 @@ class TestSeBlock:
         gx, grads = B.se_block_backward(ctx, go)
 
         def loss():
-            return float(np.sum(go * B.se_block(t4(x0), p).data))
+            return float(np.sum(go * B.se_block_forward(t4(x0), p)[0].data))
 
         assert max_rel_err(gx, numeric_grad(
-            lambda x: float(np.sum(go * B.se_block(t4(x), p).data)), x0, step=BLOCK_STEP
+            lambda x: float(np.sum(go * B.se_block_forward(t4(x), p)[0].data)), x0, step=BLOCK_STEP
         )) < GRAD_TOL
         arrays = {
             "fc1.weight": p.fc1.weight, "fc1.bias": p.fc1.bias,
@@ -125,7 +125,7 @@ class TestMbConv:
     def test_stride2_halves_spatial(self):
         rng = np.random.default_rng(5)
         p = B.init_mbconv(rng, 4, 6, kernel=3, stride=2, expansion=6, dtype=np.float64)
-        out = B.mbconv(t4(rng.standard_normal((1, 4, 8, 8))), p, T.INFER, rng)
+        out = B.mbconv_forward(t4(rng.standard_normal((1, 4, 8, 8))), p, T.INFER, rng)[0]
         assert out.dims == (1, 6, 4, 4)
 
     def test_zero_weights_shortcut_identity(self):
@@ -139,7 +139,7 @@ class TestMbConv:
         p.se.fc2.weight[:] = 0
         p.se.fc2.bias[:] = 0
         x = t4(rng.standard_normal((2, 4, 5, 5)))
-        out = B.mbconv(x, p, T.INFER, rng)
+        out = B.mbconv_forward(x, p, T.INFER, rng)[0]
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     def test_shortcut_flag_rule(self):
@@ -156,11 +156,11 @@ class TestMbConv:
             bn.running_mean[:] = rng.standard_normal(bn.channels) * 0.1
             bn.running_var[:] = 1.0 + rng.random(bn.channels)
         x = t4(rng.standard_normal((1, 8, 8, 8)))
-        got = B.mbconv(x, p, T.INFER, rng).data
+        got = B.mbconv_forward(x, p, T.INFER, rng)[0].data
 
         h = T.activate(T.batchnorm2d(T.conv2d(x, p.expand_conv), p.expand_bn), "swish")
         h = T.activate(T.batchnorm2d(T.conv2d(h, p.dw_conv), p.dw_bn), "swish")
-        h = B.se_block(h, p.se)
+        h = B.se_block_forward(h, p.se)[0]
         h = T.batchnorm2d(T.conv2d(h, p.project_conv), p.project_bn)
         want = x.data + h.data  # shortcut, infer mode: no drop
         assert np.allclose(got, want, atol=1e-12)
@@ -175,15 +175,12 @@ class TestMbConv:
         go = np.random.default_rng(10).standard_normal(out.dims)
         gx, grads = B.mbconv_backward(ctx, go)
 
-        def loss():
-            y = B.mbconv(t4(x0), p, T.TRAIN, np.random.default_rng(123))
+        def run(x):
+            y = B.mbconv_forward(t4(x), p, T.TRAIN, np.random.default_rng(123))[0]
             return float(np.sum(go * y.data))
 
-        assert max_rel_err(gx, numeric_grad(
-            lambda x: float(np.sum(go * B.mbconv(t4(x), p, T.TRAIN, np.random.default_rng(123)).data)),
-            x0, step=BLOCK_STEP,
-        )) < GRAD_TOL
-        check_param_grads(loss, mbconv_arrays(p), grads)
+        assert max_rel_err(gx, numeric_grad(run, x0, step=BLOCK_STEP)) < GRAD_TOL
+        check_param_grads(lambda: run(x0), mbconv_arrays(p), grads)
 
 
 class TestAttentionGate:
@@ -194,7 +191,7 @@ class TestAttentionGate:
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
         p.psi.weight[:] = 0
         p.psi.bias[:] = 0
-        out = B.attention_gate(x, g, p)
+        out = B.attention_gate_forward(x, g, p)[0]
         assert np.allclose(out.data, 0.5 * x.data, atol=1e-12)
 
     def test_saturated_psi_passes_x(self):
@@ -204,7 +201,7 @@ class TestAttentionGate:
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
         p.psi.weight[:] = 0
         p.psi.bias[:] = 20.0
-        out = B.attention_gate(x, g, p)
+        out = B.attention_gate_forward(x, g, p)[0]
         assert np.max(np.abs(out.data - x.data)) < 1e-6 * np.max(np.abs(x.data))
 
     def test_matches_primitive_composition(self):
@@ -212,7 +209,7 @@ class TestAttentionGate:
         x = t4(rng.standard_normal((1, 4, 8, 8)))
         g = t4(rng.standard_normal((1, 6, 2, 2)))
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
-        got = B.attention_gate(x, g, p).data
+        got = B.attention_gate_forward(x, g, p)[0].data
 
         gu = T.upsample_bilinear_2x(T.upsample_bilinear_2x(g))
         s = T.Tensor4(T.conv2d(x, p.wx).data + T.conv2d(gu, p.wg).data)
@@ -224,7 +221,7 @@ class TestAttentionGate:
         x = t4(rng.standard_normal((2, 3, 4, 4)))
         g = t4(rng.standard_normal((2, 5, 2, 2)))
         p = B.init_attention_gate(rng, 3, 5, dtype=np.float64)
-        out = B.attention_gate(x, g, p)
+        out = B.attention_gate_forward(x, g, p)[0]
         assert np.all(np.abs(out.data) <= np.abs(x.data) + 1e-15)
         assert np.all(np.sign(out.data) == np.sign(x.data))
 
@@ -232,7 +229,7 @@ class TestAttentionGate:
         rng = np.random.default_rng(15)
         p = B.init_attention_gate(rng, 3, 5)
         with pytest.raises(ShapeError):
-            B.attention_gate(t4(np.zeros((1, 3, 6, 6))), t4(np.zeros((1, 5, 4, 4))), p)
+            B.attention_gate_forward(t4(np.zeros((1, 3, 6, 6))), t4(np.zeros((1, 5, 4, 4))), p)
 
     def test_gradients(self):
         rng = np.random.default_rng(16)
@@ -244,7 +241,7 @@ class TestAttentionGate:
         gx, gg, grads = B.attention_gate_backward(ctx, go)
 
         def run(x, g):
-            return float(np.sum(go * B.attention_gate(t4(x), t4(g), p).data))
+            return float(np.sum(go * B.attention_gate_forward(t4(x), t4(g), p)[0].data))
 
         assert max_rel_err(gx, numeric_grad(lambda x: run(x, g0), x0, step=BLOCK_STEP)) < GRAD_TOL
         assert max_rel_err(gg, numeric_grad(lambda g: run(x0, g), g0, step=BLOCK_STEP)) < GRAD_TOL
@@ -262,14 +259,14 @@ class TestResidualBlock:
         p.conv1.weight[:] = 0
         p.conv2.weight[:] = 0
         x = t4(rng.standard_normal((2, 4, 5, 5)))
-        out = B.residual_block(x, p)
+        out = B.residual_block_forward(x, p)[0]
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     @pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (7, 5)])
     def test_spatial_dims_preserved(self, h, w):
         rng = np.random.default_rng(18)
         p = B.init_res_block(rng, 3, 6, dtype=np.float64)
-        out = B.residual_block(t4(rng.standard_normal((1, 3, h, w))), p)
+        out = B.residual_block_forward(t4(rng.standard_normal((1, 3, h, w))), p)[0]
         assert out.dims == (1, 6, h, w)
 
     def test_matches_primitive_composition(self):
@@ -279,7 +276,7 @@ class TestResidualBlock:
             bn.running_mean[:] = rng.standard_normal(bn.channels) * 0.2
             bn.running_var[:] = 0.5 + rng.random(bn.channels)
         x = t4(rng.standard_normal((1, 3, 6, 6)))
-        got = B.residual_block(x, p).data
+        got = B.residual_block_forward(x, p)[0].data
 
         r = T.activate(T.batchnorm2d(T.conv2d(x, p.conv1), p.bn1), "relu")
         r = T.activate(T.batchnorm2d(T.conv2d(r, p.conv2), p.bn2), "relu")
@@ -299,10 +296,10 @@ class TestResidualBlock:
         gx, grads = B.residual_block_backward(ctx, go)
 
         def loss():
-            return float(np.sum(go * B.residual_block(t4(x0), p).data))
+            return float(np.sum(go * B.residual_block_forward(t4(x0), p)[0].data))
 
         assert max_rel_err(gx, numeric_grad(
-            lambda x: float(np.sum(go * B.residual_block(t4(x), p).data)), x0, step=BLOCK_STEP
+            lambda x: float(np.sum(go * B.residual_block_forward(t4(x), p)[0].data)), x0, step=BLOCK_STEP
         )) < GRAD_TOL
         arrays = {
             "conv1.weight": p.conv1.weight, "bn1.gamma": p.bn1.gamma, "bn1.beta": p.bn1.beta,

@@ -1,5 +1,7 @@
 """Model assembly tests: config resolution, shapes, determinism, checkpoints."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from earunet.checkpoint import (
     restore_params,
     save_checkpoint,
 )
-from earunet.errors import ConfigError, FormatError, ShapeError, StateError, VersionError
-from earunet.tensor import INFER, TRAIN, Tensor4
+from earunet.errors import ConfigError, FormatError, ParameterError, ShapeError, VersionError
+from earunet.tensor import TRAIN, Tensor4
 from oracles import max_rel_err
 
 TABLE_CHANNELS = (48, 24, 32, 56, 112, 160, 272, 448, 1792)
@@ -126,14 +128,15 @@ class TestForward:
     def test_skip_resolutions_match_levels(self, desk):
         cfg, params = desk
         x = Tensor4(np.random.default_rng(2).random((1, 1, 64, 64), dtype=np.float32))
-        feats = M.encoder_features(params, cfg, x)
-        skips = [feats[s - 1] for s in cfg.skip_stages]
-        # decoder doubles the bottleneck resolution five times
-        res = feats[-1].h
-        for skip in reversed(skips):
-            res *= 2
-            assert skip.h == res
-        assert res == 64
+        _, ctx = M.forward_training(params, cfg, x, np.random.default_rng(0))
+        # decoder doubles the bottleneck resolution five times, and each level
+        # gates the output of its skip stage (deepest first); a stage's output
+        # is the input of the next stage's first block
+        assert ctx.levels[0].up_in.h == 64 // 32
+        for lv, stage in zip(ctx.levels, reversed(cfg.skip_stages)):
+            assert lv.gate_ctx.x is ctx.stage_ctxs[stage - 1][0].x
+            assert lv.gate_ctx.x.h == 2 * lv.up_in.h
+        assert ctx.levels[-1].gate_ctx.x.h == 64
 
     def test_forward_determinism(self, desk):
         cfg, params = desk
@@ -141,6 +144,14 @@ class TestForward:
         a = M.forward(params, cfg, x, TRAIN, np.random.default_rng(11)).data
         b = M.forward(params, cfg, x, TRAIN, np.random.default_rng(11)).data
         assert np.array_equal(a, b)
+
+    def test_train_mode_needs_rng(self, desk):
+        cfg, params = desk
+        x = Tensor4(np.zeros((1, 1, 64, 64), dtype=np.float32))
+        with pytest.raises(ParameterError, match="rng"):
+            M.forward(params, cfg, x, TRAIN)
+        with pytest.raises(ParameterError, match="rng"):
+            M.forward_training(params, cfg, x, None)
 
 
 @pytest.fixture(scope="module")
@@ -174,12 +185,6 @@ class TestBackward:
         b = M.backward(params, cfg, x, go, np.random.default_rng(6))
         for k in a:
             assert np.array_equal(a[k], b[k]), k
-
-    def test_infer_mode_rejected(self, micro64):
-        cfg, params = micro64
-        x = Tensor4(np.zeros((1, 1, 32, 32)))
-        with pytest.raises(StateError):
-            M.backward(params, cfg, x, np.zeros((1, 1, 32, 32)), mode=INFER)
 
     def test_spot_finite_differences(self, micro64):
         # a fast spot check; the full sampled sweep runs in the acceptance suite
@@ -235,6 +240,20 @@ class TestCheckpoint:
         for k in ckpt.moments.m:
             assert np.array_equal(loaded.moments.m[k], ckpt.moments.m[k])
             assert np.array_equal(loaded.moments.v[k], ckpt.moments.v[k])
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        _, _, ckpt, path = self.make(tmp_path)
+        before = path.read_bytes()
+        ckpt.epoch += 1
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_identical_writes(self, tmp_path):
         _, _, ckpt, path = self.make(tmp_path)

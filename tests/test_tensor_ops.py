@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
 from oracles import conv2d_naive, max_rel_err, numeric_grad
@@ -95,22 +96,24 @@ class TestConv2dBackward:
         assert not gx.any() and not gw.any() and not gb.any()
 
     @pytest.mark.parametrize(
-        "stride,padding,groups,cpg,k",
+        "stride,padding,groups,cpg,k,mult",
         [
-            pytest.param(1, 1, 1, 2, 3, id="1-1-1"),
-            pytest.param(2, 1, 1, 2, 3, id="2-1-1"),
-            pytest.param(1, 0, 2, 2, 3, id="1-0-2"),
-            pytest.param(2, 2, 2, 2, 3, id="2-2-2"),
+            pytest.param(1, 1, 1, 2, 3, 1, id="1-1-1"),
+            pytest.param(2, 1, 1, 2, 3, 1, id="2-1-1"),
+            pytest.param(1, 0, 2, 2, 3, 1, id="1-0-2"),
+            pytest.param(2, 2, 2, 2, 3, 1, id="2-2-2"),
             # depthwise: one input and one output channel per group
-            pytest.param(1, 1, 3, 1, 3, id="depthwise-3x3-s1-p1"),
-            pytest.param(2, 2, 3, 1, 5, id="depthwise-5x5-s2-p2"),
+            pytest.param(1, 1, 3, 1, 3, 1, id="depthwise-3x3-s1-p1"),
+            pytest.param(2, 2, 3, 1, 5, 1, id="depthwise-5x5-s2-p2"),
+            # channel multiplier 2: one input and two output channels per group
+            pytest.param(1, 1, 2, 1, 3, 2, id="grouped-mult2-3x3-s1-p1"),
         ],
     )
-    def test_finite_difference(self, stride, padding, groups, cpg, k):
+    def test_finite_difference(self, stride, padding, groups, cpg, k, mult):
         rng = np.random.default_rng(11 + stride + padding + groups)
         x0 = rng.standard_normal((1, cpg * groups, 5, 5))
-        w0 = rng.standard_normal((cpg * groups, cpg, k, k))
-        b0 = rng.standard_normal(cpg * groups)
+        w0 = rng.standard_normal((mult * cpg * groups, cpg, k, k))
+        b0 = rng.standard_normal(mult * cpg * groups)
         p = T.ConvParams(weight=w0, bias=b0, stride=stride, padding=padding, groups=groups)
         go = rng.standard_normal(T.conv2d(t4(x0), p).dims)
 
@@ -382,16 +385,21 @@ class TestLinear:
 
 class TestDropConnect:
     def test_infer_identity(self):
+        # an infer-mode block draws no keep mask and leaves the rng untouched
         rng = np.random.default_rng(18)
-        x = t4(rng.standard_normal((4, 2, 3, 3)))
-        out = T.drop_connect(x, 0.5, T.INFER, rng)
-        assert np.array_equal(out.data, x.data)
+        p = B.init_mbconv(rng, 4, 4, kernel=3, stride=1, expansion=1, survive_p=0.5,
+                          dtype=np.float64)
+        x = t4(rng.standard_normal((4, 4, 3, 3)))
+        state = rng.bit_generator.state
+        _, ctx = B.mbconv_forward(x, p, T.INFER, rng)
+        assert ctx.keep_mask is None
+        assert rng.bit_generator.state == state
 
     def test_survive_one_identity(self):
         rng = np.random.default_rng(19)
         x = t4(rng.standard_normal((4, 2, 3, 3)))
-        out = T.drop_connect(x, 1.0, T.TRAIN, rng)
-        assert np.array_equal(out.data, x.data)
+        mask = T.sample_keep_mask(x.n, 1.0, rng)
+        assert np.array_equal(T.apply_keep_mask(x, mask, 1.0).data, x.data)
 
     def test_expectation_preserving(self):
         x = t4(np.ones((1, 1, 2, 2)))
@@ -399,18 +407,16 @@ class TestDropConnect:
         total = 0.0
         trials = 10_000
         for _ in range(trials):
-            total += T.drop_connect(x, 0.5, T.TRAIN, rng).data.mean()
+            total += T.apply_keep_mask(x, T.sample_keep_mask(1, 0.5, rng), 0.5).data.mean()
         assert abs(total / trials - 1.0) < 0.05
 
     def test_invalid_probability(self):
-        x = t4(np.ones((1, 1, 1, 1)))
         rng = np.random.default_rng(0)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ParameterError):
-                T.drop_connect(x, bad, T.TRAIN, rng)
+                T.sample_keep_mask(1, bad, rng)
 
     def test_seed_determinism(self):
-        x = t4(np.ones((8, 1, 2, 2)))
-        a = T.drop_connect(x, 0.7, T.TRAIN, np.random.default_rng(99)).data
-        b = T.drop_connect(x, 0.7, T.TRAIN, np.random.default_rng(99)).data
+        a = T.sample_keep_mask(8, 0.7, np.random.default_rng(99))
+        b = T.sample_keep_mask(8, 0.7, np.random.default_rng(99))
         assert np.array_equal(a, b)

@@ -18,6 +18,7 @@ from .tensor import (
     INFER,
     TRAIN,
     BatchNormState,
+    BnSaved,
     ConvParams,
     Tensor4,
     activate,
@@ -32,8 +33,6 @@ from .tensor import (
     linear,
     linear_backward,
     sample_keep_mask,
-    upsample_bilinear_2x,
-    upsample_bilinear_2x_backward,
 )
 
 GradDict = dict[str, np.ndarray]
@@ -254,15 +253,14 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
 class MbConvCtx:
     p: MbConvParams
     x: Tensor4
-    expand_in: Tensor4 | None
-    expand_pre: Tensor4 | None  # conv output, BN input
+    expand_saved: BnSaved | None
     expand_act_in: Tensor4 | None
     dw_in: Tensor4
-    dw_pre: Tensor4
+    dw_saved: BnSaved | None
     dw_act_in: Tensor4
     se_ctx: SeCtx
     proj_in: Tensor4
-    proj_pre: Tensor4
+    proj_saved: BnSaved | None
     keep_mask: np.ndarray | None
 
 
@@ -280,20 +278,16 @@ def mbconv_forward(
     mode draws a keep mask from rng."""
     _set_bn_modes(p, mode)
     h = x
-    expand_in = expand_pre = expand_act_in = None
+    expand_saved = expand_act_in = None
     if p.expand_conv is not None:
-        expand_in = h
-        expand_pre = conv2d(h, p.expand_conv)
-        expand_act_in = batchnorm2d(expand_pre, p.expand_bn)
+        expand_act_in, expand_saved = batchnorm2d(conv2d(h, p.expand_conv), p.expand_bn)
         h = activate(expand_act_in, "swish")
     dw_in = h
-    dw_pre = conv2d(h, p.dw_conv)
-    dw_act_in = batchnorm2d(dw_pre, p.dw_bn)
+    dw_act_in, dw_saved = batchnorm2d(conv2d(h, p.dw_conv), p.dw_bn)
     h = activate(dw_act_in, "swish")
     h, se_ctx = se_block_forward(h, p.se)
     proj_in = h
-    proj_pre = conv2d(h, p.project_conv)
-    y = batchnorm2d(proj_pre, p.project_bn)
+    y, proj_saved = batchnorm2d(conv2d(h, p.project_conv), p.project_bn)
 
     keep_mask = None
     if p.has_shortcut:
@@ -302,8 +296,8 @@ def mbconv_forward(
             y = apply_keep_mask(y, keep_mask, p.survive_p)
         y = Tensor4(x.data + y.data)
     ctx = MbConvCtx(
-        p, x, expand_in, expand_pre, expand_act_in, dw_in, dw_pre, dw_act_in, se_ctx,
-        proj_in, proj_pre, keep_mask,
+        p, x, expand_saved, expand_act_in, dw_in, dw_saved, dw_act_in, se_ctx,
+        proj_in, proj_saved, keep_mask,
     )
     return y, ctx
 
@@ -321,7 +315,7 @@ def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, G
         grad_x_accum = None
         g = grad_out
 
-    g, gg, gb = batchnorm2d_backward(ctx.proj_pre, p.project_bn, g)
+    g, gg, gb = batchnorm2d_backward(ctx.proj_saved, p.project_bn, g)
     grads["project_bn.gamma"], grads["project_bn.beta"] = gg, gb
     g, gw, _ = conv2d_backward(ctx.proj_in, p.project_conv, g)
     grads["project_conv.weight"] = gw
@@ -330,16 +324,16 @@ def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, G
     grads.update({f"se.{k}": v for k, v in se_grads.items()})
 
     g = activate_backward(ctx.dw_act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.dw_pre, p.dw_bn, g)
+    g, gg, gb = batchnorm2d_backward(ctx.dw_saved, p.dw_bn, g)
     grads["dw_bn.gamma"], grads["dw_bn.beta"] = gg, gb
     g, gw, _ = conv2d_backward(ctx.dw_in, p.dw_conv, g)
     grads["dw_conv.weight"] = gw
 
     if p.expand_conv is not None:
         g = activate_backward(ctx.expand_act_in, "swish", g)
-        g, gg, gb = batchnorm2d_backward(ctx.expand_pre, p.expand_bn, g)
+        g, gg, gb = batchnorm2d_backward(ctx.expand_saved, p.expand_bn, g)
         grads["expand_bn.gamma"], grads["expand_bn.beta"] = gg, gb
-        g, gw, _ = conv2d_backward(ctx.expand_in, p.expand_conv, g)
+        g, gw, _ = conv2d_backward(ctx.x, p.expand_conv, g)
         grads["expand_conv.weight"] = gw
 
     grad_x = g if grad_x_accum is None else grad_x_accum + g
@@ -354,8 +348,7 @@ def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, G
 class GateCtx:
     p: AttentionGateParams
     x: Tensor4
-    up_chain: list[Tensor4]  # g and every intermediate before each 2x step
-    g_up: Tensor4
+    g: Tensor4
     sum_pre: Tensor4
     relu_out: Tensor4
     psi_pre: Tensor4
@@ -366,24 +359,9 @@ def attention_gate_forward(
     x: Tensor4, g: Tensor4, p: AttentionGateParams
 ) -> tuple[Tensor4, GateCtx]:
     """Multiply skip features x by a mask in (0,1) computed from x and the
-    (upsampled) decoder features g."""
-    if x.h % g.h or x.w % g.w or x.h // g.h != x.w // g.w:
-        raise ShapeError(
-            f"gate features {g.dims} do not divide skip features {x.dims} evenly"
-        )
-    factor = x.h // g.h
-    if factor & (factor - 1):
-        raise ShapeError(f"gate upsampling factor {factor} is not a power of two")
-
-    up_chain = []
-    cur = g
-    while cur.h < x.h:
-        up_chain.append(cur)
-        cur = upsample_bilinear_2x(cur)
-    g_up = cur
-
+    decoder features g, which must have x's batch size and resolution."""
     xa = conv2d(x, p.wx)
-    ga = conv2d(g_up, p.wg)
+    ga = conv2d(g, p.wg)
     if xa.dims != ga.dims:
         raise ShapeError(f"gate inter features disagree: {xa.dims} vs {ga.dims}")
     sum_pre = Tensor4(xa.data + ga.data)
@@ -391,7 +369,7 @@ def attention_gate_forward(
     psi_pre = conv2d(relu_out, p.psi)
     alpha = activate(psi_pre, "sigmoid").data  # (n, 1, hx, wx)
     y = Tensor4(x.data * alpha)
-    return y, GateCtx(p, x, up_chain, g_up, sum_pre, relu_out, psi_pre, alpha)
+    return y, GateCtx(p, x, g, sum_pre, relu_out, psi_pre, alpha)
 
 
 def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, GradDict]:
@@ -404,12 +382,8 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
     drelu, gw_psi, gb_psi = conv2d_backward(ctx.relu_out, p.psi, dpsi_pre)
     dsum = activate_backward(ctx.sum_pre, "relu", drelu)
     dx2, gw_wx, _ = conv2d_backward(x, p.wx, dsum)
-    dg_up, gw_wg, _ = conv2d_backward(ctx.g_up, p.wg, dsum)
+    dg, gw_wg, _ = conv2d_backward(ctx.g, p.wg, dsum)
     grad_x = grad_x + dx2
-
-    dg = dg_up
-    for src in reversed(ctx.up_chain):
-        dg = upsample_bilinear_2x_backward(src, dg)
     grads = {"wx.weight": gw_wx, "wg.weight": gw_wg, "psi.weight": gw_psi, "psi.bias": gb_psi}
     return grad_x, dg, grads
 
@@ -422,40 +396,38 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
 class ResCtx:
     p: ResBlockParams
     x: Tensor4
-    pre1: Tensor4
+    saved1: BnSaved | None
     act1_in: Tensor4
     conv2_in: Tensor4
-    pre2: Tensor4
+    saved2: BnSaved | None
     act2_in: Tensor4
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams) -> tuple[Tensor4, ResCtx]:
     """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
     shortcut; spatial dims are preserved."""
-    pre1 = conv2d(x, p.conv1)
-    act1_in = batchnorm2d(pre1, p.bn1)
+    act1_in, saved1 = batchnorm2d(conv2d(x, p.conv1), p.bn1)
     r1 = activate(act1_in, "relu")
-    pre2 = conv2d(r1, p.conv2)
-    act2_in = batchnorm2d(pre2, p.bn2)
+    act2_in, saved2 = batchnorm2d(conv2d(r1, p.conv2), p.bn2)
     r2 = activate(act2_in, "relu")
     if p.shortcut_proj is None:
         sc = x.data
     else:
         sc = conv2d(x, p.shortcut_proj).data
     y = Tensor4(r2.data + sc)
-    return y, ResCtx(p, x, pre1, act1_in, r1, pre2, act2_in)
+    return y, ResCtx(p, x, saved1, act1_in, r1, saved2, act2_in)
 
 
 def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p = ctx.p
     grads: GradDict = {}
     g = activate_backward(ctx.act2_in, "relu", grad_out)
-    g, gg, gb = batchnorm2d_backward(ctx.pre2, p.bn2, g)
+    g, gg, gb = batchnorm2d_backward(ctx.saved2, p.bn2, g)
     grads["bn2.gamma"], grads["bn2.beta"] = gg, gb
     g, gw, _ = conv2d_backward(ctx.conv2_in, p.conv2, g)
     grads["conv2.weight"] = gw
     g = activate_backward(ctx.act1_in, "relu", g)
-    g, gg, gb = batchnorm2d_backward(ctx.pre1, p.bn1, g)
+    g, gg, gb = batchnorm2d_backward(ctx.saved1, p.bn1, g)
     grads["bn1.gamma"], grads["bn1.beta"] = gg, gb
     g, gw, _ = conv2d_backward(ctx.x, p.conv1, g)
     grads["conv1.weight"] = gw

@@ -122,7 +122,8 @@ def check_model(
     go = rng.standard_normal((batch, 1, h, w))
     drop_seed = seed + 1
 
-    grads = M.backward(params, cfg, x, go, np.random.default_rng(drop_seed))
+    _, ctx = M.forward_training(params, cfg, x, np.random.default_rng(drop_seed))
+    grads, _ = M.backward_from_context(params, ctx, go)
 
     def loss():
         y = M.forward(params, cfg, x, T.TRAIN, np.random.default_rng(drop_seed))

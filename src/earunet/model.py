@@ -23,6 +23,7 @@ from .tensor import (
     INFER,
     TRAIN,
     BatchNormState,
+    BnSaved,
     ConvParams,
     Tensor4,
     activate,
@@ -351,7 +352,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 @dataclass
 class _StemCtx:
     x: Tensor4
-    pre: Tensor4
+    saved: BnSaved | None
     act_in: Tensor4
 
 
@@ -359,7 +360,6 @@ class _StemCtx:
 class _LevelCtx:
     up_in: Tensor4  # decoder features before the 2x upsample
     gate_ctx: B.GateCtx
-    gated_c: int
     res_ctx: B.ResCtx
 
 
@@ -381,9 +381,8 @@ def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
 
 
 def _conv_bn_swish(x: Tensor4, conv: ConvParams, bn: BatchNormState) -> tuple[Tensor4, _StemCtx]:
-    pre = conv2d(x, conv)
-    act_in = batchnorm2d(pre, bn)
-    return activate(act_in, "swish"), _StemCtx(x, pre, act_in)
+    act_in, saved = batchnorm2d(conv2d(x, conv), bn)
+    return activate(act_in, "swish"), _StemCtx(x, saved, act_in)
 
 
 def _decoder_level(
@@ -393,7 +392,7 @@ def _decoder_level(
     gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
     cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
     out, res_ctx = B.residual_block_forward(cat, res)
-    return out, _LevelCtx(up_in=cur, gate_ctx=gate_ctx, gated_c=gated.c, res_ctx=res_ctx)
+    return out, _LevelCtx(up_in=cur, gate_ctx=gate_ctx, res_ctx=res_ctx)
 
 
 def _run_forward(
@@ -488,15 +487,16 @@ def backward_from_context(
         lv = ctx.levels[level]
         g, res_grads = B.residual_block_backward(lv.res_ctx, g)
         merge(f"decoder.level{level + 1}.res", res_grads)
-        g_gated = g[:, : lv.gated_c]
-        g_up = g[:, lv.gated_c :]
+        gated_c = lv.gate_ctx.x.c
+        g_gated = g[:, :gated_c]
+        g_up = g[:, gated_c:]
         gskip, g_up_gate, gate_grads = B.attention_gate_backward(lv.gate_ctx, g_gated)
         merge(f"decoder.level{level + 1}.gate", gate_grads)
         skip_grads[ctx.cfg.skip_stages[-1 - level]] = gskip
         g = upsample_bilinear_2x_backward(lv.up_in, g_up + g_up_gate)
 
     g = activate_backward(ctx.head9.act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.head9.pre, params.head_bn9, g)
+    g, gg, gb = batchnorm2d_backward(ctx.head9.saved, params.head_bn9, g)
     grads["encoder.stage9.bn.gamma"] = gg
     grads["encoder.stage9.bn.beta"] = gb
     g, gw, _ = conv2d_backward(ctx.head9.x, params.head_conv9, g)
@@ -514,28 +514,9 @@ def backward_from_context(
     if 1 in skip_grads:
         g = g + skip_grads[1]
     g = activate_backward(ctx.stem.act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.stem.pre, params.stem_bn, g)
+    g, gg, gb = batchnorm2d_backward(ctx.stem.saved, params.stem_bn, g)
     grads["encoder.stage1.bn.gamma"] = gg
     grads["encoder.stage1.bn.beta"] = gb
     grad_x, gw, _ = conv2d_backward(ctx.stem.x, params.stem_conv, g)
     grads["encoder.stage1.conv.weight"] = gw
     return grads, grad_x
-
-
-def backward(
-    params: ModelParams,
-    cfg: ModelConfig,
-    x: Tensor4,
-    grad_out: np.ndarray,
-    rng: np.random.Generator,
-) -> B.GradDict:
-    """Gradients of sum(grad_out * forward(x)) for every trainable parameter.
-
-    Runs a train-mode forward internally; pass the same rng seed to
-    reproduce a specific forward's stochastic-depth draws.
-    """
-    y, ctx = _run_forward(params, cfg, x, TRAIN, rng)
-    if grad_out.shape != y.data.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {y.data.shape}")
-    grads, _ = backward_from_context(params, ctx, grad_out)
-    return grads

@@ -56,8 +56,12 @@ def hist_equalize(v: CtVolume, bins: int = EQUALIZE_BINS) -> CtVolume:
     is monotone nondecreasing in the input and spans (0, 1].
     """
     vox = v.voxels
-    if vox.min() < 0.0 or vox.max() > 1.0:
-        raise InputError("histogram equalization expects voxels in [0,1] (window first)")
+    # written so that NaN fails the test too
+    if not (vox.min() >= 0.0 and vox.max() <= 1.0):
+        raise InputError(
+            "histogram equalization expects finite voxels in [0,1] (window first); "
+            "got non-finite or out-of-range values"
+        )
     idx = np.minimum((vox * bins).astype(np.int64), bins - 1)
     hist = np.bincount(idx.ravel(), minlength=bins)
     cdf = np.cumsum(hist, dtype=np.float64) / vox.size
@@ -93,10 +97,13 @@ def resample_z(
         return type(v)(out.copy(), spacing)
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, d - 1)
-    w = (pos - i0).astype(np.float64)
-    vox = v.voxels.astype(np.float64)
-    out = vox[i0] * (1.0 - w)[:, None, None] + vox[i1] * w[:, None, None]
-    return CtVolume(out.astype(np.float32), spacing)
+    w = pos - i0
+    vox = v.voxels
+    # one output slice at a time: float64 temporaries stay slice-sized
+    out = np.empty((pos.size,) + vox.shape[1:], dtype=np.float32)
+    for k in range(pos.size):
+        out[k] = vox[i0[k]].astype(np.float64) * (1.0 - w[k]) + vox[i1[k]].astype(np.float64) * w[k]
+    return CtVolume(out, spacing)
 
 
 def crop_liver_range(
@@ -158,7 +165,8 @@ def resize_slices(v: CtVolume | LabelVolume, size: int = SLICE_SIZE):
     spacing = (sz, sy * h / size, sx * w / size)
     if isinstance(v, LabelVolume):
         return LabelVolume(resize_plane_nearest(v.voxels, size, size).copy(), spacing)
-    out = resize_plane_bilinear(v.voxels.astype(np.float64), size, size)
+    # the gathered corners promote to float64 against the float64 weights
+    out = resize_plane_bilinear(v.voxels, size, size)
     return CtVolume(out.astype(np.float32), spacing)
 
 

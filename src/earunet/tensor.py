@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateBatchError, ParameterError, ShapeError
+from .errors import DegenerateBatchError, ParameterError, ShapeError, StateError
 
 TRAIN = "train"
 INFER = "infer"
@@ -290,6 +290,8 @@ def conv2d_backward(
 # ---------------------------------------------------------------------------
 # batch normalization
 
+BnSaved = tuple[np.ndarray, np.ndarray]  # (xh, inv) saved by a train-mode batchnorm2d
+
 
 def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = np.mean(x, axis=(0, 2, 3), dtype=np.float64)
@@ -299,12 +301,14 @@ def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, var
 
 
-def batchnorm2d(x: Tensor4, s: BatchNormState) -> Tensor4:
-    """Per-channel normalize-scale-shift.
+def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved | None]:
+    """Per-channel normalize-scale-shift; returns ``(out, saved)``.
 
-    Train mode normalizes with the batch statistics over (n, h, w) and
-    updates the running statistics in place; infer mode reads the running
-    statistics only.
+    Train mode normalizes with the batch statistics over (n, h, w),
+    updates the running statistics in place and saves ``(xh, inv)``, the
+    normalized input and the per-channel inverse std, for
+    ``batchnorm2d_backward``.  Infer mode reads the running statistics
+    only and saves nothing.
     """
     n, c, h, w = x.dims
     if c != s.channels:
@@ -331,43 +335,33 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> Tensor4:
     inv = (1.0 / np.sqrt(var.astype(np.float64) + s.eps)).astype(dt)
     xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xh * s.gamma.astype(dt)[None, :, None, None] + s.beta.astype(dt)[None, :, None, None]
-    return Tensor4(out)
+    return Tensor4(out), ((xh, inv) if s.mode == TRAIN else None)
 
 
 def batchnorm2d_backward(
-    x: Tensor4, s: BatchNormState, grad_out: np.ndarray
+    saved: BnSaved | None, s: BatchNormState, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of batchnorm2d w.r.t. input, gamma and beta.
+    """Gradients of a train-mode batchnorm2d w.r.t. input, gamma and beta,
+    differentiating through the batch statistics.
 
-    Train mode differentiates through the batch statistics; infer mode
-    treats the running statistics as constants.
+    ``saved`` is the ``(xh, inv)`` that the forward returned; nothing
+    backpropagates through infer mode, which saves ``None``.
     """
-    n, c, h, w = x.dims
-    if grad_out.shape != x.data.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {x.data.shape}")
-    dt = x.data.dtype
-    if s.mode == TRAIN:
-        mu64, var64 = _batch_stats(x.data)
-        mu = mu64.astype(dt)
-        var = var64.astype(dt)
-    else:
-        mu = s.running_mean.astype(dt)
-        var = s.running_var.astype(dt)
-    inv = (1.0 / np.sqrt(var.astype(np.float64) + s.eps)).astype(dt)
-    xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-
+    if saved is None:
+        raise StateError("batchnorm2d_backward needs the (xh, inv) a train-mode forward saved")
+    xh, inv = saved
+    if grad_out.shape != xh.shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {xh.shape}")
+    dt = xh.dtype
     grad_gamma = np.sum(grad_out * xh, axis=(0, 2, 3), dtype=np.float64).astype(s.gamma.dtype)
     grad_beta = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(s.beta.dtype)
 
     g = grad_out * s.gamma.astype(dt)[None, :, None, None]
-    if s.mode == TRAIN:
-        mean_g = np.mean(g, axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        mean_gxh = np.mean(g * xh, axis=(0, 2, 3), dtype=np.float64).astype(dt)
-        grad_x = inv[None, :, None, None] * (
-            g - mean_g[None, :, None, None] - xh * mean_gxh[None, :, None, None]
-        )
-    else:
-        grad_x = g * inv[None, :, None, None]
+    mean_g = np.mean(g, axis=(0, 2, 3), dtype=np.float64).astype(dt)
+    mean_gxh = np.mean(g * xh, axis=(0, 2, 3), dtype=np.float64).astype(dt)
+    grad_x = inv[None, :, None, None] * (
+        g - mean_g[None, :, None, None] - xh * mean_gxh[None, :, None, None]
+    )
     return grad_x.astype(dt, copy=False), grad_gamma, grad_beta
 
 

@@ -4,14 +4,17 @@ Supported formats:
 
 * NIfTI-1, single-file uncompressed little-endian `.nii` with datatype
   uint8, int16 or float32.  Anything else (big-endian, wrong magic,
-  other datatypes) errors loudly.
+  other datatypes) errors loudly.  A non-identity scl_slope/scl_inter is
+  applied on read and yields a float32 CtVolume; writers store identity
+  scaling.
 * "VSEG": a JSON sidecar `<base>.vseg.json` describing dims, spacing and
   dtype next to a raw little-endian payload `<base>.vseg.raw`.
 * Slice archives: one directory per case holding per-slice raw records
   (float32 image, uint8 mask) and a JSON manifest with provenance.
 
-uint8 payloads load as LabelVolume, int16/float32 as CtVolume; writers
-pick the payload dtype from the array dtype, so round trips are bit-exact.
+Unscaled uint8 payloads load as LabelVolume, int16/float32 as CtVolume;
+writers pick the payload dtype from the array dtype, so round trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     if any(s <= 0 for s in spacing):
         raise FormatError(f"{path}: non-positive pixdim {pixdim[1:4]}")
     (vox_offset,) = struct.unpack_from("<f", blob, 108)
+    # A non-finite scl_slope/scl_inter reads as 0, as in the NIfTI-1
+    # reference reader; slope 0 means unscaled and the intercept is ignored.
+    slope, inter = (v if np.isfinite(v) else 0.0 for v in struct.unpack_from("<2f", blob, 112))
     offset = int(vox_offset)
     if offset < NIFTI_HEADER_SIZE:
         raise FormatError(f"{path}: vox_offset {vox_offset} inside the header")
@@ -104,6 +110,8 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
         raise FormatError(f"{path}: payload needs {needed} bytes, file has {have}")
     arr = np.frombuffer(blob, dtype=dt, count=nx * ny * nz, offset=offset)
     vox = arr.reshape(nz, ny, nx).copy()  # x varies fastest on disk
+    if slope != 0.0 and (slope != 1.0 or inter != 0.0):
+        return CtVolume((vox * np.float64(slope) + inter).astype(np.float32), spacing)
     return _volume_from_array(vox.astype(vox.dtype.newbyteorder("=")), spacing)
 
 
@@ -112,6 +120,12 @@ def write_nifti(
     path: str | os.PathLike,
     template_header: bytes | None = None,
 ) -> None:
+    """Write v as single-file NIfTI-1.
+
+    A template header contributes its other fields (pixdim[0], qform,
+    sform, descriptions); spacing, dims, datatype and identity scaling
+    always come from v.
+    """
     vox = np.ascontiguousarray(v.voxels)
     if vox.dtype.name not in _NIFTI_CODES:
         raise FormatError(f"cannot write dtype {vox.dtype} as NIfTI (u8/i16/f32 only)")
@@ -124,9 +138,10 @@ def write_nifti(
     else:
         hdr = bytearray(NIFTI_HEADER_SIZE)
         struct.pack_into("<i", hdr, 0, NIFTI_HEADER_SIZE)
-        sz, sy, sx = v.spacing
-        struct.pack_into("<8f", hdr, 76, 1.0, sx, sy, sz, 0.0, 0.0, 0.0, 0.0)
-        struct.pack_into("<f", hdr, 112, 1.0)  # scl_slope
+        struct.pack_into("<f", hdr, 76, 1.0)  # pixdim[0]: qfac
+    sz, sy, sx = v.spacing
+    struct.pack_into("<3f", hdr, 80, sx, sy, sz)  # pixdim[1:4]
+    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope, scl_inter
     struct.pack_into("<8h", hdr, 40, 3, w, h, d, 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, code)
     struct.pack_into("<h", hdr, 72, vox.dtype.itemsize * 8)

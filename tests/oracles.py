@@ -6,6 +6,8 @@ and kept separate from the library code paths it checks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -77,6 +79,57 @@ def max_rel_err(analytic, numeric, floor=1e-2):
     b = np.asarray(numeric, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / scale)) if a.size else 0.0
+
+
+# ---------------------------------------------------------------------------
+# resampling: per-voxel loops
+
+
+def resample_z_naive(vox, sz, target, kind):
+    """Slice-axis resampling; output slice i sits at depth i*target."""
+    d, h, w = vox.shape
+    new_d = math.floor((d - 1) * sz / target) + 1
+    out = np.zeros((new_d, h, w))
+    for i in range(new_d):
+        pos = i * target / sz  # in input slice units
+        i0 = math.floor(pos)
+        i1 = min(i0 + 1, d - 1)
+        f = pos - i0
+        for y in range(h):
+            for x in range(w):
+                if kind == "nearest":
+                    out[i, y, x] = vox[min(math.floor(pos + 0.5), d - 1), y, x]
+                else:
+                    out[i, y, x] = float(vox[i0, y, x]) * (1.0 - f) + float(vox[i1, y, x]) * f
+    return out
+
+
+def _source_coord(i, src, dst):
+    """Half-pixel-center source coordinate of destination index i, clamped."""
+    return min(max((i + 0.5) * src / dst - 0.5, 0.0), src - 1)
+
+
+def resize_bilinear_naive(img, out_h, out_w):
+    """Bilinear resize of one 2-D plane, one output pixel at a time."""
+    h, w = img.shape
+    out = np.zeros((out_h, out_w))
+    for i in range(out_h):
+        sy = _source_coord(i, h, out_h)
+        y0 = math.floor(sy)
+        y1 = min(y0 + 1, h - 1)
+        fy = sy - y0
+        for j in range(out_w):
+            sx = _source_coord(j, w, out_w)
+            x0 = math.floor(sx)
+            x1 = min(x0 + 1, w - 1)
+            fx = sx - x0
+            out[i, j] = (
+                float(img[y0, x0]) * (1 - fy) * (1 - fx)
+                + float(img[y0, x1]) * (1 - fy) * fx
+                + float(img[y1, x0]) * fy * (1 - fx)
+                + float(img[y1, x1]) * fy * fx
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,10 @@ class TestMbConv:
         x = t4(rng.standard_normal((1, 8, 8, 8)))
         got = B.mbconv_forward(x, p, T.INFER, rng)[0].data
 
-        h = T.activate(T.batchnorm2d(T.conv2d(x, p.expand_conv), p.expand_bn), "swish")
-        h = T.activate(T.batchnorm2d(T.conv2d(h, p.dw_conv), p.dw_bn), "swish")
+        h = T.activate(T.batchnorm2d(T.conv2d(x, p.expand_conv), p.expand_bn)[0], "swish")
+        h = T.activate(T.batchnorm2d(T.conv2d(h, p.dw_conv), p.dw_bn)[0], "swish")
         h = B.se_block_forward(h, p.se)[0]
-        h = T.batchnorm2d(T.conv2d(h, p.project_conv), p.project_bn)
+        h = T.batchnorm2d(T.conv2d(h, p.project_conv), p.project_bn)[0]
         want = x.data + h.data  # shortcut, infer mode: no drop
         assert np.allclose(got, want, atol=1e-12)
 
@@ -187,7 +187,7 @@ class TestAttentionGate:
     def test_zero_psi_gates_half(self):
         rng = np.random.default_rng(11)
         x = t4(rng.standard_normal((1, 4, 8, 8)))
-        g = t4(rng.standard_normal((1, 6, 4, 4)))
+        g = t4(rng.standard_normal((1, 6, 8, 8)))
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
         p.psi.weight[:] = 0
         p.psi.bias[:] = 0
@@ -197,7 +197,7 @@ class TestAttentionGate:
     def test_saturated_psi_passes_x(self):
         rng = np.random.default_rng(12)
         x = t4(rng.standard_normal((1, 4, 8, 8)))
-        g = t4(rng.standard_normal((1, 6, 4, 4)))
+        g = t4(rng.standard_normal((1, 6, 8, 8)))
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
         p.psi.weight[:] = 0
         p.psi.bias[:] = 20.0
@@ -207,34 +207,34 @@ class TestAttentionGate:
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(13)
         x = t4(rng.standard_normal((1, 4, 8, 8)))
-        g = t4(rng.standard_normal((1, 6, 2, 2)))
+        g = t4(rng.standard_normal((1, 6, 8, 8)))
         p = B.init_attention_gate(rng, 4, 6, dtype=np.float64)
         got = B.attention_gate_forward(x, g, p)[0].data
 
-        gu = T.upsample_bilinear_2x(T.upsample_bilinear_2x(g))
-        s = T.Tensor4(T.conv2d(x, p.wx).data + T.conv2d(gu, p.wg).data)
+        s = T.Tensor4(T.conv2d(x, p.wx).data + T.conv2d(g, p.wg).data)
         alpha = T.activate(T.conv2d(T.activate(s, "relu"), p.psi), "sigmoid").data
         assert np.allclose(got, x.data * alpha, atol=1e-12)
 
     def test_output_dominated_by_x(self):
         rng = np.random.default_rng(14)
         x = t4(rng.standard_normal((2, 3, 4, 4)))
-        g = t4(rng.standard_normal((2, 5, 2, 2)))
+        g = t4(rng.standard_normal((2, 5, 4, 4)))
         p = B.init_attention_gate(rng, 3, 5, dtype=np.float64)
         out = B.attention_gate_forward(x, g, p)[0]
         assert np.all(np.abs(out.data) <= np.abs(x.data) + 1e-15)
         assert np.all(np.sign(out.data) == np.sign(x.data))
 
-    def test_uneven_factor_rejected(self):
+    def test_resolution_mismatch_rejected(self):
+        # decoder features must already be at the skip's resolution
         rng = np.random.default_rng(15)
         p = B.init_attention_gate(rng, 3, 5)
         with pytest.raises(ShapeError):
-            B.attention_gate_forward(t4(np.zeros((1, 3, 6, 6))), t4(np.zeros((1, 5, 4, 4))), p)
+            B.attention_gate_forward(t4(np.zeros((1, 3, 8, 8))), t4(np.zeros((1, 5, 4, 4))), p)
 
     def test_gradients(self):
         rng = np.random.default_rng(16)
         x0 = rng.standard_normal((1, 3, 4, 4))
-        g0 = rng.standard_normal((1, 5, 2, 2))
+        g0 = rng.standard_normal((1, 5, 4, 4))
         p = B.init_attention_gate(rng, 3, 5, dtype=np.float64)
         out, ctx = B.attention_gate_forward(t4(x0), t4(g0), p)
         go = rng.standard_normal(out.dims)
@@ -278,8 +278,8 @@ class TestResidualBlock:
         x = t4(rng.standard_normal((1, 3, 6, 6)))
         got = B.residual_block_forward(x, p)[0].data
 
-        r = T.activate(T.batchnorm2d(T.conv2d(x, p.conv1), p.bn1), "relu")
-        r = T.activate(T.batchnorm2d(T.conv2d(r, p.conv2), p.bn2), "relu")
+        r = T.activate(T.batchnorm2d(T.conv2d(x, p.conv1), p.bn1)[0], "relu")
+        r = T.activate(T.batchnorm2d(T.conv2d(r, p.conv2), p.bn2)[0], "relu")
         want = r.data + T.conv2d(x, p.shortcut_proj).data
         assert np.allclose(got, want, atol=1e-12)
 

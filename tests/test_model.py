@@ -14,7 +14,7 @@ from earunet.checkpoint import (
     save_checkpoint,
 )
 from earunet.errors import ConfigError, FormatError, ParameterError, ShapeError, VersionError
-from earunet.tensor import TRAIN, Tensor4
+from earunet.tensor import INFER, TRAIN, Tensor4
 from oracles import max_rel_err
 
 TABLE_CHANNELS = (48, 24, 32, 56, 112, 160, 272, 448, 1792)
@@ -161,18 +161,23 @@ def micro64():
     return cfg, params
 
 
+def train_grads(params, cfg, x, grad_out, rng):
+    _, ctx = M.forward_training(params, cfg, x, rng)
+    return M.backward_from_context(params, ctx, grad_out)[0]
+
+
 class TestBackward:
     def test_zero_grad_out(self, micro64):
         cfg, params = micro64
         x = Tensor4(np.random.default_rng(0).random((2, 1, 32, 32)))
-        grads = M.backward(params, cfg, x, np.zeros((2, 1, 32, 32)), np.random.default_rng(1))
+        grads = train_grads(params, cfg, x, np.zeros((2, 1, 32, 32)), np.random.default_rng(1))
         assert all(not g.any() for g in grads.values())
 
     def test_every_trainable_receives_gradient(self, micro64):
         cfg, params = micro64
         x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32)))
         go = np.random.default_rng(2).standard_normal((2, 1, 32, 32))
-        grads = M.backward(params, cfg, x, go, np.random.default_rng(3))
+        grads = train_grads(params, cfg, x, go, np.random.default_rng(3))
         assert set(grads.keys()) == set(M.named_trainable(params).keys())
         for k, g in grads.items():
             assert g.shape == M.named_trainable(params)[k].shape, k
@@ -181,10 +186,23 @@ class TestBackward:
         cfg, params = micro64
         x = Tensor4(np.random.default_rng(4).random((2, 1, 32, 32)))
         go = np.random.default_rng(5).standard_normal((2, 1, 32, 32))
-        a = M.backward(params, cfg, x, go, np.random.default_rng(6))
-        b = M.backward(params, cfg, x, go, np.random.default_rng(6))
+        a = train_grads(params, cfg, x, go, np.random.default_rng(6))
+        b = train_grads(params, cfg, x, go, np.random.default_rng(6))
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+    def test_infer_forward_between_leaves_gradients(self, micro64):
+        # an infer forward (a validation pass) sets every BN to infer mode
+        # before the backward of an earlier train forward runs
+        cfg, params = micro64
+        x = Tensor4(np.random.default_rng(7).random((2, 1, 32, 32)))
+        go = np.random.default_rng(8).standard_normal((2, 1, 32, 32))
+        want = train_grads(params, cfg, x, go, np.random.default_rng(9))
+        _, ctx = M.forward_training(params, cfg, x, np.random.default_rng(9))
+        M.forward(params, cfg, x, INFER)
+        got, _ = M.backward_from_context(params, ctx, go)
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
 
     def test_spot_finite_differences(self, micro64):
         # a fast spot check; the full sampled sweep runs in the acceptance suite

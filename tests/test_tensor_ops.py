@@ -5,7 +5,7 @@ import pytest
 
 from earunet import blocks as B
 from earunet import tensor as T
-from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
+from earunet.errors import DegenerateBatchError, ParameterError, ShapeError, StateError
 from oracles import conv2d_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
@@ -174,13 +174,13 @@ class TestBatchNorm:
     def test_infer_identity_statistics(self):
         rng = np.random.default_rng(4)
         x = t4(rng.standard_normal((2, 3, 4, 4)))
-        out = T.batchnorm2d(x, fresh_bn(3, T.INFER))
+        out = T.batchnorm2d(x, fresh_bn(3, T.INFER))[0]
         assert np.allclose(out.data, x.data, atol=1e-5)
 
     def test_train_normalizes_per_channel(self):
         rng = np.random.default_rng(5)
         x = t4(rng.standard_normal((3, 2, 5, 5)) * 4.0 + 2.0)
-        out = T.batchnorm2d(x, fresh_bn(2, T.TRAIN)).data
+        out = T.batchnorm2d(x, fresh_bn(2, T.TRAIN))[0].data
         for c in range(2):
             assert abs(out[:, c].mean()) < 1e-5
             assert abs(out[:, c].var() - 1.0) < 1e-5
@@ -189,7 +189,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(6)
         x = t4(rng.standard_normal((2, 2, 6, 6)))
         s = fresh_bn(2, T.TRAIN, gamma=[2.0, 2.0], beta=[3.0, 3.0])
-        out = T.batchnorm2d(x, s).data
+        out = T.batchnorm2d(x, s)[0].data
         for c in range(2):
             assert abs(out[:, c].mean() - 3.0) < 1e-4
             assert abs(out[:, c].std() - 2.0) < 1e-4
@@ -212,34 +212,39 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             T.batchnorm2d(t4(np.ones((1, 3, 2, 2))), fresh_bn(4, T.INFER))
 
-    @pytest.mark.parametrize("mode", [T.TRAIN, T.INFER])
-    def test_finite_difference(self, mode):
+    def test_finite_difference(self):
         rng = np.random.default_rng(9)
         x0 = rng.standard_normal((2, 2, 3, 3))
         gamma0 = rng.standard_normal(2) + 1.0
         beta0 = rng.standard_normal(2)
         go = rng.standard_normal((2, 2, 3, 3))
 
-        def make_state(gamma, beta):
-            s = fresh_bn(2, mode, gamma=gamma, beta=beta)
-            s.running_mean[:] = [0.3, -0.2]
-            s.running_var[:] = [1.5, 0.7]
-            return s
+        def bn(x, gamma, beta):
+            return T.batchnorm2d(t4(x), fresh_bn(2, T.TRAIN, gamma=gamma, beta=beta))
 
-        gx, gg, gb = T.batchnorm2d_backward(t4(x0), make_state(gamma0, beta0), go)
+        s = fresh_bn(2, T.TRAIN, gamma=gamma0, beta=beta0)
+        gx, gg, gb = T.batchnorm2d_backward(T.batchnorm2d(t4(x0), s)[1], s, go)
 
         def loss_x(x):
-            return float(np.sum(go * T.batchnorm2d(t4(x), make_state(gamma0, beta0)).data))
+            return float(np.sum(go * bn(x, gamma0, beta0)[0].data))
 
         def loss_g(g):
-            return float(np.sum(go * T.batchnorm2d(t4(x0), make_state(g, beta0)).data))
+            return float(np.sum(go * bn(x0, g, beta0)[0].data))
 
         def loss_b(b):
-            return float(np.sum(go * T.batchnorm2d(t4(x0), make_state(gamma0, b)).data))
+            return float(np.sum(go * bn(x0, gamma0, b)[0].data))
 
         assert max_rel_err(gx, numeric_grad(loss_x, x0)) < GRAD_TOL
         assert max_rel_err(gg, numeric_grad(loss_g, gamma0)) < GRAD_TOL
         assert max_rel_err(gb, numeric_grad(loss_b, beta0)) < GRAD_TOL
+
+    def test_backward_rejects_infer_forward(self):
+        # infer mode saves nothing: no backward runs through it
+        s = fresh_bn(2, T.INFER)
+        out, saved = T.batchnorm2d(t4(np.ones((1, 2, 2, 2))), s)
+        assert saved is None
+        with pytest.raises(StateError):
+            T.batchnorm2d_backward(saved, s, np.ones(out.dims))
 
 
 class TestActivations:

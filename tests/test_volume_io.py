@@ -1,0 +1,68 @@
+"""NIfTI header tests: spacing and intensity scaling survive a round trip."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from earunet.volume_io import read_nifti, read_nifti_header, write_nifti
+from earunet.volumes import CtVolume
+
+
+def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
+    src = tmp_path / "src.nii"
+    write_nifti(CtVolume(np.zeros((3, 4, 5), dtype=np.int16), (2.0, 1.0, 1.0)), src)
+    template = bytearray(read_nifti_header(src))
+    struct.pack_into("<f", template, 76, -1.0)  # pixdim[0]: qfac
+    struct.pack_into("<2f", template, 112, 2.0, -1024.0)  # scl_slope, scl_inter
+    struct.pack_into("<2h", template, 252, 1, 1)  # qform_code, sform_code
+    struct.pack_into("<12f", template, 280, *np.arange(1.0, 13.0))  # srow_x/y/z
+
+    vox = np.arange(6 * 8 * 10, dtype=np.int16).reshape(6, 8, 10)
+    out = tmp_path / "out.nii"
+    write_nifti(CtVolume(vox, (1.0, 0.5, 0.5)), out, template_header=bytes(template))
+
+    back = read_nifti(out)
+    assert back.spacing == (1.0, 0.5, 0.5)
+    assert back.voxels.dtype == np.int16 and np.array_equal(back.voxels, vox)
+    hdr = read_nifti_header(out)
+    assert hdr[76:80] == template[76:80]
+    assert hdr[252:344] == template[252:344]
+
+
+def test_read_applies_intensity_scaling(tmp_path):
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
+    assert read_nifti(path).voxels.dtype == np.int16  # identity scaling: stored dtype
+
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, 2.0, -1024.0)
+    path.write_bytes(bytes(blob))
+    back = read_nifti(path)
+    assert isinstance(back, CtVolume) and back.voxels.dtype == np.float32
+    assert np.array_equal(back.voxels, np.full((2, 3, 4), -1022.0, dtype=np.float32))
+
+
+
+@pytest.mark.parametrize("slope", [0.0, float("nan"), float("inf")])
+def test_read_zero_or_nonfinite_slope_is_unscaled(tmp_path, slope):
+    """Slope 0 (or non-finite, which reads as 0) disables scaling, intercept too."""
+    path = tmp_path / "ct.nii"
+    vox = np.arange(-12, 12, dtype=np.int16).reshape(2, 3, 4)
+    write_nifti(CtVolume(vox, (1.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, slope, -1024.0)
+    path.write_bytes(bytes(blob))
+    back = read_nifti(path)
+    assert back.voxels.dtype == np.int16 and np.array_equal(back.voxels, vox)
+
+
+def test_read_nonfinite_intercept_reads_as_zero(tmp_path):
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, 2.0, float("nan"))
+    path.write_bytes(bytes(blob))
+    back = read_nifti(path)
+    assert back.voxels.dtype == np.float32
+    assert np.array_equal(back.voxels, np.full((2, 3, 4), 2.0, dtype=np.float32))

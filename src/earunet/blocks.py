@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (
-    INFER,
     TRAIN,
     BatchNormState,
     BnSaved,
@@ -118,13 +117,12 @@ def init_conv(
     return ConvParams(weight=w, bias=b, stride=stride, padding=padding, groups=groups)
 
 
-def init_bn(c, dtype=np.float32, mode=INFER) -> BatchNormState:
+def init_bn(c, dtype=np.float32) -> BatchNormState:
     return BatchNormState(
         gamma=np.ones(c, dtype=dtype),
         beta=np.zeros(c, dtype=dtype),
         running_mean=np.zeros(c, dtype=dtype),
         running_var=np.ones(c, dtype=dtype),
-        mode=mode,
     )
 
 
@@ -191,6 +189,43 @@ def init_res_block(rng, in_c, out_c, dtype=np.float32) -> ResBlockParams:
 
 
 # ---------------------------------------------------------------------------
+# conv -> batch norm -> activation
+
+
+@dataclass
+class ConvBnCtx:
+    conv: ConvParams
+    bn: BatchNormState
+    kind: str | None  # activation kind, None for no activation
+    x: Tensor4  # conv input
+    saved: BnSaved | None
+    act_in: Tensor4 | None  # BN output; kept only when an activation follows
+
+
+def conv_bn_act(
+    x: Tensor4, conv: ConvParams, bn: BatchNormState, kind: str | None = None
+) -> tuple[Tensor4, ConvBnCtx]:
+    """activation(bn(conv(x))); kind None applies no activation."""
+    act_in, saved = batchnorm2d(conv2d(x, conv), bn)
+    if kind is None:
+        return act_in, ConvBnCtx(conv, bn, kind, x, saved, None)
+    return activate(act_in, kind), ConvBnCtx(conv, bn, kind, x, saved, act_in)
+
+
+def conv_bn_act_backward(
+    ctx: ConvBnCtx, grad_out: np.ndarray, grads: GradDict, conv_name: str, bn_name: str
+) -> np.ndarray:
+    """Input gradient of conv_bn_act; writes ``{conv_name}.weight``,
+    ``{bn_name}.gamma`` and ``{bn_name}.beta`` into grads."""
+    g = grad_out if ctx.kind is None else activate_backward(ctx.act_in, ctx.kind, grad_out)
+    g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(
+        ctx.saved, ctx.bn, g
+    )
+    g, grads[f"{conv_name}.weight"], _ = conv2d_backward(ctx.x, ctx.conv, g)
+    return g
+
+
+# ---------------------------------------------------------------------------
 # squeeze and excitation
 
 
@@ -253,14 +288,10 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
 class MbConvCtx:
     p: MbConvParams
     x: Tensor4
-    expand_saved: BnSaved | None
-    expand_act_in: Tensor4 | None
-    dw_in: Tensor4
-    dw_saved: BnSaved | None
-    dw_act_in: Tensor4
+    expand: ConvBnCtx | None
+    dw: ConvBnCtx
     se_ctx: SeCtx
-    proj_in: Tensor4
-    proj_saved: BnSaved | None
+    proj: ConvBnCtx
     keep_mask: np.ndarray | None
 
 
@@ -277,17 +308,12 @@ def mbconv_forward(
     and a drop-connected shortcut when the shapes allow one.  Only train
     mode draws a keep mask from rng."""
     _set_bn_modes(p, mode)
-    h = x
-    expand_saved = expand_act_in = None
+    h, expand = x, None
     if p.expand_conv is not None:
-        expand_act_in, expand_saved = batchnorm2d(conv2d(h, p.expand_conv), p.expand_bn)
-        h = activate(expand_act_in, "swish")
-    dw_in = h
-    dw_act_in, dw_saved = batchnorm2d(conv2d(h, p.dw_conv), p.dw_bn)
-    h = activate(dw_act_in, "swish")
+        h, expand = conv_bn_act(x, p.expand_conv, p.expand_bn, "swish")
+    h, dw = conv_bn_act(h, p.dw_conv, p.dw_bn, "swish")
     h, se_ctx = se_block_forward(h, p.se)
-    proj_in = h
-    y, proj_saved = batchnorm2d(conv2d(h, p.project_conv), p.project_bn)
+    y, proj = conv_bn_act(h, p.project_conv, p.project_bn)
 
     keep_mask = None
     if p.has_shortcut:
@@ -295,49 +321,23 @@ def mbconv_forward(
             keep_mask = sample_keep_mask(x.n, p.survive_p, rng)
             y = apply_keep_mask(y, keep_mask, p.survive_p)
         y = Tensor4(x.data + y.data)
-    ctx = MbConvCtx(
-        p, x, expand_saved, expand_act_in, dw_in, dw_saved, dw_act_in, se_ctx,
-        proj_in, proj_saved, keep_mask,
-    )
-    return y, ctx
+    return y, MbConvCtx(p, x, expand, dw, se_ctx, proj, keep_mask)
 
 
 def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p = ctx.p
     grads: GradDict = {}
-    if p.has_shortcut:
-        grad_x_accum = grad_out
-        g = grad_out
-        if ctx.keep_mask is not None:
-            scale = (ctx.keep_mask / p.survive_p).astype(g.dtype)
-            g = g * scale[:, None, None, None]
-    else:
-        grad_x_accum = None
-        g = grad_out
-
-    g, gg, gb = batchnorm2d_backward(ctx.proj_saved, p.project_bn, g)
-    grads["project_bn.gamma"], grads["project_bn.beta"] = gg, gb
-    g, gw, _ = conv2d_backward(ctx.proj_in, p.project_conv, g)
-    grads["project_conv.weight"] = gw
-
+    g = grad_out
+    if ctx.keep_mask is not None:
+        scale = (ctx.keep_mask / p.survive_p).astype(g.dtype)
+        g = g * scale[:, None, None, None]
+    g = conv_bn_act_backward(ctx.proj, g, grads, "project_conv", "project_bn")
     g, se_grads = se_block_backward(ctx.se_ctx, g)
     grads.update({f"se.{k}": v for k, v in se_grads.items()})
-
-    g = activate_backward(ctx.dw_act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.dw_saved, p.dw_bn, g)
-    grads["dw_bn.gamma"], grads["dw_bn.beta"] = gg, gb
-    g, gw, _ = conv2d_backward(ctx.dw_in, p.dw_conv, g)
-    grads["dw_conv.weight"] = gw
-
-    if p.expand_conv is not None:
-        g = activate_backward(ctx.expand_act_in, "swish", g)
-        g, gg, gb = batchnorm2d_backward(ctx.expand_saved, p.expand_bn, g)
-        grads["expand_bn.gamma"], grads["expand_bn.beta"] = gg, gb
-        g, gw, _ = conv2d_backward(ctx.x, p.expand_conv, g)
-        grads["expand_conv.weight"] = gw
-
-    grad_x = g if grad_x_accum is None else grad_x_accum + g
-    return grad_x, grads
+    g = conv_bn_act_backward(ctx.dw, g, grads, "dw_conv", "dw_bn")
+    if ctx.expand is not None:
+        g = conv_bn_act_backward(ctx.expand, g, grads, "expand_conv", "expand_bn")
+    return (grad_out + g if p.has_shortcut else g), grads
 
 
 # ---------------------------------------------------------------------------
@@ -395,47 +395,29 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
 @dataclass
 class ResCtx:
     p: ResBlockParams
-    x: Tensor4
-    saved1: BnSaved | None
-    act1_in: Tensor4
-    conv2_in: Tensor4
-    saved2: BnSaved | None
-    act2_in: Tensor4
+    unit1: ConvBnCtx
+    unit2: ConvBnCtx
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams) -> tuple[Tensor4, ResCtx]:
     """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
     shortcut; spatial dims are preserved."""
-    act1_in, saved1 = batchnorm2d(conv2d(x, p.conv1), p.bn1)
-    r1 = activate(act1_in, "relu")
-    act2_in, saved2 = batchnorm2d(conv2d(r1, p.conv2), p.bn2)
-    r2 = activate(act2_in, "relu")
+    r1, unit1 = conv_bn_act(x, p.conv1, p.bn1, "relu")
+    r2, unit2 = conv_bn_act(r1, p.conv2, p.bn2, "relu")
     if p.shortcut_proj is None:
         sc = x.data
     else:
         sc = conv2d(x, p.shortcut_proj).data
     y = Tensor4(r2.data + sc)
-    return y, ResCtx(p, x, saved1, act1_in, r1, saved2, act2_in)
+    return y, ResCtx(p, unit1, unit2)
 
 
 def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p = ctx.p
     grads: GradDict = {}
-    g = activate_backward(ctx.act2_in, "relu", grad_out)
-    g, gg, gb = batchnorm2d_backward(ctx.saved2, p.bn2, g)
-    grads["bn2.gamma"], grads["bn2.beta"] = gg, gb
-    g, gw, _ = conv2d_backward(ctx.conv2_in, p.conv2, g)
-    grads["conv2.weight"] = gw
-    g = activate_backward(ctx.act1_in, "relu", g)
-    g, gg, gb = batchnorm2d_backward(ctx.saved1, p.bn1, g)
-    grads["bn1.gamma"], grads["bn1.beta"] = gg, gb
-    g, gw, _ = conv2d_backward(ctx.x, p.conv1, g)
-    grads["conv1.weight"] = gw
-
+    g = conv_bn_act_backward(ctx.unit2, grad_out, grads, "conv2", "bn2")
+    g = conv_bn_act_backward(ctx.unit1, g, grads, "conv1", "bn1")
     if p.shortcut_proj is None:
-        grad_x = g + grad_out
-    else:
-        gsc, gw, _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
-        grads["shortcut_proj.weight"] = gw
-        grad_x = g + gsc
-    return grad_x, grads
+        return g + grad_out, grads
+    gsc, grads["shortcut_proj.weight"], _ = conv2d_backward(ctx.unit1.x, p.shortcut_proj, grad_out)
+    return g + gsc, grads

@@ -18,7 +18,7 @@ from .tensor import Tensor4
 
 CLAMP_EPS = 1e-7
 
-# (w_bce, w_dice) combinations exposed by the trainer and CLI
+# (w_bce, w_dice) weight combinations, keyed "w_bce:w_dice"
 LOSS_PRESETS = {
     "1:0": (1.0, 0.0),
     "0:1": (0.0, 1.0),

@@ -23,18 +23,16 @@ from .tensor import (
     INFER,
     TRAIN,
     BatchNormState,
-    BnSaved,
     ConvParams,
     Tensor4,
     activate,
     activate_backward,
-    batchnorm2d,
-    batchnorm2d_backward,
     conv2d,
     conv2d_backward,
     upsample_bilinear_2x,
     upsample_bilinear_2x_backward,
 )
+from .tensor import batchnorm2d  # noqa: F401  # not called here; tracers patch model.batchnorm2d
 
 # (kind, kernel, stride, out_channels, layers, expansion)
 BASE_STAGES = (
@@ -350,13 +348,6 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 
 
 @dataclass
-class _StemCtx:
-    x: Tensor4
-    saved: BnSaved | None
-    act_in: Tensor4
-
-
-@dataclass
 class _LevelCtx:
     up_in: Tensor4  # decoder features before the 2x upsample
     gate_ctx: B.GateCtx
@@ -366,9 +357,9 @@ class _LevelCtx:
 @dataclass
 class ModelCtx:
     cfg: ModelConfig
-    stem: _StemCtx
+    stem: B.ConvBnCtx
     stage_ctxs: list[list[B.MbConvCtx]]
-    head9: _StemCtx
+    head9: B.ConvBnCtx
     levels: list[_LevelCtx]
     out_pre: Tensor4  # head conv output, sigmoid input
     out_in: Tensor4  # final residual features, head conv input
@@ -378,11 +369,6 @@ def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
     h, w = cfg.input_size
     if x.c != 1 or x.h != h or x.w != w:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {h}, {w})")
-
-
-def _conv_bn_swish(x: Tensor4, conv: ConvParams, bn: BatchNormState) -> tuple[Tensor4, _StemCtx]:
-    act_in, saved = batchnorm2d(conv2d(x, conv), bn)
-    return activate(act_in, "swish"), _StemCtx(x, saved, act_in)
 
 
 def _decoder_level(
@@ -419,7 +405,7 @@ def _run_forward(
         out, ctx = result
         return out, (ctx if record else None)
 
-    feats, stem_ctx = keep(_conv_bn_swish(x, params.stem_conv, params.stem_bn))
+    feats, stem_ctx = keep(B.conv_bn_act(x, params.stem_conv, params.stem_bn, "swish"))
     skips: dict[int, Tensor4] = {1: feats}
     stage_ctxs: list[list[B.MbConvCtx]] = []
     for si, stage in enumerate(params.stages, start=2):
@@ -431,7 +417,7 @@ def _run_forward(
         if si in cfg.skip_stages:
             skips[si] = feats
 
-    feats, head9_ctx = keep(_conv_bn_swish(feats, params.head_conv9, params.head_bn9))
+    feats, head9_ctx = keep(B.conv_bn_act(feats, params.head_conv9, params.head_bn9, "swish"))
     levels: list[_LevelCtx] = []
     for level, (gate, res) in enumerate(zip(params.gates, params.decoder)):
         skip = skips.pop(cfg.skip_stages[-1 - level])
@@ -495,12 +481,7 @@ def backward_from_context(
         skip_grads[ctx.cfg.skip_stages[-1 - level]] = gskip
         g = upsample_bilinear_2x_backward(lv.up_in, g_up + g_up_gate)
 
-    g = activate_backward(ctx.head9.act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.head9.saved, params.head_bn9, g)
-    grads["encoder.stage9.bn.gamma"] = gg
-    grads["encoder.stage9.bn.beta"] = gb
-    g, gw, _ = conv2d_backward(ctx.head9.x, params.head_conv9, g)
-    grads["encoder.stage9.conv.weight"] = gw
+    g = B.conv_bn_act_backward(ctx.head9, g, grads, "encoder.stage9.conv", "encoder.stage9.bn")
 
     for si in range(len(params.stages) + 1, 1, -1):  # stages 8 .. 2
         if si in skip_grads:
@@ -513,10 +494,5 @@ def backward_from_context(
 
     if 1 in skip_grads:
         g = g + skip_grads[1]
-    g = activate_backward(ctx.stem.act_in, "swish", g)
-    g, gg, gb = batchnorm2d_backward(ctx.stem.saved, params.stem_bn, g)
-    grads["encoder.stage1.bn.gamma"] = gg
-    grads["encoder.stage1.bn.beta"] = gb
-    grad_x, gw, _ = conv2d_backward(ctx.stem.x, params.stem_conv, g)
-    grads["encoder.stage1.conv.weight"] = gw
+    grad_x = B.conv_bn_act_backward(ctx.stem, g, grads, "encoder.stage1.conv", "encoder.stage1.bn")
     return grads, grad_x

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ class CtVolume:
         if self.voxels.ndim != 3:
             raise ShapeError(f"volume must be 3-D (d,h,w), got shape {self.voxels.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ShapeError(f"spacing must be three positive values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0.0 < s < math.inf for s in self.spacing):
+            raise ShapeError(f"spacing must be three positive finite values, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -52,8 +53,8 @@ class LabelVolume:
         if self.voxels.dtype != np.uint8:
             self.voxels = self.voxels.astype(np.uint8)
         self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ShapeError(f"spacing must be three positive values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0.0 < s < math.inf for s in self.spacing):
+            raise ShapeError(f"spacing must be three positive finite values, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:

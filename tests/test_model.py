@@ -205,7 +205,7 @@ class TestBackward:
             assert np.array_equal(got[k], want[k]), k
 
     def test_spot_finite_differences(self, micro64):
-        # a fast spot check; the full sampled sweep runs in the acceptance suite
+        # a fast spot check of 10 sampled tensors; check_model with tensors=None covers all
         from earunet.gradcheck import check_model
 
         cfg, _ = micro64

@@ -1,12 +1,14 @@
-"""NIfTI header tests: spacing and intensity scaling survive a round trip."""
+"""NIfTI header tests: spacing and intensity scaling survive a round trip,
+and corrupt headers fail with FormatError."""
 
 import struct
 
 import numpy as np
 import pytest
 
+from earunet.errors import FormatError, ShapeError
 from earunet.volume_io import read_nifti, read_nifti_header, write_nifti
-from earunet.volumes import CtVolume
+from earunet.volumes import CtVolume, LabelVolume
 
 
 def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
@@ -43,7 +45,6 @@ def test_read_applies_intensity_scaling(tmp_path):
     assert np.array_equal(back.voxels, np.full((2, 3, 4), -1022.0, dtype=np.float32))
 
 
-
 @pytest.mark.parametrize("slope", [0.0, float("nan"), float("inf")])
 def test_read_zero_or_nonfinite_slope_is_unscaled(tmp_path, slope):
     """Slope 0 (or non-finite, which reads as 0) disables scaling, intercept too."""
@@ -66,3 +67,43 @@ def test_read_nonfinite_intercept_reads_as_zero(tmp_path):
     back = read_nifti(path)
     assert back.voxels.dtype == np.float32
     assert np.array_equal(back.voxels, np.full((2, 3, 4), 2.0, dtype=np.float32))
+
+
+def _corrupt(tmp_path, fmt, offset, *values):
+    """A valid 4x6x6 int16 file with one header field overwritten."""
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(np.ones((4, 6, 6), dtype=np.int16), (2.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, offset, *values)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_vox_offset_is_a_format_error(tmp_path, value):
+    with pytest.raises(FormatError, match="vox_offset"):
+        read_nifti(_corrupt(tmp_path, "<f", 108, value))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_pixdim_is_a_format_error(tmp_path, value):
+    with pytest.raises(FormatError, match="pixdim"):
+        read_nifti(_corrupt(tmp_path, "<f", 88, value))  # pixdim[3], the slice spacing
+
+
+def test_zero_dim_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="dim"):
+        read_nifti(_corrupt(tmp_path, "<h", 46, 0))  # dim[3]
+
+
+@pytest.mark.parametrize("value", [-1, -2])
+def test_negative_dim_is_a_format_error(tmp_path, value):
+    with pytest.raises(FormatError, match="dim"):
+        read_nifti(_corrupt(tmp_path, "<h", 42, value))  # dim[1]
+
+
+@pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_volume_spacing_must_be_finite(cls, bad):
+    with pytest.raises(ShapeError, match="spacing"):
+        cls(np.zeros((2, 2, 2), dtype=np.uint8), (bad, 1.0, 1.0))

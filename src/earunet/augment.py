@@ -99,12 +99,3 @@ def augment(
         augmentation=tag,
     )
 
-
-def expand_dataset(pairs: list[SlicePair], rng: np.random.Generator) -> list[SlicePair]:
-    """Original plus all seven augmented variants of every pair (8x)."""
-    out = []
-    for p in pairs:
-        out.append(p)
-        for spec in all_augmentations():
-            out.append(augment(p, spec, rng))
-    return out

@@ -203,9 +203,10 @@ class ConvBnCtx:
 
 
 def conv_bn_act(
-    x: Tensor4, conv: ConvParams, bn: BatchNormState, kind: str | None = None
+    x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str, kind: str | None = None
 ) -> tuple[Tensor4, ConvBnCtx]:
-    """activation(bn(conv(x))); kind None applies no activation."""
+    """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation."""
+    bn.mode = mode  # the only write: batchnorm2d reads the mode from its state
     act_in, saved = batchnorm2d(conv2d(x, conv), bn)
     if kind is None:
         return act_in, ConvBnCtx(conv, bn, kind, x, saved, None)
@@ -295,25 +296,18 @@ class MbConvCtx:
     keep_mask: np.ndarray | None
 
 
-def _set_bn_modes(p: MbConvParams, mode: str) -> None:
-    for bn in (p.expand_bn, p.dw_bn, p.project_bn):
-        if bn is not None:
-            bn.mode = mode
-
-
 def mbconv_forward(
     x: Tensor4, p: MbConvParams, mode: str, rng: np.random.Generator
 ) -> tuple[Tensor4, MbConvCtx]:
     """Expand -> depthwise -> SE -> project, with BN/swish between stages
     and a drop-connected shortcut when the shapes allow one.  Only train
     mode draws a keep mask from rng."""
-    _set_bn_modes(p, mode)
     h, expand = x, None
     if p.expand_conv is not None:
-        h, expand = conv_bn_act(x, p.expand_conv, p.expand_bn, "swish")
-    h, dw = conv_bn_act(h, p.dw_conv, p.dw_bn, "swish")
+        h, expand = conv_bn_act(x, p.expand_conv, p.expand_bn, mode, "swish")
+    h, dw = conv_bn_act(h, p.dw_conv, p.dw_bn, mode, "swish")
     h, se_ctx = se_block_forward(h, p.se)
-    y, proj = conv_bn_act(h, p.project_conv, p.project_bn)
+    y, proj = conv_bn_act(h, p.project_conv, p.project_bn, mode)
 
     keep_mask = None
     if p.has_shortcut:
@@ -399,11 +393,11 @@ class ResCtx:
     unit2: ConvBnCtx
 
 
-def residual_block_forward(x: Tensor4, p: ResBlockParams) -> tuple[Tensor4, ResCtx]:
+def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:
     """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
-    shortcut; spatial dims are preserved."""
-    r1, unit1 = conv_bn_act(x, p.conv1, p.bn1, "relu")
-    r2, unit2 = conv_bn_act(r1, p.conv2, p.bn2, "relu")
+    shortcut, with both BNs in `mode`; spatial dims are preserved."""
+    r1, unit1 = conv_bn_act(x, p.conv1, p.bn1, mode, "relu")
+    r2, unit2 = conv_bn_act(r1, p.conv2, p.bn2, mode, "relu")
     if p.shortcut_proj is None:
         sc = x.data
     else:

@@ -103,11 +103,16 @@ def extract_surface(v: LabelVolume) -> SurfaceSet:
     return SurfaceSet(coords=np.argwhere(surface), spacing=v.spacing)
 
 
-def _surface_pair(a: LabelVolume, b: LabelVolume, spacing) -> tuple[SurfaceSet, SurfaceSet]:
+def _check_geometry(a: LabelVolume, b: LabelVolume) -> None:
     _check_dims(a, b)
+    if a.spacing != b.spacing:
+        raise ShapeError(f"volume spacings differ: {a.spacing} vs {b.spacing}")
+
+
+def _surface_pair(a: LabelVolume, b: LabelVolume) -> tuple[SurfaceSet, SurfaceSet]:
+    _check_geometry(a, b)
     sa = extract_surface(a)
     sb = extract_surface(b)
-    sa.spacing = sb.spacing = tuple(float(s) for s in spacing)
     if len(sa) == 0 or len(sb) == 0:
         raise UndefinedMetricError("surface distance undefined for an empty surface")
     return sa, sb
@@ -127,24 +132,23 @@ def _distance_pair(sa: SurfaceSet, sb: SurfaceSet) -> tuple[float, float]:
     return mean, peak
 
 
-def assd(a: LabelVolume, b: LabelVolume, spacing: tuple[float, float, float]) -> float:
-    """Average symmetric surface distance in mm."""
-    sa, sb = _surface_pair(a, b, spacing)
+def assd(a: LabelVolume, b: LabelVolume) -> float:
+    """Average symmetric surface distance in mm, at the volumes' shared spacing."""
+    sa, sb = _surface_pair(a, b)
     return _distance_pair(sa, sb)[0]
 
 
-def msd(a: LabelVolume, b: LabelVolume, spacing: tuple[float, float, float]) -> float:
-    """Maximum symmetric surface distance (surface Hausdorff) in mm."""
-    sa, sb = _surface_pair(a, b, spacing)
+def msd(a: LabelVolume, b: LabelVolume) -> float:
+    """Maximum symmetric surface distance (surface Hausdorff) in mm, at the
+    volumes' shared spacing."""
+    sa, sb = _surface_pair(a, b)
     return _distance_pair(sa, sb)[1]
 
 
 def evaluate_case(pred: LabelVolume, gt: LabelVolume) -> MetricReport:
     """All five metrics for one case; undefined metrics become None
     instead of failing the whole report."""
-    _check_dims(pred, gt)
-    if pred.spacing != gt.spacing:
-        raise ShapeError(f"volume spacings differ: {pred.spacing} vs {gt.spacing}")
+    _check_geometry(pred, gt)
     d = dice(pred, gt)
     v = voe(pred, gt)
     try:
@@ -152,7 +156,7 @@ def evaluate_case(pred: LabelVolume, gt: LabelVolume) -> MetricReport:
     except UndefinedMetricError:
         r = None
     try:
-        sa, sb = _surface_pair(pred, gt, pred.spacing)
+        sa, sb = _surface_pair(pred, gt)
         a, m = _distance_pair(sa, sb)
     except UndefinedMetricError:
         a = m = None

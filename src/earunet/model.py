@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -254,25 +255,6 @@ def named_trainable(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: arr for name, arr, trainable in iter_params(params) if trainable}
 
 
-def iter_bn_states(params: ModelParams) -> Iterator[BatchNormState]:
-    yield params.stem_bn
-    for stage in params.stages:
-        for blk in stage:
-            if blk.expand_bn is not None:
-                yield blk.expand_bn
-            yield blk.dw_bn
-            yield blk.project_bn
-    yield params.head_bn9
-    for res in params.decoder:
-        yield res.bn1
-        yield res.bn2
-
-
-def set_model_mode(params: ModelParams, mode: str) -> None:
-    for bn in iter_bn_states(params):
-        bn.mode = mode
-
-
 def parameter_count(params: ModelParams) -> int:
     return sum(arr.size for _, arr, trainable in iter_params(params) if trainable)
 
@@ -347,22 +329,13 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 # forward / backward
 
 
-@dataclass
-class _LevelCtx:
-    up_in: Tensor4  # decoder features before the 2x upsample
-    gate_ctx: B.GateCtx
-    res_ctx: B.ResCtx
-
-
-@dataclass
-class ModelCtx:
-    cfg: ModelConfig
-    stem: B.ConvBnCtx
-    stage_ctxs: list[list[B.MbConvCtx]]
-    head9: B.ConvBnCtx
-    levels: list[_LevelCtx]
-    out_pre: Tensor4  # head conv output, sigmoid input
-    out_in: Tensor4  # final residual features, head conv input
+# A train-mode forward records one backward step per layer, in forward
+# order; ``backward_from_context`` runs them in reverse.  A step maps the
+# layer's output gradient to (input gradient, parameter grads named under
+# the step's name).  Each step looks its ``B.*_backward`` up through the
+# module attribute when it runs, so tracers that patch ``blocks`` see it.
+Step = Callable[[np.ndarray], tuple[np.ndarray, B.GradDict]]
+Tape = list[tuple[str, Step]]
 
 
 def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
@@ -371,14 +344,68 @@ def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {h}, {w})")
 
 
+def _unit_step(ctx: B.ConvBnCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
+    grads: B.GradDict = {}
+    return B.conv_bn_act_backward(ctx, g, grads, "conv", "bn"), grads
+
+
+def _mbconv_step(ctx: B.MbConvCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
+    return B.mbconv_backward(ctx, g)
+
+
+def _res_step(ctx: B.ResCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
+    return B.residual_block_backward(ctx, g)
+
+
+def _gate_step(
+    ctx: B.GateCtx, up_in: Tensor4, skip_grads: dict[int, np.ndarray], stage: int, g: np.ndarray
+) -> tuple[np.ndarray, B.GradDict]:
+    """Backward of upsample -> gate -> concat; the skip's gradient waits in
+    skip_grads for the tap step of its encoder stage."""
+    gated_c = ctx.x.c
+    skip_grads[stage], g_up_gate, grads = B.attention_gate_backward(ctx, g[:, :gated_c])
+    return upsample_bilinear_2x_backward(up_in, g[:, gated_c:] + g_up_gate), grads
+
+
+def _tap_step(
+    skip_grads: dict[int, np.ndarray], stage: int, g: np.ndarray
+) -> tuple[np.ndarray, B.GradDict]:
+    return g + skip_grads[stage], {}
+
+
+def _head_step(
+    x: Tensor4, conv: ConvParams, out_pre: Tensor4, g: np.ndarray
+) -> tuple[np.ndarray, B.GradDict]:
+    g = activate_backward(out_pre, "sigmoid", g)
+    g, gw, gb = conv2d_backward(x, conv, g)
+    return g, {"conv.weight": gw, "conv.bias": gb}
+
+
+def _record(tape: Tape | None, name: str, result: tuple, step, *saved) -> Tensor4:
+    """A layer's output; a train-mode tape also records its backward step,
+    which holds the layer's context.  Without a tape the context is dropped."""
+    out, ctx = result
+    if tape is not None:
+        tape.append((name, partial(step, ctx, *saved)))
+    return out
+
+
 def _decoder_level(
-    cur: Tensor4, skip: Tensor4, gate: B.AttentionGateParams, res: B.ResBlockParams
-) -> tuple[Tensor4, _LevelCtx]:
-    up = upsample_bilinear_2x(cur)
-    gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
+    tape: Tape | None,
+    name: str,
+    feats: Tensor4,
+    skip: Tensor4,
+    gate: B.AttentionGateParams,
+    res: B.ResBlockParams,
+    mode: str,
+    skip_grads: dict[int, np.ndarray],
+    stage: int,
+) -> Tensor4:
+    up = upsample_bilinear_2x(feats)
+    gated = _record(tape, f"{name}.gate", B.attention_gate_forward(skip, up, gate),
+                    _gate_step, feats, skip_grads, stage)
     cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
-    out, res_ctx = B.residual_block_forward(cat, res)
-    return out, _LevelCtx(up_in=cur, gate_ctx=gate_ctx, res_ctx=res_ctx)
+    return _record(tape, f"{name}.res", B.residual_block_forward(cat, res, mode), _res_step)
 
 
 def _run_forward(
@@ -387,48 +414,51 @@ def _run_forward(
     x: Tensor4,
     mode: str,
     rng: np.random.Generator | None,
-) -> tuple[Tensor4, ModelCtx | None]:
+) -> tuple[Tensor4, Tape | None]:
     """The one walk of the network.
 
-    Train mode records every layer's context for ``backward_from_context``
-    and needs an rng for the stochastic-depth draws.  Any other mode drops
-    each context as soon as its layer returns, so only the skip tensors
-    stay alive across layers, and returns no context.
+    Train mode records every layer's backward step on a tape for
+    ``backward_from_context`` and needs an rng for the stochastic-depth
+    draws.  Any other mode drops each context as soon as its layer
+    returns, so only the skip tensors stay alive across layers, and
+    returns no tape.
     """
     _check_input(cfg, x)
-    record = mode == TRAIN
-    if record and rng is None:
+    tape: Tape | None = [] if mode == TRAIN else None
+    if tape is not None and rng is None:
         raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
-    set_model_mode(params, mode)
+    skips: dict[int, Tensor4] = {}
+    skip_grads: dict[int, np.ndarray] = {}  # filled by gate steps, read by tap steps
 
-    def keep(result):
-        out, ctx = result
-        return out, (ctx if record else None)
+    def tap(stage: int, feats: Tensor4) -> None:
+        """Keep a skip stage's output for its decoder level."""
+        if stage in cfg.skip_stages:
+            skips[stage] = feats
+            if tape is not None:
+                tape.append((f"encoder.stage{stage}", partial(_tap_step, skip_grads, stage)))
 
-    feats, stem_ctx = keep(B.conv_bn_act(x, params.stem_conv, params.stem_bn, "swish"))
-    skips: dict[int, Tensor4] = {1: feats}
-    stage_ctxs: list[list[B.MbConvCtx]] = []
+    feats = _record(tape, "encoder.stage1",
+                    B.conv_bn_act(x, params.stem_conv, params.stem_bn, mode, "swish"), _unit_step)
+    tap(1, feats)
     for si, stage in enumerate(params.stages, start=2):
-        ctxs = []
-        for blk in stage:
-            feats, ctx = keep(B.mbconv_forward(feats, blk, mode, rng))
-            ctxs.append(ctx)
-        stage_ctxs.append(ctxs)
-        if si in cfg.skip_stages:
-            skips[si] = feats
+        for bi, blk in enumerate(stage):
+            feats = _record(tape, f"encoder.stage{si}.block{bi}",
+                            B.mbconv_forward(feats, blk, mode, rng), _mbconv_step)
+        tap(si, feats)
 
-    feats, head9_ctx = keep(B.conv_bn_act(feats, params.head_conv9, params.head_bn9, "swish"))
-    levels: list[_LevelCtx] = []
-    for level, (gate, res) in enumerate(zip(params.gates, params.decoder)):
-        skip = skips.pop(cfg.skip_stages[-1 - level])
-        feats, level_ctx = keep(_decoder_level(feats, skip, gate, res))
-        levels.append(level_ctx)
+    feats = _record(tape, "encoder.stage9",
+                    B.conv_bn_act(feats, params.head_conv9, params.head_bn9, mode, "swish"),
+                    _unit_step)
+    for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
+        si = cfg.skip_stages[-li]
+        feats = _decoder_level(tape, f"decoder.level{li}", feats, skips.pop(si), gate, res, mode,
+                               skip_grads, si)
 
     out_pre = conv2d(feats, params.out_conv)
     y = activate(out_pre, "sigmoid")
-    if not record:
-        return y, None
-    return y, ModelCtx(cfg, stem_ctx, stage_ctxs, head9_ctx, levels, out_pre, feats)
+    if tape is not None:
+        tape.append(("head", partial(_head_step, feats, params.out_conv, out_pre)))
+    return y, tape
 
 
 def forward(
@@ -448,51 +478,21 @@ def forward_training(
     cfg: ModelConfig,
     x: Tensor4,
     rng: np.random.Generator,
-) -> tuple[Tensor4, ModelCtx]:
-    """Train-mode forward that keeps the context needed for one backward."""
+) -> tuple[Tensor4, Tape]:
+    """Train-mode forward that returns its tape for ``backward_from_context``."""
     return _run_forward(params, cfg, x, TRAIN, rng)
 
 
 def backward_from_context(
-    params: ModelParams, ctx: ModelCtx, grad_out: np.ndarray
+    params: ModelParams, ctx: Tape, grad_out: np.ndarray
 ) -> tuple[B.GradDict, np.ndarray]:
-    """Reverse the recorded forward; returns (parameter grads, input grad)."""
+    """Run the tape of ``forward_training`` in reverse; returns (parameter
+    grads, input grad).  ``params`` is unused: each step holds the
+    parameters its layer read.  A tape can be run more than once."""
     grads: B.GradDict = {}
-
-    def merge(prefix: str, local: B.GradDict) -> None:
+    g = grad_out
+    for name, step in reversed(ctx):
+        g, local = step(g)
         for k, v in local.items():
-            grads[f"{prefix}.{k}"] = v
-
-    g = activate_backward(ctx.out_pre, "sigmoid", grad_out)
-    g, gw, gb = conv2d_backward(ctx.out_in, params.out_conv, g)
-    grads["head.conv.weight"] = gw
-    grads["head.conv.bias"] = gb
-
-    skip_grads: dict[int, np.ndarray] = {}
-    for level in reversed(range(len(ctx.levels))):
-        lv = ctx.levels[level]
-        g, res_grads = B.residual_block_backward(lv.res_ctx, g)
-        merge(f"decoder.level{level + 1}.res", res_grads)
-        gated_c = lv.gate_ctx.x.c
-        g_gated = g[:, :gated_c]
-        g_up = g[:, gated_c:]
-        gskip, g_up_gate, gate_grads = B.attention_gate_backward(lv.gate_ctx, g_gated)
-        merge(f"decoder.level{level + 1}.gate", gate_grads)
-        skip_grads[ctx.cfg.skip_stages[-1 - level]] = gskip
-        g = upsample_bilinear_2x_backward(lv.up_in, g_up + g_up_gate)
-
-    g = B.conv_bn_act_backward(ctx.head9, g, grads, "encoder.stage9.conv", "encoder.stage9.bn")
-
-    for si in range(len(params.stages) + 1, 1, -1):  # stages 8 .. 2
-        if si in skip_grads:
-            g = g + skip_grads[si]
-        stage_ctxs = ctx.stage_ctxs[si - 2]
-        stage = params.stages[si - 2]
-        for bi in reversed(range(len(stage))):
-            g, mb_grads = B.mbconv_backward(stage_ctxs[bi], g)
-            merge(f"encoder.stage{si}.block{bi}", mb_grads)
-
-    if 1 in skip_grads:
-        g = g + skip_grads[1]
-    grad_x = B.conv_bn_act_backward(ctx.stem, g, grads, "encoder.stage1.conv", "encoder.stage1.bn")
-    return grads, grad_x
+            grads[f"{name}.{k}"] = v
+    return grads, g

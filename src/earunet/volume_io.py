@@ -61,51 +61,53 @@ def read_nifti_header(path: str | os.PathLike) -> bytes:
 
 
 def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
+    """Check the 348-byte header, then read the payload straight into one array."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < NIFTI_HEADER_SIZE:
+        hdr = f.read(NIFTI_HEADER_SIZE)
+        file_size = os.fstat(f.fileno()).st_size
+    if len(hdr) < NIFTI_HEADER_SIZE:
         raise FormatError(f"{path}: file shorter than the 348-byte NIfTI header")
-    (sizeof_hdr,) = struct.unpack_from("<i", blob, 0)
+    (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
     if sizeof_hdr != NIFTI_HEADER_SIZE:
-        (be,) = struct.unpack_from(">i", blob, 0)
+        (be,) = struct.unpack_from(">i", hdr, 0)
         if be == NIFTI_HEADER_SIZE:
             raise FormatError(f"{path}: big-endian NIfTI is not supported")
         raise FormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, expected 348")
-    magic = blob[344:348]
+    magic = hdr[344:348]
     if magic != NIFTI_MAGIC:
         raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1')")
-    dim = struct.unpack_from("<8h", blob, 40)
+    dim = struct.unpack_from("<8h", hdr, 40)
     if dim[0] < 3 or any(d != 1 for d in dim[4 : dim[0] + 1]):
         raise FormatError(f"{path}: expected a 3-D volume, got dim {dim}")
     nx, ny, nz = dim[1], dim[2], dim[3]
     if min(nx, ny, nz) < 1:
         raise FormatError(f"{path}: dims must be at least 1, got dim {dim}")
-    (datatype,) = struct.unpack_from("<h", blob, 70)
+    (datatype,) = struct.unpack_from("<h", hdr, 70)
     if datatype not in _NIFTI_DTYPES:
         raise FormatError(f"{path}: unsupported NIfTI datatype code {datatype}")
     dt = _NIFTI_DTYPES[datatype]
-    pixdim = struct.unpack_from("<8f", blob, 76)
+    pixdim = struct.unpack_from("<8f", hdr, 76)
     spacing = (pixdim[3], pixdim[2], pixdim[1])  # (sz, sy, sx)
     if not all(0.0 < s < math.inf for s in spacing):
         raise FormatError(f"{path}: pixdim {pixdim[1:4]} must be positive and finite")
-    (vox_offset,) = struct.unpack_from("<f", blob, 108)
+    (vox_offset,) = struct.unpack_from("<f", hdr, 108)
     if not math.isfinite(vox_offset):
         raise FormatError(f"{path}: vox_offset {vox_offset} is not finite")
     # A non-finite scl_slope/scl_inter reads as 0, as in the NIfTI-1
     # reference reader; slope 0 means unscaled and the intercept is ignored.
-    slope, inter = (v if np.isfinite(v) else 0.0 for v in struct.unpack_from("<2f", blob, 112))
+    slope, inter = (v if np.isfinite(v) else 0.0 for v in struct.unpack_from("<2f", hdr, 112))
     offset = int(vox_offset)
     if offset < NIFTI_HEADER_SIZE:
         raise FormatError(f"{path}: vox_offset {vox_offset} inside the header")
     needed = nx * ny * nz * dt.itemsize
-    have = len(blob) - offset
+    have = file_size - offset
     if have < needed:
         raise FormatError(f"{path}: payload needs {needed} bytes, file has {have}")
-    arr = np.frombuffer(blob, dtype=dt, count=nx * ny * nz, offset=offset)
-    vox = arr.reshape(nz, ny, nx).copy()  # x varies fastest on disk
+    vox = np.fromfile(path, dtype=dt, count=nx * ny * nz, offset=offset)
+    vox = vox.reshape(nz, ny, nx)  # x varies fastest on disk
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
         return CtVolume((vox * np.float64(slope) + inter).astype(np.float32), spacing)
-    return _volume_from_array(vox.astype(vox.dtype.newbyteorder("=")), spacing)
+    return _volume_from_array(vox.astype(dt.newbyteorder("="), copy=False), spacing)
 
 
 def write_nifti(

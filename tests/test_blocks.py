@@ -1,5 +1,7 @@
 """Block tests: hand-composed primitive chains as oracles, plus gradients."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -259,14 +261,14 @@ class TestResidualBlock:
         p.conv1.weight[:] = 0
         p.conv2.weight[:] = 0
         x = t4(rng.standard_normal((2, 4, 5, 5)))
-        out = B.residual_block_forward(x, p)[0]
+        out = B.residual_block_forward(x, p, T.INFER)[0]
         assert np.allclose(out.data, x.data, atol=1e-12)
 
     @pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (7, 5)])
     def test_spatial_dims_preserved(self, h, w):
         rng = np.random.default_rng(18)
         p = B.init_res_block(rng, 3, 6, dtype=np.float64)
-        out = B.residual_block_forward(t4(rng.standard_normal((1, 3, h, w))), p)[0]
+        out = B.residual_block_forward(t4(rng.standard_normal((1, 3, h, w))), p, T.INFER)[0]
         assert out.dims == (1, 6, h, w)
 
     def test_matches_primitive_composition(self):
@@ -276,7 +278,7 @@ class TestResidualBlock:
             bn.running_mean[:] = rng.standard_normal(bn.channels) * 0.2
             bn.running_var[:] = 0.5 + rng.random(bn.channels)
         x = t4(rng.standard_normal((1, 3, 6, 6)))
-        got = B.residual_block_forward(x, p)[0].data
+        got = B.residual_block_forward(x, p, T.INFER)[0].data
 
         r = T.activate(T.batchnorm2d(T.conv2d(x, p.conv1), p.bn1)[0], "relu")
         r = T.activate(T.batchnorm2d(T.conv2d(r, p.conv2), p.bn2)[0], "relu")
@@ -288,23 +290,49 @@ class TestResidualBlock:
         rng = np.random.default_rng(20)
         p = B.init_res_block(rng, 4, out_c, dtype=np.float64)
         for bn in (p.bn1, p.bn2):
-            bn.mode = T.TRAIN
             bn.beta[:] = 0.4  # keep pre-relu values off the kink
         x0 = rng.standard_normal((2, 4, 4, 4))
-        out, ctx = B.residual_block_forward(t4(x0), p)
+        out, ctx = B.residual_block_forward(t4(x0), p, T.TRAIN)
         go = rng.standard_normal(out.dims)
         gx, grads = B.residual_block_backward(ctx, go)
 
-        def loss():
-            return float(np.sum(go * B.residual_block_forward(t4(x0), p)[0].data))
+        def run(x):
+            return float(np.sum(go * B.residual_block_forward(t4(x), p, T.TRAIN)[0].data))
 
-        assert max_rel_err(gx, numeric_grad(
-            lambda x: float(np.sum(go * B.residual_block_forward(t4(x), p)[0].data)), x0, step=BLOCK_STEP
-        )) < GRAD_TOL
+        assert max_rel_err(gx, numeric_grad(run, x0, step=BLOCK_STEP)) < GRAD_TOL
         arrays = {
             "conv1.weight": p.conv1.weight, "bn1.gamma": p.bn1.gamma, "bn1.beta": p.bn1.beta,
             "conv2.weight": p.conv2.weight, "bn2.gamma": p.bn2.gamma, "bn2.beta": p.bn2.beta,
         }
         if p.shortcut_proj is not None:
             arrays["shortcut_proj.weight"] = p.shortcut_proj.weight
-        check_param_grads(loss, arrays, grads)
+        check_param_grads(lambda: run(x0), arrays, grads)
+
+    def test_train_after_infer_uses_batch_statistics(self):
+        rng = np.random.default_rng(21)
+        p = B.init_res_block(rng, 4, 4, dtype=np.float64)
+        for bn in (p.bn1, p.bn2):
+            bn.running_mean[:] = 3.0  # far from any batch's statistics
+            bn.running_var[:] = 9.0
+        fresh = copy.deepcopy(p)
+        x = t4(rng.standard_normal((2, 4, 5, 5)))
+        B.residual_block_forward(x, p, T.INFER)  # a validation pass leaves both BNs in infer mode
+        out, ctx = B.residual_block_forward(x, p, T.TRAIN)
+
+        def bn_batch(z, bn):
+            mu = z.mean(axis=(0, 2, 3), keepdims=True)
+            var = z.var(axis=(0, 2, 3), keepdims=True)
+            xh = (z - mu) / np.sqrt(var + bn.eps)
+            return xh * bn.gamma[:, None, None] + bn.beta[:, None, None]
+
+        r = np.maximum(bn_batch(T.conv2d(x, p.conv1).data, p.bn1), 0.0)
+        r = np.maximum(bn_batch(T.conv2d(t4(r), p.conv2).data, p.bn2), 0.0)
+        assert np.allclose(out.data, r + x.data, atol=1e-10)
+
+        go = rng.standard_normal(out.dims)
+        gx, grads = B.residual_block_backward(ctx, go)
+        want_out, want_ctx = B.residual_block_forward(x, fresh, T.TRAIN)
+        want_gx, want_grads = B.residual_block_backward(want_ctx, go)
+        assert np.array_equal(out.data, want_out.data) and np.array_equal(gx, want_gx)
+        for k in want_grads:
+            assert np.array_equal(grads[k], want_grads[k]), k

@@ -120,19 +120,20 @@ class TestDistances:
     def test_identical_zero(self):
         rng = np.random.default_rng(4)
         m = random_mask(rng, (5, 5, 5), 0.5)
-        assert MX.assd(m, m, SP1) == 0.0
-        assert MX.msd(m, m, SP1) == 0.0
+        assert MX.assd(m, m) == 0.0
+        assert MX.msd(m, m) == 0.0
 
     def test_two_voxels_three_apart(self):
         a = np.zeros((7, 3, 3))
         b = np.zeros((7, 3, 3))
         a[1, 1, 1] = 1
         b[4, 1, 1] = 1
-        assert MX.assd(lv(a), lv(b), SP1) == 3.0
-        assert MX.msd(lv(a), lv(b), SP1) == 3.0
+        assert MX.assd(lv(a), lv(b)) == 3.0
+        assert MX.msd(lv(a), lv(b)) == 3.0
         # doubling the axis spacing doubles both distances
-        assert MX.assd(lv(a), lv(b), (2.0, 1.0, 1.0)) == 6.0
-        assert MX.msd(lv(a), lv(b), (2.0, 1.0, 1.0)) == 6.0
+        sp = (2.0, 1.0, 1.0)
+        assert MX.assd(lv(a, sp), lv(b, sp)) == 6.0
+        assert MX.msd(lv(a, sp), lv(b, sp)) == 6.0
 
     def test_voxel_inside_shell_brute_force(self):
         v = np.zeros((7, 7, 7))
@@ -141,7 +142,7 @@ class TestDistances:
         shell[2:5, 2:5, 2:5] = 0
         single = np.zeros_like(v)
         single[3, 3, 3] = 1
-        got = MX.msd(lv(single), lv(shell), SP1)
+        got = MX.msd(lv(single), lv(shell))
         _, _, _, _, want = metrics_naive(single, shell, SP1)
         assert abs(got - want) < 1e-12
 
@@ -153,12 +154,19 @@ class TestDistances:
             b = random_mask(rng, (6, 6, 6), 0.3)
             if not a.voxels.any() or not b.voxels.any():
                 continue
-            assert MX.msd(a, b, SP1) >= MX.assd(a, b, SP1) - 1e-12
+            assert MX.msd(a, b) >= MX.assd(a, b) - 1e-12
             count += 1
+
+    @pytest.mark.parametrize("fn", [MX.assd, MX.msd])
+    def test_spacing_mismatch(self, fn):
+        a = lv(np.ones((2, 2, 2)), (1.0, 1.0, 1.0))
+        b = lv(np.ones((2, 2, 2)), (2.0, 1.0, 1.0))
+        with pytest.raises(ShapeError, match="spacing"):
+            fn(a, b)
 
     def test_empty_surface_undefined(self):
         with pytest.raises(UndefinedMetricError):
-            MX.assd(lv(np.zeros((3, 3, 3))), lv(np.ones((3, 3, 3))), SP1)
+            MX.assd(lv(np.zeros((3, 3, 3))), lv(np.ones((3, 3, 3))))
 
 
 class TestEvaluateCase:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from earunet import blocks as B
 from earunet import model as M
 from earunet.checkpoint import (
     AdamMoments,
@@ -125,18 +126,34 @@ class TestForward:
         yb = M.forward(params, cfg, Tensor4(xb)).data
         assert np.max(np.abs(pair - np.concatenate([ya, yb]))) < 1e-6
 
-    def test_skip_resolutions_match_levels(self, desk):
+    def test_skip_resolutions_match_levels(self, desk, monkeypatch):
         cfg, params = desk
+        block_inputs, gate_inputs = [], []
+
+        def recording(fn, log):
+            def wrapped(*args):
+                log.append(args)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(B, "mbconv_forward", recording(B.mbconv_forward, block_inputs))
+        gate = recording(B.attention_gate_forward, gate_inputs)
+        monkeypatch.setattr(B, "attention_gate_forward", gate)
         x = Tensor4(np.random.default_rng(2).random((1, 1, 64, 64), dtype=np.float32))
-        _, ctx = M.forward_training(params, cfg, x, np.random.default_rng(0))
+        M.forward_training(params, cfg, x, np.random.default_rng(0))
+        # a stage's output is the input of the next stage's first block
+        first = np.cumsum([0] + [len(stage) for stage in params.stages])
+        stage_out = {s: block_inputs[first[s - 1]][0] for s in range(1, len(params.stages) + 1)}
         # decoder doubles the bottleneck resolution five times, and each level
-        # gates the output of its skip stage (deepest first); a stage's output
-        # is the input of the next stage's first block
-        assert ctx.levels[0].up_in.h == 64 // 32
-        for lv, stage in zip(ctx.levels, reversed(cfg.skip_stages)):
-            assert lv.gate_ctx.x is ctx.stage_ctxs[stage - 1][0].x
-            assert lv.gate_ctx.x.h == 2 * lv.up_in.h
-        assert ctx.levels[-1].gate_ctx.x.h == 64
+        # gates the output of its skip stage (deepest first)
+        assert len(gate_inputs) == len(cfg.skip_stages)
+        assert gate_inputs[0][1].h == 2 * (64 // 32)
+        for (skip, up, _), stage in zip(gate_inputs, reversed(cfg.skip_stages)):
+            assert skip is stage_out[stage]
+            assert skip.h == up.h
+        for (a, _, _), (b, _, _) in zip(gate_inputs, gate_inputs[1:]):
+            assert b.h == 2 * a.h
+        assert gate_inputs[-1][0].h == 64
 
     def test_forward_determinism(self, desk):
         cfg, params = desk
@@ -188,6 +205,18 @@ class TestBackward:
         go = np.random.default_rng(5).standard_normal((2, 1, 32, 32))
         a = train_grads(params, cfg, x, go, np.random.default_rng(6))
         b = train_grads(params, cfg, x, go, np.random.default_rng(6))
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
+
+    def test_backward_twice_is_bit_identical(self, micro64):
+        cfg, params = micro64
+        x = Tensor4(np.random.default_rng(10).random((2, 1, 32, 32)))
+        go = np.random.default_rng(11).standard_normal((2, 1, 32, 32))
+        _, tape = M.forward_training(params, cfg, x, np.random.default_rng(12))
+        a, gx_a = M.backward_from_context(params, tape, go)
+        b, gx_b = M.backward_from_context(params, tape, go)
+        assert list(a) == list(b)
+        assert np.array_equal(gx_a, gx_b)
         for k in a:
             assert np.array_equal(a[k], b[k]), k
 

@@ -2,6 +2,7 @@
 and corrupt headers fail with FormatError."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,3 +108,78 @@ def test_negative_dim_is_a_format_error(tmp_path, value):
 def test_volume_spacing_must_be_finite(cls, bad):
     with pytest.raises(ShapeError, match="spacing"):
         cls(np.zeros((2, 2, 2), dtype=np.uint8), (bad, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+def test_round_trip_is_bit_exact(tmp_path, dtype):
+    rng = np.random.default_rng(4)
+    if dtype == np.float32:
+        vox = rng.standard_normal((3, 5, 7)).astype(np.float32)
+        # signed zero, infinities and a denormal survive too
+        vox.flat[:4] = [-0.0, np.inf, -np.inf, np.float32(1e-45)]
+    elif dtype == np.uint8:
+        vox = rng.integers(0, 1, (3, 5, 7), endpoint=True, dtype=np.uint8)  # a 0/1 mask
+    else:
+        vox = rng.integers(-32768, 32767, (3, 5, 7), endpoint=True, dtype=np.int16)
+    path = tmp_path / "v.nii"
+    write_nifti((LabelVolume if dtype == np.uint8 else CtVolume)(vox, (2.5, 0.75, 0.5)), path)
+    back = read_nifti(path)
+    assert type(back) is (LabelVolume if dtype == np.uint8 else CtVolume)
+    assert back.voxels.dtype == dtype and back.voxels.dtype.isnative
+    assert back.voxels.tobytes() == vox.tobytes()
+    assert back.spacing == (2.5, 0.75, 0.5)
+
+
+def test_short_header_is_a_format_error(tmp_path):
+    path = tmp_path / "short.nii"
+    write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
+    path.write_bytes(path.read_bytes()[:300])
+    with pytest.raises(FormatError, match="348"):
+        read_nifti(path)
+
+
+def test_bad_sizeof_hdr_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="sizeof_hdr"):
+        read_nifti(_corrupt(tmp_path, "<i", 0, 540))  # a NIfTI-2 header size
+
+
+def test_big_endian_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="big-endian"):
+        read_nifti(_corrupt(tmp_path, ">i", 0, 348))
+
+
+def test_bad_magic_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="magic"):
+        read_nifti(_corrupt(tmp_path, "4s", 344, b"ni1\x00"))  # the two-file header/image pair
+
+
+def test_unsupported_datatype_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="datatype"):
+        read_nifti(_corrupt(tmp_path, "<h", 70, 8))  # int32
+
+
+def test_vox_offset_inside_header_is_a_format_error(tmp_path):
+    with pytest.raises(FormatError, match="vox_offset"):
+        read_nifti(_corrupt(tmp_path, "<f", 108, 100.0))
+
+
+@pytest.mark.parametrize("cut", [1, 2 * 6 * 6])
+def test_truncated_payload_is_a_format_error(tmp_path, cut):
+    path = _corrupt(tmp_path, "<h", 40, 3)  # a valid file: dim[0] already 3
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FormatError, match="payload"):
+        read_nifti(path)
+
+
+def test_read_holds_one_payload(tmp_path):
+    vox = (np.arange(8 * 128 * 128) % 4096 - 1024).astype(np.int16).reshape(8, 128, 128)  # 256 KiB
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(vox, (1.0, 1.0, 1.0)), path)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.voxels, vox)
+    assert peak < 1.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"

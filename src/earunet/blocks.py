@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, StateError
 from .tensor import (
     TRAIN,
     BatchNormState,
@@ -202,10 +202,37 @@ class ConvBnCtx:
     act_in: Tensor4 | None  # BN output; kept only when an activation follows
 
 
+def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
+    """The conv whose output equals infer-mode bn(conv(x)): each output
+    channel's weights and bias scaled by gamma/sqrt(running_var + eps),
+    computed in float64, and the bias shifted by beta - running_mean*scale
+    (Jacob et al., arXiv:1712.05877)."""
+    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+    bias = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
+    if conv.bias is not None:
+        bias += conv.bias.astype(np.float64) * scale
+    dt = conv.weight.dtype
+    return ConvParams(
+        weight=(conv.weight * scale[:, None, None, None]).astype(dt),
+        bias=bias.astype(dt),
+        stride=conv.stride,
+        padding=conv.padding,
+        groups=conv.groups,
+    )
+
+
 def conv_bn_act(
     x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str, kind: str | None = None
-) -> tuple[Tensor4, ConvBnCtx]:
-    """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation."""
+) -> tuple[Tensor4, ConvBnCtx | None]:
+    """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation.
+
+    Infer mode runs one conv with the BN folded in (``_fold_bn``) and saves
+    no context.  It matches the unfused conv2d -> batchnorm2d -> activate
+    to float rounding, not bit for bit; train mode runs the unfused chain.
+    """
+    if mode != TRAIN:
+        out = conv2d(x, _fold_bn(conv, bn))
+        return (out if kind is None else activate(out, kind)), None
     bn.mode = mode  # the only write: batchnorm2d reads the mode from its state
     act_in, saved = batchnorm2d(conv2d(x, conv), bn)
     if kind is None:
@@ -214,10 +241,12 @@ def conv_bn_act(
 
 
 def conv_bn_act_backward(
-    ctx: ConvBnCtx, grad_out: np.ndarray, grads: GradDict, conv_name: str, bn_name: str
+    ctx: ConvBnCtx | None, grad_out: np.ndarray, grads: GradDict, conv_name: str, bn_name: str
 ) -> np.ndarray:
     """Input gradient of conv_bn_act; writes ``{conv_name}.weight``,
     ``{bn_name}.gamma`` and ``{bn_name}.beta`` into grads."""
+    if ctx is None:
+        raise StateError("conv_bn_act_backward needs the context of a train-mode forward")
     g = grad_out if ctx.kind is None else activate_backward(ctx.act_in, ctx.kind, grad_out)
     g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(
         ctx.saved, ctx.bn, g
@@ -290,9 +319,9 @@ class MbConvCtx:
     p: MbConvParams
     x: Tensor4
     expand: ConvBnCtx | None
-    dw: ConvBnCtx
+    dw: ConvBnCtx | None  # unit contexts are None in infer mode
     se_ctx: SeCtx
-    proj: ConvBnCtx
+    proj: ConvBnCtx | None
     keep_mask: np.ndarray | None
 
 
@@ -389,8 +418,8 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
 @dataclass
 class ResCtx:
     p: ResBlockParams
-    unit1: ConvBnCtx
-    unit2: ConvBnCtx
+    unit1: ConvBnCtx | None  # None in infer mode
+    unit2: ConvBnCtx | None
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:

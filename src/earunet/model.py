@@ -32,6 +32,7 @@ from .tensor import (
     conv2d_backward,
     upsample_bilinear_2x,
     upsample_bilinear_2x_backward,
+    _check_mode,
 )
 from .tensor import batchnorm2d  # noqa: F401  # not called here; tracers patch model.batchnorm2d
 
@@ -419,10 +420,11 @@ def _run_forward(
 
     Train mode records every layer's backward step on a tape for
     ``backward_from_context`` and needs an rng for the stochastic-depth
-    draws.  Any other mode drops each context as soon as its layer
+    draws.  Infer mode drops each context as soon as its layer
     returns, so only the skip tensors stay alive across layers, and
     returns no tape.
     """
+    _check_mode(mode)
     _check_input(cfg, x)
     tape: Tape | None = [] if mode == TRAIN else None
     if tape is not None and rng is None:

@@ -45,8 +45,11 @@ def hu_window(v: CtVolume, lo: float = HU_WINDOW[0], hi: float = HU_WINDOW[1]) -
     """Clamp Hounsfield values to [lo, hi] and map affinely onto [0,1]."""
     if lo >= hi:
         raise ParameterError(f"window requires lo < hi, got [{lo}, {hi}]")
-    out = (np.clip(v.voxels, lo, hi).astype(np.float64) - lo) / (hi - lo)
-    return CtVolume(out.astype(np.float32), v.spacing)
+    # one slice at a time: the float64 arithmetic stays slice-sized
+    out = np.empty(v.voxels.shape, dtype=np.float32)
+    for k, plane in enumerate(v.voxels):
+        out[k] = (np.clip(plane, lo, hi).astype(np.float64) - lo) / (hi - lo)
+    return CtVolume(out, v.spacing)
 
 
 def hist_equalize(v: CtVolume, bins: int = EQUALIZE_BINS) -> CtVolume:
@@ -62,10 +65,17 @@ def hist_equalize(v: CtVolume, bins: int = EQUALIZE_BINS) -> CtVolume:
             "histogram equalization expects finite voxels in [0,1] (window first); "
             "got non-finite or out-of-range values"
         )
-    idx = np.minimum((vox * bins).astype(np.int64), bins - 1)
-    hist = np.bincount(idx.ravel(), minlength=bins)
-    cdf = np.cumsum(hist, dtype=np.float64) / vox.size
-    out = cdf[idx].astype(np.float32)
+    # the smallest unsigned bin index that holds `bins`; counting and the
+    # lookup go slice by slice, so their intp index copies stay slice-sized
+    idx = np.empty(vox.shape, dtype=np.min_scalar_type(bins))
+    hist = np.zeros(bins, dtype=np.int64)
+    for k, plane in enumerate(vox):
+        np.minimum((plane * bins).astype(idx.dtype), bins - 1, out=idx[k])
+        hist += np.bincount(idx[k].ravel(), minlength=bins)
+    cdf = (np.cumsum(hist, dtype=np.float64) / vox.size).astype(np.float32)
+    out = np.empty(vox.shape, dtype=np.float32)
+    for k, plane in enumerate(idx):
+        out[k] = cdf[plane]
     return CtVolume(out, v.spacing)
 
 
@@ -109,9 +119,13 @@ def resample_z(
 def crop_liver_range(
     v: CtVolume, m: LabelVolume, margin: int = CROP_MARGIN_SLICES
 ) -> tuple[CtVolume, LabelVolume, tuple[int, int]]:
-    """Keep slices [first_nonzero - margin, last_nonzero + margin], clamped."""
-    if v.dims != m.dims:
-        raise ShapeError(f"image dims {v.dims} do not match mask dims {m.dims}")
+    """Keep slices [first_nonzero - margin, last_nonzero + margin], clamped.
+
+    Only the slice counts must agree: the image may already be resized
+    in-plane while the mask keeps the grid its range is read from.
+    """
+    if v.dims[0] != m.dims[0]:
+        raise ShapeError(f"image dims {v.dims} and mask dims {m.dims} differ in slice count")
     nonzero = np.flatnonzero(m.voxels.any(axis=(1, 2)))
     if nonzero.size == 0:
         raise InputError("mask has no foreground slices; cannot locate the organ range")
@@ -129,24 +143,38 @@ def _resize_coords(src: int, dst: int) -> np.ndarray:
     return np.clip((np.arange(dst, dtype=np.float64) + 0.5) * src / dst - 0.5, 0.0, src - 1)
 
 
+def _bilinear_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper source index, and the upper weight, of each
+    destination index of a bilinear resize along one axis."""
+    s = _resize_coords(src, dst)
+    i0 = np.floor(s).astype(np.intp)
+    return i0, np.minimum(i0 + 1, src - 1), s - i0
+
+
+def _bilinear_combine(img, y0, y1, fy, x0, x1, fx) -> np.ndarray:
+    """Weighted sum of the four taps of every output pixel, in float64:
+    a*(1-fy)*(1-fx) + b*(1-fy)*fx + c*fy*(1-fx) + d*fy*fx, left to right,
+    accumulated in place."""
+    fy = fy[:, None]
+    fx = fx[None, :]
+    top, bottom = np.take(img, y0, axis=-2), np.take(img, y1, axis=-2)
+    out = None
+    for rows, cols, wy, wx in (
+        (top, x0, 1 - fy, 1 - fx),
+        (top, x1, 1 - fy, fx),
+        (bottom, x0, fy, 1 - fx),
+        (bottom, x1, fy, fx),
+    ):
+        term = np.take(rows, cols, axis=-1) * wy
+        term *= wx
+        out = term if out is None else np.add(out, term, out=out)
+    return out
+
+
 def resize_plane_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of one or a stack of 2-D planes (leading axes kept)."""
     h, w = img.shape[-2], img.shape[-1]
-    ys = _resize_coords(h, out_h)
-    xs = _resize_coords(w, out_w)
-    y0 = np.floor(ys).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x0 = np.floor(xs).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    a = img[..., y0[:, None], x0[None, :]]
-    b = img[..., y0[:, None], x1[None, :]]
-    c = img[..., y1[:, None], x0[None, :]]
-    d = img[..., y1[:, None], x1[None, :]]
-    return (
-        a * (1 - fy) * (1 - fx) + b * (1 - fy) * fx + c * fy * (1 - fx) + d * fy * fx
-    )
+    return _bilinear_combine(img, *_bilinear_taps(h, out_h), *_bilinear_taps(w, out_w))
 
 
 def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -156,13 +184,21 @@ def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[..., ys[:, None], xs[None, :]]
 
 
+def _check_plane(h: int, w: int) -> None:
+    if h < 2 or w < 2:
+        raise InputError(f"in-plane resize needs at least 2x2 slices, got {h}x{w}")
+
+
+def _resized_spacing(spacing, h: int, w: int, size: int) -> tuple[float, float, float]:
+    sz, sy, sx = spacing
+    return (sz, sy * h / size, sx * w / size)
+
+
 def resize_slices(v: CtVolume | LabelVolume, size: int = SLICE_SIZE):
     """Resample every slice to size x size (bilinear images, nearest masks)."""
     h, w = v.dims[1], v.dims[2]
-    if h < 2 or w < 2:
-        raise InputError(f"in-plane resize needs at least 2x2 slices, got {h}x{w}")
-    sz, sy, sx = v.spacing
-    spacing = (sz, sy * h / size, sx * w / size)
+    _check_plane(h, w)
+    spacing = _resized_spacing(v.spacing, h, w, size)
     if isinstance(v, LabelVolume):
         return LabelVolume(resize_plane_nearest(v.voxels, size, size).copy(), spacing)
     # the gathered corners promote to float64 against the float64 weights
@@ -177,14 +213,6 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _image_chain(image: CtVolume, hu_lo: float, hu_hi: float, target_sz: float) -> CtVolume:
-    """Window, equalize and z-resample an image: the stages that run before
-    the training chain crops to the organ range."""
-    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
-    v = _stage("hist_equalize", hist_equalize, v)
-    return _stage("resample_z", resample_z, v, target_sz, "linear")
-
-
 def preprocess_volume(
     image: CtVolume,
     hu_lo: float = HU_WINDOW[0],
@@ -192,9 +220,29 @@ def preprocess_volume(
     target_sz: float = TARGET_SLICE_SPACING_MM,
     size: int = SLICE_SIZE,
 ) -> CtVolume:
-    """The mask-free part of the chain, as used for inference inputs."""
-    v = _image_chain(image, hu_lo, hu_hi, target_sz)
-    return _stage("resize_slices", resize_slices, v, size)
+    """The mask-free part of the chain, as used for inference inputs:
+    resize_slices(resample_z(hist_equalize(hu_window(image)))), bit for
+    bit, without z-resampling whole planes.
+
+    Windowing and equalization run at full resolution (equalization counts
+    every voxel).  Then only the rows and columns that the bilinear resize
+    taps are gathered, z-resampled, and combined with the weights of the
+    full plane.  This is exact because z-resampling acts on each pixel on
+    its own, so it commutes with a pixel gather.
+    """
+    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
+    v = _stage("hist_equalize", hist_equalize, v)
+    h, w = v.dims[1], v.dims[2]
+    y0, y1, fy = _bilinear_taps(h, size)
+    x0, x1, fx = _bilinear_taps(w, size)
+    rows, ry = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    cols, cx = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    grid = CtVolume(np.take(np.take(v.voxels, rows, axis=1), cols, axis=2), v.spacing)
+    del v  # the full-resolution planes are no longer needed
+    z = _stage("resample_z", resample_z, grid, target_sz, "linear")
+    _stage("resize_slices", _check_plane, h, w)
+    out = _bilinear_combine(z.voxels, ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)
+    return CtVolume(out.astype(np.float32), _resized_spacing(z.spacing, h, w, size))
 
 
 def preprocess_case(
@@ -208,15 +256,18 @@ def preprocess_case(
     size: int = SLICE_SIZE,
 ) -> list[SlicePair]:
     """Full training chain: window, equalize, resample z, crop to the
-    labeled organ range (plus margin), resize, emit one pair per slice."""
+    labeled organ range (plus margin), resize, emit one pair per slice.
+
+    The image takes ``preprocess_volume``'s chain and is cropped after its
+    resize; the organ range is read from the full-resolution mask.
+    """
     if image.dims != mask.dims:
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
-    v = _image_chain(image, hu_lo, hu_hi, target_sz)
+    v = preprocess_volume(image, hu_lo, hu_hi, target_sz, size)
     m = _stage("resample_z", resample_z, mask, target_sz, "nearest")
     v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m, margin)
-    v = _stage("resize_slices", resize_slices, v, size)
     m = _stage("resize_slices", resize_slices, m, size)
     return [
         SlicePair(

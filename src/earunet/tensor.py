@@ -159,9 +159,14 @@ def _conv_out_dims(h: int, w: int, p: ConvParams) -> tuple[int, int]:
 
 
 def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad both spatial axes; one zeroed buffer and one copy, which is
+    cheaper than np.pad."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    return xp
 
 
 def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:

@@ -106,7 +106,11 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     vox = np.fromfile(path, dtype=dt, count=nx * ny * nz, offset=offset)
     vox = vox.reshape(nz, ny, nx)  # x varies fastest on disk
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
-        return CtVolume((vox * np.float64(slope) + inter).astype(np.float32), spacing)
+        # one slice at a time: the float64 arithmetic stays slice-sized
+        out = np.empty(vox.shape, dtype=np.float32)
+        for k, plane in enumerate(vox):
+            out[k] = plane * np.float64(slope) + inter
+        return CtVolume(out, spacing)
     return _volume_from_array(vox.astype(dt.newbyteorder("="), copy=False), spacing)
 
 

@@ -132,6 +132,39 @@ def resize_bilinear_naive(img, out_h, out_w):
     return out
 
 
+def resize_nearest_naive(img, out_h, out_w):
+    """Nearest-neighbor resize of one 2-D plane: each output pixel copies
+    the source pixel nearest its half-pixel-center coordinate (ties round up)."""
+    h, w = img.shape
+    out = np.zeros((out_h, out_w), dtype=img.dtype)
+    for i in range(out_h):
+        y = min(math.floor(_source_coord(i, h, out_h) + 0.5), h - 1)
+        for j in range(out_w):
+            out[i, j] = img[y, min(math.floor(_source_coord(j, w, out_w) + 0.5), w - 1)]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# intensity: per-voxel loops
+
+
+def hist_equalize_naive(vox, bins):
+    """Global histogram equalization of float32 voxels in [0,1]: each voxel
+    maps to the fraction of voxels whose bin is at or below its own.  The
+    bin is floor(v * bins) in float32, capped at bins - 1."""
+    flat = np.asarray(vox, dtype=np.float32).ravel()
+    bin_of = [min(int(v * np.float32(bins)), bins - 1) for v in flat]
+    counts = [0] * bins
+    for b in bin_of:
+        counts[b] += 1
+    at_or_below, total = [], 0
+    for c in counts:
+        total += c
+        at_or_below.append(total)
+    out = [np.float32(at_or_below[b] / flat.size) for b in bin_of]
+    return np.asarray(out, dtype=np.float32).reshape(np.shape(vox))
+
+
 # ---------------------------------------------------------------------------
 # volumetric metrics: brute force
 

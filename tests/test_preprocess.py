@@ -5,13 +5,23 @@ import pytest
 
 from earunet.errors import InputError
 from earunet.preprocess import (
+    crop_liver_range,
+    hist_equalize,
+    hu_window,
     preprocess_case,
     preprocess_volume,
     resample_z,
     resize_plane_bilinear,
+    resize_plane_nearest,
+    resize_slices,
 )
 from earunet.volumes import CtVolume, LabelVolume
-from oracles import resample_z_naive, resize_bilinear_naive
+from oracles import (
+    hist_equalize_naive,
+    resample_z_naive,
+    resize_bilinear_naive,
+    resize_nearest_naive,
+)
 
 
 def test_case_images_are_the_volume_chain_cropped():
@@ -64,3 +74,74 @@ def test_nan_voxel_fails_in_named_stage():
     hu[2, 3, 1] = np.nan
     with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
         preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=8)
+
+
+def test_nan_off_the_resize_taps_fails_in_named_stage():
+    # equalization reads every voxel, not only the pixels the resize reads
+    hu = np.zeros((3, 40, 40), dtype=np.float32)
+    hu[1, 0, 0] = np.nan  # rows 0-3 and columns 0-3 feed no 4x4 output pixel
+    with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
+        preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=4)
+
+
+@pytest.mark.parametrize("shape,out", [((5, 7), (12, 9)), ((9, 6), (4, 3)), ((60, 52), (8, 8))])
+def test_resize_plane_nearest_matches_naive(shape, out):
+    img = np.random.default_rng(5).integers(0, 1000, shape).astype(np.int16)
+    assert np.array_equal(resize_plane_nearest(img, *out), resize_nearest_naive(img, *out))
+
+
+@pytest.mark.parametrize("bins", [256, 64, 5])
+def test_hist_equalize_matches_naive(bins):
+    rng = np.random.default_rng(6)
+    vox = rng.random((3, 7, 6), dtype=np.float32)
+    vox[0, 0, :3] = (0.0, 1.0, 0.5)  # both ends of the range and a bin edge
+    got = hist_equalize(CtVolume(vox, (1.0, 1.0, 1.0)), bins)
+    assert got.voxels.dtype == np.float32
+    assert np.array_equal(got.voxels, hist_equalize_naive(vox, bins))
+
+
+def _phantom_hu(shape, dtype, seed=4):
+    hu = np.random.default_rng(seed).normal(40.0, 150.0, shape)
+    return np.rint(hu).astype(np.int16) if dtype == np.int16 else hu.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+@pytest.mark.parametrize(
+    "shape,size",
+    [
+        ((5, 20, 28), 16),  # non-square, both sides under 2*size: the grid is the whole plane
+        ((4, 70, 45), 16),  # both sides over 2*size; 16 divides neither
+        ((6, 37, 100), 12),  # one side each way
+        ((3, 64, 64), 64),  # same size: identity taps
+    ],
+)
+def test_preprocess_volume_is_the_stage_chain(dtype, shape, size):
+    image = CtVolume(_phantom_hu(shape, dtype), (2.5, 0.9, 0.7))
+    for target in (1.0, 1.3):
+        want = resize_slices(resample_z(hist_equalize(hu_window(image)), target), size)
+        got = preprocess_volume(image, target_sz=target, size=size)
+        assert got.voxels.dtype == np.float32
+        assert got.spacing == want.spacing
+        assert np.array_equal(got.voxels, want.voxels)
+
+
+def test_preprocess_case_is_the_stage_chain():
+    spacing = (2.5, 0.9, 0.8)
+    image = CtVolume(_phantom_hu((12, 60, 52), np.int16), spacing)
+    mask = np.zeros(image.dims, dtype=np.uint8)
+    mask[6:9, 20:40, 15:35] = 1
+    mask[3, 0, 0] = 1  # an organ voxel that no 8x8 nearest-neighbor pixel reads
+    labels = LabelVolume(mask, spacing)
+
+    v = resample_z(hist_equalize(hu_window(image)))
+    m = resample_z(labels, kind="nearest")
+    v, m, (lo, hi) = crop_liver_range(v, m, margin=1)
+    v, m = resize_slices(v, 8), resize_slices(m, 8)
+    pairs = preprocess_case(image, labels, margin=1, size=8)
+
+    assert [p.slice_index for p in pairs] == list(range(lo, hi + 1))
+    assert np.array_equal(np.stack([p.image for p in pairs]), v.voxels)
+    assert np.array_equal(np.stack([p.mask for p in pairs]), m.voxels)
+    # the crop starts one margin slice before the lone voxel's first slice;
+    # both are empty once resized, so the range came from the full-size mask
+    assert not m.voxels[:2].any()

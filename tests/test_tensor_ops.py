@@ -16,6 +16,14 @@ def t4(arr):
 
 
 class TestConv2d:
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_input_matches_np_pad(self, padding, dtype):
+        x = np.random.default_rng(9).standard_normal((2, 3, 4, 5)).astype(dtype)
+        got = T._pad_input(x, padding)
+        want = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        assert got.dtype == dtype and np.array_equal(got, want)
+
     def test_all_ones_3x3(self):
         x = t4(np.ones((1, 1, 3, 3)))
         p = T.ConvParams(weight=np.ones((1, 1, 3, 3)), stride=1, padding=1)

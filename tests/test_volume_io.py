@@ -183,3 +183,28 @@ def test_read_holds_one_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.voxels, vox)
     assert peak < 1.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"
+
+
+def test_scaled_read_holds_payload_and_output(tmp_path):
+    # as many slices as a CT volume: the per-slice float64 temporaries
+    # stay small against the whole output
+    vox = (np.arange(32 * 64 * 64) % 4096 - 1024).astype(np.int16).reshape(32, 64, 64)
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(vox, (1.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, 0.37, -1000.5)  # scl_slope, scl_inter
+    path.write_bytes(bytes(blob))
+    slope, inter = struct.unpack_from("<2f", blob, 112)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-volume float64 formula, rounded once to float32
+    want = (vox * np.float64(slope) + inter).astype(np.float32)
+    assert back.voxels.dtype == np.float32 and np.array_equal(back.voxels, want)
+    out_bytes = back.voxels.nbytes
+    assert peak < vox.nbytes + 1.25 * out_bytes, (
+        f"peak {peak} bytes for a {vox.nbytes}-byte payload and {out_bytes}-byte output"
+    )

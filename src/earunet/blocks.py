@@ -3,13 +3,16 @@
 Each block is a pure function pair: ``*_forward`` returns the output plus
 a context of saved intermediates, ``*_backward`` consumes that context and
 the output gradient and returns the input gradient together with a dict of
-parameter gradients keyed by hierarchical names ("fc1.weight", ...).
+parameter gradients.  Its keys are the dotted field paths of the block's
+parameter dataclass that ``named_arrays`` yields as trainable
+("fc1.weight", "se.fc2.bias", ...).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +54,7 @@ class SeBlockParams:
     fc2: LinearParams  # c_squeeze -> c
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MbConvParams:
     """Mobile inverted bottleneck with SE gating and optional shortcut.
 
@@ -59,13 +62,13 @@ class MbConvParams:
     exactly when stride == 1 and in/out channel counts match.
     """
 
+    expand_conv: ConvParams | None = None
+    expand_bn: BatchNormState | None = None
     dw_conv: ConvParams
     dw_bn: BatchNormState
     se: SeBlockParams
     project_conv: ConvParams
     project_bn: BatchNormState
-    expand_conv: ConvParams | None = None
-    expand_bn: BatchNormState | None = None
     survive_p: float = 1.0
     has_shortcut: bool = False
 
@@ -95,6 +98,23 @@ class ResBlockParams:
     conv2: ConvParams
     bn2: BatchNormState
     shortcut_proj: ConvParams | None = None
+
+
+def named_arrays(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bool]]:
+    """Yield (name, array, trainable) for every ndarray field of a parameter
+    dataclass, in field order, recursing into dataclass fields.
+
+    Names are dotted field paths under `prefix`; None and non-array fields
+    (stride, eps, survive_p, ...) are skipped.  A field is trainable unless
+    its metadata says ``trainable=False``.  Arrays are the live objects.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        name = f"{prefix}.{f.name}" if prefix else f.name
+        if isinstance(value, np.ndarray):
+            yield name, value, f.metadata.get("trainable", True)
+        elif is_dataclass(value):
+            yield from named_arrays(value, name)
 
 
 # ---------------------------------------------------------------------------

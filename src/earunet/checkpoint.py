@@ -188,7 +188,12 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
 
 
 def restore_params(params_arrays: dict[str, np.ndarray], ckpt: Checkpoint) -> None:
-    """Copy checkpoint blobs into live parameter arrays, in place."""
+    """Copy checkpoint blobs into live parameter arrays, in place.
+
+    Every blob is checked before any is copied: a shape mismatch, a value
+    that is not finite in the parameter's dtype, or a running variance
+    <= 0 raises FormatError naming the array, and nothing is restored.
+    """
     missing = set(params_arrays) - set(ckpt.arrays)
     extra = set(ckpt.arrays) - set(params_arrays)
     if missing or extra:
@@ -200,4 +205,10 @@ def restore_params(params_arrays: dict[str, np.ndarray], ckpt: Checkpoint) -> No
         src = ckpt.arrays[name]
         if src.shape != arr.shape:
             raise FormatError(f"{name}: checkpoint shape {src.shape} != model shape {arr.shape}")
-        arr[:] = src.astype(arr.dtype)
+        # written so that NaN fails the test too
+        if not np.all(np.abs(src) <= np.finfo(arr.dtype).max):
+            raise FormatError(f"{name}: checkpoint holds values that are not finite as {arr.dtype}")
+        if name.endswith(".running_var") and not np.all(src > 0):
+            raise FormatError(f"{name}: checkpoint running variance must be positive")
+    for name, arr in params_arrays.items():
+        arr[:] = ckpt.arrays[name].astype(arr.dtype)

@@ -186,66 +186,21 @@ class ModelParams:
     out_conv: ConvParams
 
 
-def _iter_conv(prefix: str, p: ConvParams) -> Iterator[tuple[str, np.ndarray, bool]]:
-    yield f"{prefix}.weight", p.weight, True
-    if p.bias is not None:
-        yield f"{prefix}.bias", p.bias, True
-
-
-def _iter_bn(prefix: str, s: BatchNormState) -> Iterator[tuple[str, np.ndarray, bool]]:
-    yield f"{prefix}.gamma", s.gamma, True
-    yield f"{prefix}.beta", s.beta, True
-    yield f"{prefix}.running_mean", s.running_mean, False
-    yield f"{prefix}.running_var", s.running_var, False
-
-
-def _iter_se(prefix: str, p: B.SeBlockParams) -> Iterator[tuple[str, np.ndarray, bool]]:
-    yield f"{prefix}.fc1.weight", p.fc1.weight, True
-    yield f"{prefix}.fc1.bias", p.fc1.bias, True
-    yield f"{prefix}.fc2.weight", p.fc2.weight, True
-    yield f"{prefix}.fc2.bias", p.fc2.bias, True
-
-
-def _iter_mbconv(prefix: str, p: B.MbConvParams) -> Iterator[tuple[str, np.ndarray, bool]]:
-    if p.expand_conv is not None:
-        yield from _iter_conv(f"{prefix}.expand_conv", p.expand_conv)
-        yield from _iter_bn(f"{prefix}.expand_bn", p.expand_bn)
-    yield from _iter_conv(f"{prefix}.dw_conv", p.dw_conv)
-    yield from _iter_bn(f"{prefix}.dw_bn", p.dw_bn)
-    yield from _iter_se(f"{prefix}.se", p.se)
-    yield from _iter_conv(f"{prefix}.project_conv", p.project_conv)
-    yield from _iter_bn(f"{prefix}.project_bn", p.project_bn)
-
-
-def _iter_gate(prefix: str, p: B.AttentionGateParams) -> Iterator[tuple[str, np.ndarray, bool]]:
-    yield from _iter_conv(f"{prefix}.wg", p.wg)
-    yield from _iter_conv(f"{prefix}.wx", p.wx)
-    yield from _iter_conv(f"{prefix}.psi", p.psi)
-
-
-def _iter_res(prefix: str, p: B.ResBlockParams) -> Iterator[tuple[str, np.ndarray, bool]]:
-    yield from _iter_conv(f"{prefix}.conv1", p.conv1)
-    yield from _iter_bn(f"{prefix}.bn1", p.bn1)
-    yield from _iter_conv(f"{prefix}.conv2", p.conv2)
-    yield from _iter_bn(f"{prefix}.bn2", p.bn2)
-    if p.shortcut_proj is not None:
-        yield from _iter_conv(f"{prefix}.shortcut_proj", p.shortcut_proj)
-
-
 def iter_params(params: ModelParams) -> Iterator[tuple[str, np.ndarray, bool]]:
     """Yield (name, array, trainable) for every parameter blob, in a stable
-    order; arrays are the live objects, not copies."""
-    yield from _iter_conv("encoder.stage1.conv", params.stem_conv)
-    yield from _iter_bn("encoder.stage1.bn", params.stem_bn)
+    order; arrays are the live objects, not copies.  Below each layer prefix
+    the names are the block dataclass's field paths (``B.named_arrays``)."""
+    yield from B.named_arrays(params.stem_conv, "encoder.stage1.conv")
+    yield from B.named_arrays(params.stem_bn, "encoder.stage1.bn")
     for si, stage in enumerate(params.stages, start=2):
         for bi, blk in enumerate(stage):
-            yield from _iter_mbconv(f"encoder.stage{si}.block{bi}", blk)
-    yield from _iter_conv("encoder.stage9.conv", params.head_conv9)
-    yield from _iter_bn("encoder.stage9.bn", params.head_bn9)
+            yield from B.named_arrays(blk, f"encoder.stage{si}.block{bi}")
+    yield from B.named_arrays(params.head_conv9, "encoder.stage9.conv")
+    yield from B.named_arrays(params.head_bn9, "encoder.stage9.bn")
     for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
-        yield from _iter_gate(f"decoder.level{li}.gate", gate)
-        yield from _iter_res(f"decoder.level{li}.res", res)
-    yield from _iter_conv("head.conv", params.out_conv)
+        yield from B.named_arrays(gate, f"decoder.level{li}.gate")
+        yield from B.named_arrays(res, f"decoder.level{li}.res")
+    yield from B.named_arrays(params.out_conv, "head.conv")
 
 
 def named_state(params: ModelParams) -> dict[str, np.ndarray]:

@@ -12,7 +12,7 @@ gradients of ``sum(grad_out * op(x))`` with respect to each input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -65,8 +65,9 @@ class Tensor4:
 class ConvParams:
     """Weights and geometry of one 2-D convolution.
 
-    weight has shape (out_c, in_c // groups, kh, kw); bias, when present,
-    has length out_c.  stride/padding apply to both spatial axes.
+    Dense (groups 1, weight (out_c, in_c, kh, kw)) or depthwise (groups ==
+    in_c == out_c, weight (c, 1, kh, kw)); bias, when present, has length
+    out_c.  stride/padding apply to both spatial axes.
     """
 
     weight: np.ndarray
@@ -82,11 +83,12 @@ class ConvParams:
             raise ParameterError(f"stride must be >= 1, got {self.stride}")
         if self.padding < 0:
             raise ParameterError(f"padding must be >= 0, got {self.padding}")
-        if self.groups < 1:
-            raise ParameterError(f"groups must be >= 1, got {self.groups}")
         out_c = self.weight.shape[0]
-        if out_c % self.groups != 0:
-            raise ShapeError(f"out_c {out_c} not divisible by groups {self.groups}")
+        if self.groups != 1 and (self.groups != out_c or self.weight.shape[1] != 1):
+            raise ParameterError(
+                f"groups must be 1 (dense) or out_c with one input channel per filter "
+                f"(depthwise), got groups={self.groups} for weight {self.weight.shape}"
+            )
         if self.bias is not None and self.bias.shape != (out_c,):
             raise ShapeError(f"bias shape {self.bias.shape} does not match out_c {out_c}")
 
@@ -114,8 +116,8 @@ class BatchNormState:
 
     gamma: np.ndarray
     beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
+    running_mean: np.ndarray = field(metadata={"trainable": False})
+    running_var: np.ndarray = field(metadata={"trainable": False})
     eps: float = 1e-5
     momentum: float = 0.1
     mode: str = INFER
@@ -182,8 +184,9 @@ def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int)
 
 
 def _is_depthwise(p: ConvParams) -> bool:
-    """One single-channel filter per input channel (groups == in_c == out_c)."""
-    return p.groups > 1 and p.groups == p.in_channels == p.out_channels
+    """One single-channel filter per input channel (groups == in_c == out_c);
+    a one-channel depthwise conv takes the dense path."""
+    return p.groups > 1
 
 
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
@@ -203,24 +206,15 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
     oc = p.out_channels
 
-    if p.groups == 1:
-        cols = patches.reshape(n, c * kh * kw, oh * ow)
-        w2 = p.weight.reshape(oc, c * kh * kw)
-        out = np.matmul(w2, cols).reshape(n, oc, oh, ow)
-    elif _is_depthwise(p):
+    if _is_depthwise(p):
         # depthwise: one filter per channel, vectorized over channels
         cols = patches.reshape(n, c, kh * kw, oh * ow)
         w2 = p.weight.reshape(c, kh * kw)
         out = np.einsum("nckp,ck->ncp", cols, w2).reshape(n, oc, oh, ow)
     else:
-        icpg = c // p.groups
-        ocpg = oc // p.groups
-        out = np.empty((n, oc, oh * ow), dtype=x.data.dtype)
-        for g in range(p.groups):
-            cols = patches[:, g * icpg : (g + 1) * icpg].reshape(n, icpg * kh * kw, oh * ow)
-            wg = p.weight[g * ocpg : (g + 1) * ocpg].reshape(ocpg, icpg * kh * kw)
-            out[:, g * ocpg : (g + 1) * ocpg] = np.matmul(wg, cols)
-        out = out.reshape(n, oc, oh, ow)
+        cols = patches.reshape(n, c * kh * kw, oh * ow)
+        w2 = p.weight.reshape(oc, c * kh * kw)
+        out = np.matmul(w2, cols).reshape(n, oc, oh, ow)
 
     out = np.ascontiguousarray(out, dtype=x.data.dtype)
     if p.bias is not None:
@@ -246,8 +240,6 @@ def conv2d_backward(
             f"{(n, p.out_channels, oh, ow)}"
         )
     oc = p.out_channels
-    icpg = c // p.groups
-    ocpg = oc // p.groups
 
     grad_bias = None
     if p.bias is not None:
@@ -270,20 +262,14 @@ def conv2d_backward(
                     gx_b[:, :, u : u + st * oh : st, v : v + st * ow : st] += go_b * w_b[:, u, v, None, None]
     else:
         go = grad_out.reshape(n, oc, oh * ow)
-        for g in range(p.groups):
-            ci = slice(g * icpg, (g + 1) * icpg)
-            co = slice(g * ocpg, (g + 1) * ocpg)
-            cols = patches[:, ci].reshape(n, icpg * kh * kw, oh * ow)
-            go_g = go[:, co]
-            # dW = sum_n grad_out . cols^T
-            gw = np.matmul(go_g, cols.transpose(0, 2, 1)).sum(axis=0)
-            grad_weight[co] = gw.reshape(ocpg, icpg, kh, kw)
-            # dX: scatter W^T . grad_out back onto the padded input
-            wg = p.weight[co].reshape(ocpg, icpg * kh * kw)
-            gcols = np.matmul(wg.T, go_g).reshape(n, icpg, kh, kw, oh, ow)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, ci, u : u + st * oh : st, v : v + st * ow : st] += gcols[:, :, u, v]
+        cols = patches.reshape(n, c * kh * kw, oh * ow)
+        # dW = sum_n grad_out . cols^T
+        grad_weight[:] = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(oc, c, kh, kw)
+        # dX: scatter W^T . grad_out back onto the padded input
+        gcols = np.matmul(p.weight.reshape(oc, c * kh * kw).T, go).reshape(n, c, kh, kw, oh, ow)
+        for u in range(kh):
+            for v in range(kw):
+                gxp[:, :, u : u + st * oh : st, v : v + st * ow : st] += gcols[:, :, u, v]
 
     if p.padding:
         grad_x = gxp[:, :, p.padding : p.padding + h, p.padding : p.padding + w]

@@ -10,6 +10,19 @@ import numpy as np
 from .errors import ShapeError
 
 
+def _check_geometry(what: str, voxels: np.ndarray, spacing) -> tuple[float, float, float]:
+    """Reject anything but a non-empty 3-D array with three positive finite
+    spacings; returns the spacing as floats."""
+    if voxels.ndim != 3:
+        raise ShapeError(f"{what} must be 3-D (d,h,w), got shape {voxels.shape}")
+    if 0 in voxels.shape:
+        raise ShapeError(f"{what} has an empty axis, got shape {voxels.shape}")
+    spacing = tuple(float(s) for s in spacing)
+    if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
+        raise ShapeError(f"spacing must be three positive finite values, got {spacing}")
+    return spacing  # type: ignore[return-value]
+
+
 @dataclass
 class CtVolume:
     """Scalar CT volume (d, h, w) with per-axis physical spacing in mm.
@@ -23,11 +36,7 @@ class CtVolume:
 
     def __post_init__(self) -> None:
         self.voxels = np.asarray(self.voxels)
-        if self.voxels.ndim != 3:
-            raise ShapeError(f"volume must be 3-D (d,h,w), got shape {self.voxels.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or not all(0.0 < s < math.inf for s in self.spacing):
-            raise ShapeError(f"spacing must be three positive finite values, got {self.spacing}")
+        self.spacing = _check_geometry("volume", self.voxels, self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -43,8 +52,7 @@ class LabelVolume:
 
     def __post_init__(self) -> None:
         self.voxels = np.asarray(self.voxels)
-        if self.voxels.ndim != 3:
-            raise ShapeError(f"mask must be 3-D (d,h,w), got shape {self.voxels.shape}")
+        self.spacing = _check_geometry("mask", self.voxels, self.spacing)
         bad = (self.voxels != 0) & (self.voxels != 1)
         if bad.any():
             raise ShapeError(
@@ -52,9 +60,6 @@ class LabelVolume:
             )
         if self.voxels.dtype != np.uint8:
             self.voxels = self.voxels.astype(np.uint8)
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if len(self.spacing) != 3 or not all(0.0 < s < math.inf for s in self.spacing):
-            raise ShapeError(f"spacing must be three positive finite values, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:

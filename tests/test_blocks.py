@@ -23,12 +23,41 @@ def t4(arr):
 BLOCK_STEP = 1e-5
 
 
-def check_param_grads(loss, arrays, analytic, tol=GRAD_TOL, step=BLOCK_STEP):
-    """Finite-difference every entry of every (shared, in-place) param array."""
-    for name, arr in arrays.items():
+def check_param_grads(loss, params, analytic, tol=GRAD_TOL, step=BLOCK_STEP):
+    """The backward's gradient keys are the block's trainable names; then
+    finite-difference every entry of every (shared, in-place) array."""
+    trainable = {name: arr for name, arr, tr in B.named_arrays(params) if tr}
+    assert sorted(analytic) == sorted(trainable)
+    for name, arr in trainable.items():
         num = numeric_grad(lambda _: loss(), arr, step=step)
         err = max_rel_err(analytic[name], num)
         assert err < tol, f"{name}: rel err {err}"
+
+
+class TestNamedArrays:
+    def test_field_paths_skip_none_and_scalars(self):
+        rng = np.random.default_rng(0)
+        p = B.init_mbconv(rng, 4, 4, kernel=3, stride=1, expansion=1)
+        named = list(B.named_arrays(p, "blk"))
+        assert p.expand_conv is None and named[0][0] == "blk.dw_conv.weight"
+        assert [n for n, _, _ in named if n.startswith("blk.se.")] == [
+            "blk.se.fc1.weight", "blk.se.fc1.bias", "blk.se.fc2.weight", "blk.se.fc2.bias"
+        ]
+        assert all(isinstance(a, np.ndarray) for _, a, _ in named)
+        assert named[0][1] is p.dw_conv.weight  # live arrays, not copies
+
+    def test_running_stats_are_not_trainable(self):
+        bn = B.init_bn(3)
+        assert [(n, t) for n, _, t in B.named_arrays(bn)] == [
+            ("gamma", True), ("beta", True), ("running_mean", False), ("running_var", False)
+        ]
+
+    def test_expansion_comes_first(self):
+        p = B.init_mbconv(np.random.default_rng(1), 4, 6, kernel=3, stride=2, expansion=6)
+        names = [n for n, _, _ in B.named_arrays(p)]
+        assert names[:2] == ["expand_conv.weight", "expand_bn.gamma"]
+        assert names.index("dw_conv.weight") < names.index("se.fc1.weight")
+        assert names[-1] == "project_bn.running_var"
 
 
 class TestSeBlock:
@@ -96,31 +125,7 @@ class TestSeBlock:
         assert max_rel_err(gx, numeric_grad(
             lambda x: float(np.sum(go * B.se_block_forward(t4(x), p)[0].data)), x0, step=BLOCK_STEP
         )) < GRAD_TOL
-        arrays = {
-            "fc1.weight": p.fc1.weight, "fc1.bias": p.fc1.bias,
-            "fc2.weight": p.fc2.weight, "fc2.bias": p.fc2.bias,
-        }
-        check_param_grads(loss, arrays, grads)
-
-
-def mbconv_arrays(p, prefix=""):
-    arrays = {
-        f"{prefix}dw_conv.weight": p.dw_conv.weight,
-        f"{prefix}dw_bn.gamma": p.dw_bn.gamma,
-        f"{prefix}dw_bn.beta": p.dw_bn.beta,
-        f"{prefix}se.fc1.weight": p.se.fc1.weight,
-        f"{prefix}se.fc1.bias": p.se.fc1.bias,
-        f"{prefix}se.fc2.weight": p.se.fc2.weight,
-        f"{prefix}se.fc2.bias": p.se.fc2.bias,
-        f"{prefix}project_conv.weight": p.project_conv.weight,
-        f"{prefix}project_bn.gamma": p.project_bn.gamma,
-        f"{prefix}project_bn.beta": p.project_bn.beta,
-    }
-    if p.expand_conv is not None:
-        arrays[f"{prefix}expand_conv.weight"] = p.expand_conv.weight
-        arrays[f"{prefix}expand_bn.gamma"] = p.expand_bn.gamma
-        arrays[f"{prefix}expand_bn.beta"] = p.expand_bn.beta
-    return arrays
+        check_param_grads(loss, p, grads)
 
 
 class TestMbConv:
@@ -182,7 +187,7 @@ class TestMbConv:
             return float(np.sum(go * y.data))
 
         assert max_rel_err(gx, numeric_grad(run, x0, step=BLOCK_STEP)) < GRAD_TOL
-        check_param_grads(lambda: run(x0), mbconv_arrays(p), grads)
+        check_param_grads(lambda: run(x0), p, grads)
 
 
 class TestAttentionGate:
@@ -247,11 +252,7 @@ class TestAttentionGate:
 
         assert max_rel_err(gx, numeric_grad(lambda x: run(x, g0), x0, step=BLOCK_STEP)) < GRAD_TOL
         assert max_rel_err(gg, numeric_grad(lambda g: run(x0, g), g0, step=BLOCK_STEP)) < GRAD_TOL
-        arrays = {
-            "wx.weight": p.wx.weight, "wg.weight": p.wg.weight,
-            "psi.weight": p.psi.weight, "psi.bias": p.psi.bias,
-        }
-        check_param_grads(lambda: run(x0, g0), arrays, grads)
+        check_param_grads(lambda: run(x0, g0), p, grads)
 
 
 class TestResidualBlock:
@@ -300,13 +301,7 @@ class TestResidualBlock:
             return float(np.sum(go * B.residual_block_forward(t4(x), p, T.TRAIN)[0].data))
 
         assert max_rel_err(gx, numeric_grad(run, x0, step=BLOCK_STEP)) < GRAD_TOL
-        arrays = {
-            "conv1.weight": p.conv1.weight, "bn1.gamma": p.bn1.gamma, "bn1.beta": p.bn1.beta,
-            "conv2.weight": p.conv2.weight, "bn2.gamma": p.bn2.gamma, "bn2.beta": p.bn2.beta,
-        }
-        if p.shortcut_proj is not None:
-            arrays["shortcut_proj.weight"] = p.shortcut_proj.weight
-        check_param_grads(lambda: run(x0), arrays, grads)
+        check_param_grads(lambda: run(x0), p, grads)
 
     def test_train_after_infer_uses_batch_statistics(self):
         rng = np.random.default_rng(21)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,26 @@ class TestCheckpoint:
         restore_params(M.named_state(params2), loaded)
         y1 = M.forward(params2, cfg, x).data
         assert np.array_equal(y0, y1)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("decoder.level2.res.bn1.running_var", -1.0),
+            ("decoder.level2.res.bn1.running_var", 0.0),
+            ("encoder.stage1.conv.weight", np.nan),
+            ("head.conv.bias", np.inf),
+            ("head.conv.weight", 1e300),  # finite in float64, not in the model's float32
+        ],
+    )
+    def test_restore_rejects_bad_values_and_restores_nothing(self, tmp_path, name, value):
+        cfg, _, ckpt, _ = self.make(tmp_path)
+        ckpt.arrays[name] = ckpt.arrays[name].astype(np.float64)
+        ckpt.arrays[name].flat[-1] = value
+        live = M.named_state(M.build_model(cfg, np.random.default_rng(999)))
+        before = {k: v.tobytes() for k, v in live.items()}
+        with pytest.raises(FormatError, match=re.escape(name)):
+            restore_params(live, ckpt)
+        assert {k: v.tobytes() for k, v in live.items()} == before
 
     def test_moments_round_trip(self, tmp_path):
         _, _, ckpt, path = self.make(tmp_path, with_moments=True)

@@ -60,6 +60,8 @@ class TestConv2d:
             groups = int(rng.choice([1, 1, 2]))
             icpg = int(rng.integers(1, 4))
             ocpg = int(rng.integers(1, 4))
+            if groups > 1:  # depthwise: one input and one output channel per group
+                icpg = ocpg = 1
             c = icpg * groups
             kh = int(rng.integers(1, min(h + 2 * padding, 5) + 1))
             kw = int(rng.integers(1, min(w + 2 * padding, 5) + 1))
@@ -70,6 +72,18 @@ class TestConv2d:
             got = T.conv2d(t4(x), p).data
             want = conv2d_naive(x, weight, bias, stride, padding, groups)
             assert np.max(np.abs(got - want)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "shape,groups",
+        [
+            ((4, 2, 3, 3), 2),  # two groups of two channels
+            ((4, 1, 3, 3), 2),  # channel multiplier 2
+            ((3, 1, 3, 3), 0),
+        ],
+    )
+    def test_only_dense_and_depthwise_groupings(self, shape, groups):
+        with pytest.raises(ParameterError, match="groups"):
+            T.ConvParams(weight=np.zeros(shape), groups=groups)
 
     def test_channel_mismatch_reports_both_shapes(self):
         x = t4(np.zeros((1, 3, 4, 4)))
@@ -104,24 +118,20 @@ class TestConv2dBackward:
         assert not gx.any() and not gw.any() and not gb.any()
 
     @pytest.mark.parametrize(
-        "stride,padding,groups,cpg,k,mult",
+        "stride,padding,groups,cpg,k",
         [
-            pytest.param(1, 1, 1, 2, 3, 1, id="1-1-1"),
-            pytest.param(2, 1, 1, 2, 3, 1, id="2-1-1"),
-            pytest.param(1, 0, 2, 2, 3, 1, id="1-0-2"),
-            pytest.param(2, 2, 2, 2, 3, 1, id="2-2-2"),
+            pytest.param(1, 1, 1, 2, 3, id="1-1-1"),
+            pytest.param(2, 1, 1, 2, 3, id="2-1-1"),
             # depthwise: one input and one output channel per group
-            pytest.param(1, 1, 3, 1, 3, 1, id="depthwise-3x3-s1-p1"),
-            pytest.param(2, 2, 3, 1, 5, 1, id="depthwise-5x5-s2-p2"),
-            # channel multiplier 2: one input and two output channels per group
-            pytest.param(1, 1, 2, 1, 3, 2, id="grouped-mult2-3x3-s1-p1"),
+            pytest.param(1, 1, 3, 1, 3, id="depthwise-3x3-s1-p1"),
+            pytest.param(2, 2, 3, 1, 5, id="depthwise-5x5-s2-p2"),
         ],
     )
-    def test_finite_difference(self, stride, padding, groups, cpg, k, mult):
+    def test_finite_difference(self, stride, padding, groups, cpg, k):
         rng = np.random.default_rng(11 + stride + padding + groups)
         x0 = rng.standard_normal((1, cpg * groups, 5, 5))
-        w0 = rng.standard_normal((mult * cpg * groups, cpg, k, k))
-        b0 = rng.standard_normal(mult * cpg * groups)
+        w0 = rng.standard_normal((cpg * groups, cpg, k, k))
+        b0 = rng.standard_normal(cpg * groups)
         p = T.ConvParams(weight=w0, bias=b0, stride=stride, padding=padding, groups=groups)
         go = rng.standard_normal(T.conv2d(t4(x0), p).dims)
 

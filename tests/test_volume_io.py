@@ -110,6 +110,13 @@ def test_volume_spacing_must_be_finite(cls, bad):
         cls(np.zeros((2, 2, 2), dtype=np.uint8), (bad, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
+@pytest.mark.parametrize("shape", [(0, 64, 64), (3, 0, 64), (3, 64, 0)])
+def test_volume_with_an_empty_axis_is_a_shape_error(cls, shape):
+    with pytest.raises(ShapeError, match="empty axis"):
+        cls(np.zeros(shape, dtype=np.int16 if cls is CtVolume else np.uint8), (1.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
 def test_round_trip_is_bit_exact(tmp_path, dtype):
     rng = np.random.default_rng(4)

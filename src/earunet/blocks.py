@@ -218,7 +218,7 @@ class ConvBnCtx:
     bn: BatchNormState
     kind: str | None  # activation kind, None for no activation
     x: Tensor4  # conv input
-    saved: BnSaved | None
+    saved: BnSaved
     act_in: Tensor4 | None  # BN output; kept only when an activation follows
 
 
@@ -246,14 +246,13 @@ def conv_bn_act(
 ) -> tuple[Tensor4, ConvBnCtx | None]:
     """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation.
 
-    Infer mode runs one conv with the BN folded in (``_fold_bn``) and saves
-    no context.  It matches the unfused conv2d -> batchnorm2d -> activate
-    to float rounding, not bit for bit; train mode runs the unfused chain.
+    Train mode runs conv2d -> batchnorm2d -> activate and saves the context.
+    Infer mode runs one conv with the BN folded in (``_fold_bn``), saves no
+    context, and matches the running-stat BN formula to float rounding.
     """
     if mode != TRAIN:
         out = conv2d(x, _fold_bn(conv, bn))
         return (out if kind is None else activate(out, kind)), None
-    bn.mode = mode  # the only write: batchnorm2d reads the mode from its state
     act_in, saved = batchnorm2d(conv2d(x, conv), bn)
     if kind is None:
         return act_in, ConvBnCtx(conv, bn, kind, x, saved, None)

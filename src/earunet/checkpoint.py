@@ -129,6 +129,18 @@ def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True).encode("utf-8")
 
 
+def _parse_json_blob(raw: bytes, what: str, build):
+    """build(obj) of a blob holding one JSON object; bad UTF-8, JSON, keys or
+    types raise FormatError naming the blob."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+        if isinstance(obj, dict):
+            return build(obj)
+    except (ValueError, TypeError, KeyError) as e:
+        raise FormatError(f"checkpoint {what} blob is malformed: {e!r}") from e
+    raise FormatError(f"checkpoint {what} blob is not a JSON object")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     """Serialize and atomically replace `path`."""
     parts = []
@@ -172,7 +184,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise FormatError(f"checkpoint CRC mismatch: header {crc:#010x}, payload {actual:#010x}")
 
     r = _Reader(payload)
-    config = ModelConfig.from_json_dict(json.loads(r.blob().decode("utf-8")))
+    config = _parse_json_blob(r.blob(), "config", ModelConfig.from_json_dict)
     arrays = _unpack_array_records(r)
     moments = None
     if r.u8():
@@ -182,7 +194,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         v = {k[2:]: v for k, v in moment_arrays.items() if k.startswith("v.")}
         moments = AdamMoments(t=t, m=m, v=v)
     rng_blob = r.blob()
-    rng_state = json.loads(rng_blob.decode("utf-8")) if rng_blob else None
+    rng_state = _parse_json_blob(rng_blob, "rng state", dict) if rng_blob else None
     epoch = r.u32()
     return Checkpoint(config=config, arrays=arrays, moments=moments, rng_state=rng_state, epoch=epoch)
 

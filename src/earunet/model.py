@@ -32,7 +32,6 @@ from .tensor import (
     conv2d_backward,
     upsample_bilinear_2x,
     upsample_bilinear_2x_backward,
-    _check_mode,
 )
 from .tensor import batchnorm2d  # noqa: F401  # not called here; tracers patch model.batchnorm2d
 
@@ -379,7 +378,8 @@ def _run_forward(
     returns, so only the skip tensors stay alive across layers, and
     returns no tape.
     """
-    _check_mode(mode)
+    if mode not in (TRAIN, INFER):
+        raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     _check_input(cfg, x)
     tape: Tape | None = [] if mode == TRAIN else None
     if tape is not None and rng is None:

@@ -6,8 +6,9 @@ Convolution uses the cross-correlation convention with zero padding.
 Reductions (pooling, batch statistics) accumulate in float64.
 
 Ops are pure: given the same inputs (and RNG state, where one is taken)
-they return bit-identical results.  Backward functions compute the
-gradients of ``sum(grad_out * op(x))`` with respect to each input.
+they return bit-identical results; ``batchnorm2d`` alone also updates its
+running statistics in place.  Backward functions compute the gradients of
+``sum(grad_out * op(x))`` with respect to each input.
 """
 
 from __future__ import annotations
@@ -18,15 +19,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateBatchError, ParameterError, ShapeError, StateError
+from .errors import DegenerateBatchError, ParameterError, ShapeError
 
 TRAIN = "train"
 INFER = "infer"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (TRAIN, INFER):
-        raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
 
 
 @dataclass
@@ -109,9 +105,10 @@ class ConvParams:
 class BatchNormState:
     """Per-channel batch-norm parameters and running statistics.
 
-    In train mode batch statistics over (n, h, w) are used and the running
-    stats are updated in place as running <- (1-momentum)*running +
-    momentum*batch.  In infer mode only the running stats are read.
+    ``batchnorm2d`` normalizes with batch statistics over (n, h, w) and
+    updates the running stats in place as running <- (1-momentum)*running
+    + momentum*batch.  Infer reads the running stats only through
+    ``blocks._fold_bn``.
     """
 
     gamma: np.ndarray
@@ -120,7 +117,6 @@ class BatchNormState:
     running_var: np.ndarray = field(metadata={"trainable": False})
     eps: float = 1e-5
     momentum: float = 0.1
-    mode: str = INFER
 
     def __post_init__(self) -> None:
         c = self.gamma.shape[0]
@@ -134,11 +130,15 @@ class BatchNormState:
             raise ParameterError(f"momentum must be in (0,1), got {self.momentum}")
         if np.any(self.running_var <= 0):
             raise ParameterError("running_var must be strictly positive")
-        _check_mode(self.mode)
 
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
+
+    @property
+    def mode(self) -> str:
+        """Always train: ``batchnorm2d`` has no other mode.  Tracers label BN calls by it."""
+        return TRAIN
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def conv2d_backward(
 # ---------------------------------------------------------------------------
 # batch normalization
 
-BnSaved = tuple[np.ndarray, np.ndarray]  # (xh, inv) saved by a train-mode batchnorm2d
+BnSaved = tuple[np.ndarray, np.ndarray]  # (xh, inv) saved by batchnorm2d
 
 
 def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,54 +292,39 @@ def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, var
 
 
-def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved | None]:
-    """Per-channel normalize-scale-shift; returns ``(out, saved)``.
+def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
+    """Train-mode per-channel normalize-scale-shift; returns ``(out, saved)``.
 
-    Train mode normalizes with the batch statistics over (n, h, w),
-    updates the running statistics in place and saves ``(xh, inv)``, the
-    normalized input and the per-channel inverse std, for
-    ``batchnorm2d_backward``.  Infer mode reads the running statistics
-    only and saves nothing.
+    Normalizes with the batch statistics over (n, h, w), updates the
+    running statistics in place and saves ``(xh, inv)``, the normalized
+    input and the per-channel inverse std, for ``batchnorm2d_backward``.
     """
     n, c, h, w = x.dims
     if c != s.channels:
         raise ShapeError(f"input channels {x.dims} do not match batch-norm width {s.channels}")
+    if n * h * w == 1:
+        raise DegenerateBatchError("batch variance undefined for a single element per channel")
     dt = x.data.dtype
-    if s.mode == TRAIN:
-        if n * h * w == 1:
-            raise DegenerateBatchError(
-                "batch variance undefined for a single element per channel"
-            )
-        mu64, var64 = _batch_stats(x.data)
-        m = s.momentum
-        s.running_mean[:] = ((1.0 - m) * s.running_mean.astype(np.float64) + m * mu64).astype(
-            s.running_mean.dtype
-        )
-        s.running_var[:] = ((1.0 - m) * s.running_var.astype(np.float64) + m * var64).astype(
-            s.running_var.dtype
-        )
-        mu = mu64.astype(dt)
-        var = var64.astype(dt)
-    else:
-        mu = s.running_mean.astype(dt)
-        var = s.running_var.astype(dt)
+    mu64, var64 = _batch_stats(x.data)
+    m = s.momentum
+    for running, batch in ((s.running_mean, mu64), (s.running_var, var64)):
+        running[:] = ((1.0 - m) * running.astype(np.float64) + m * batch).astype(running.dtype)
+    mu = mu64.astype(dt)
+    var = var64.astype(dt)
     inv = (1.0 / np.sqrt(var.astype(np.float64) + s.eps)).astype(dt)
     xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xh * s.gamma.astype(dt)[None, :, None, None] + s.beta.astype(dt)[None, :, None, None]
-    return Tensor4(out), ((xh, inv) if s.mode == TRAIN else None)
+    return Tensor4(out), (xh, inv)
 
 
 def batchnorm2d_backward(
-    saved: BnSaved | None, s: BatchNormState, grad_out: np.ndarray
+    saved: BnSaved, s: BatchNormState, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a train-mode batchnorm2d w.r.t. input, gamma and beta,
+    """Gradients of batchnorm2d w.r.t. input, gamma and beta,
     differentiating through the batch statistics.
 
-    ``saved`` is the ``(xh, inv)`` that the forward returned; nothing
-    backpropagates through infer mode, which saves ``None``.
+    ``saved`` is the ``(xh, inv)`` that the forward returned.
     """
-    if saved is None:
-        raise StateError("batchnorm2d_backward needs the (xh, inv) a train-mode forward saved")
     xh, inv = saved
     if grad_out.shape != xh.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {xh.shape}")

@@ -4,7 +4,7 @@ The format is single-file uncompressed little-endian `.nii` with datatype
 uint8, int16 or float32.  Anything else (big-endian, wrong magic, other
 datatypes, corrupt dims, spacing or offset) errors loudly.  A
 non-identity scl_slope/scl_inter is applied on read and yields a float32
-CtVolume; writers store identity scaling.
+CtVolume (an error if a value overflows it); writers store identity scaling.
 
 Unscaled uint8 payloads load as LabelVolume, int16/float32 as CtVolume;
 writers pick the payload dtype from the array dtype, so round trips are
@@ -77,7 +77,7 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     if magic != NIFTI_MAGIC:
         raise FormatError(f"{path}: magic {magic!r} is not single-file NIfTI-1 ('n+1')")
     dim = struct.unpack_from("<8h", hdr, 40)
-    if dim[0] < 3 or any(d != 1 for d in dim[4 : dim[0] + 1]):
+    if not 3 <= dim[0] <= 7 or any(d != 1 for d in dim[4 : dim[0] + 1]):
         raise FormatError(f"{path}: expected a 3-D volume, got dim {dim}")
     nx, ny, nz = dim[1], dim[2], dim[3]
     if min(nx, ny, nz) < 1:
@@ -108,8 +108,12 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     if slope != 0.0 and (slope != 1.0 or inter != 0.0):
         # one slice at a time: the float64 arithmetic stays slice-sized
         out = np.empty(vox.shape, dtype=np.float32)
+        top = np.finfo(np.float32).max
         for k, plane in enumerate(vox):
-            out[k] = plane * np.float64(slope) + inter
+            scaled = plane * np.float64(slope) + inter
+            if scaled.min() < -top or scaled.max() > top:
+                raise FormatError(f"{path}: scl_slope {slope}, scl_inter {inter} overflow float32")
+            out[k] = scaled
         return CtVolume(out, spacing)
     return _volume_from_array(vox.astype(dt.newbyteorder("="), copy=False), spacing)
 

@@ -8,7 +8,7 @@ import pytest
 from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import ShapeError, StateError
-from oracles import max_rel_err, numeric_grad
+from oracles import bn_infer_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
 
@@ -165,11 +165,11 @@ class TestMbConv:
         x = t4(rng.standard_normal((1, 8, 8, 8)))
         got = B.mbconv_forward(x, p, T.INFER, rng)[0].data
 
-        h = T.activate(T.batchnorm2d(T.conv2d(x, p.expand_conv), p.expand_bn)[0], "swish")
-        h = T.activate(T.batchnorm2d(T.conv2d(h, p.dw_conv), p.dw_bn)[0], "swish")
+        h = T.activate(t4(bn_infer_naive(T.conv2d(x, p.expand_conv).data, p.expand_bn)), "swish")
+        h = T.activate(t4(bn_infer_naive(T.conv2d(h, p.dw_conv).data, p.dw_bn)), "swish")
         h = B.se_block_forward(h, p.se)[0]
-        h = T.batchnorm2d(T.conv2d(h, p.project_conv), p.project_bn)[0]
-        want = x.data + h.data  # shortcut, infer mode: no drop
+        h = bn_infer_naive(T.conv2d(h, p.project_conv).data, p.project_bn)
+        want = x.data + h  # shortcut, infer mode: no drop
         assert np.allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("expansion,stride,out_c", [(1, 1, 4), (6, 1, 4), (6, 2, 6)])
@@ -281,8 +281,8 @@ class TestResidualBlock:
         x = t4(rng.standard_normal((1, 3, 6, 6)))
         got = B.residual_block_forward(x, p, T.INFER)[0].data
 
-        r = T.activate(T.batchnorm2d(T.conv2d(x, p.conv1), p.bn1)[0], "relu")
-        r = T.activate(T.batchnorm2d(T.conv2d(r, p.conv2), p.bn2)[0], "relu")
+        r = T.activate(t4(bn_infer_naive(T.conv2d(x, p.conv1).data, p.bn1)), "relu")
+        r = T.activate(t4(bn_infer_naive(T.conv2d(r, p.conv2).data, p.bn2)), "relu")
         want = r.data + T.conv2d(x, p.shortcut_proj).data
         assert np.allclose(got, want, atol=1e-12)
 
@@ -311,7 +311,8 @@ class TestResidualBlock:
             bn.running_var[:] = 9.0
         fresh = copy.deepcopy(p)
         x = t4(rng.standard_normal((2, 4, 5, 5)))
-        B.residual_block_forward(x, p, T.INFER)  # a validation pass leaves both BNs in infer mode
+        # a validation pass first: nothing it leaves behind may change the train pass
+        B.residual_block_forward(x, p, T.INFER)
         out, ctx = B.residual_block_forward(x, p, T.TRAIN)
 
         def bn_batch(z, bn):
@@ -333,10 +334,11 @@ class TestResidualBlock:
             assert np.array_equal(grads[k], want_grads[k]), k
 
 
-# float32 tolerance of the fused infer unit against the unfused chain,
-# 16 float32 ulps at magnitude 1: the fold rounds the scaled weights and
-# bias once, and sums in another order (over 20 seeds of every unit below
-# the largest difference used 0.4 of it)
+# float32 tolerance of the fused infer unit against the unfused chain
+# (float32 conv, then the float64 naive BN and activation), 16 float32
+# ulps at magnitude 1: the fold rounds the scaled weights and bias once,
+# and sums in another order (over 20 seeds of every unit below the
+# largest difference used 0.41 of it)
 FUSED_TOL = 16 * float(np.finfo(np.float32).eps)
 
 
@@ -369,7 +371,7 @@ class TestFusedInferUnit:
 
     @staticmethod
     def unfused(x, conv, bn, kind):
-        out = T.batchnorm2d(T.conv2d(x, conv), bn)[0]  # bn.mode is INFER
+        out = t4(bn_infer_naive(T.conv2d(x, conv).data, bn))
         return out if kind is None else T.activate(out, kind)
 
     @pytest.mark.parametrize("name", sorted(UNITS))
@@ -395,7 +397,6 @@ class TestFusedInferUnit:
         before = [a.tobytes() for a in arrays]
         B.conv_bn_act(x, conv, bn, T.INFER, kind)
         assert [a.tobytes() for a in arrays] == before
-        assert bn.mode == T.INFER
 
     def test_no_backward_through_infer_unit(self):
         x, conv, bn, kind = self.unit("dense", np.float64)

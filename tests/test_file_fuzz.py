@@ -1,6 +1,10 @@
 """Fuzzing of the two file formats: a truncated or byte-flipped checkpoint
 or NIfTI file fails with a named error, never with a raw exception."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -57,6 +61,45 @@ def test_checkpoint_with_any_byte_flipped(tmp_path, checkpoint_blob):
         blob[i] ^= 0xFF
         with pytest.raises(FormatError):
             _load(tmp_path, f"flip{i}", bytes(blob))
+
+
+def _with_blobs(blob, config=None, rng=None):
+    """The checkpoint blob with its config and/or rng-state JSON bytes
+    replaced and its CRC recomputed, so only the JSON checks can catch them."""
+    payload = blob[8:-4]
+    if config is not None:
+        (n,) = struct.unpack_from("<I", payload, 0)
+        payload = struct.pack("<I", len(config)) + config + payload[4 + n :]
+    if rng is not None:
+        # the payload ends with u32 length + rng-state JSON + u32 epoch
+        old = json.dumps(_tiny_checkpoint().rng_state, sort_keys=True).encode()
+        payload = payload[: -(8 + len(old))] + struct.pack("<I", len(rng)) + rng + payload[-4:]
+    return blob[:8] + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def _config_json(edit):
+    d = M.preset_config("micro").to_json_dict()
+    edit(d)
+    return json.dumps(d).encode()
+
+
+def _short_stage_row(d):
+    d["stage_specs"][0] = d["stage_specs"][0][:5]
+
+
+@pytest.mark.parametrize(
+    "what,config,rng",
+    [
+        ("config", _config_json(_short_stage_row), None),
+        ("config", _config_json(lambda d: d.pop("input_size")), None),
+        ("rng state", None, b"not json"),
+        ("rng state", None, b"[1, 2]"),
+    ],
+    ids=["stage-row-5-entries", "config-missing-input-size", "rng-not-json", "rng-not-object"],
+)
+def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, what, config, rng):
+    with pytest.raises(FormatError, match=f"checkpoint {what} blob"):
+        _load(tmp_path, "bad", _with_blobs(checkpoint_blob, config, rng))
 
 
 def _tiny_volume(dtype):

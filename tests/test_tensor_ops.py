@@ -1,11 +1,13 @@
 """Tensor kernel tests: oracle comparisons and finite-difference gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from earunet import blocks as B
 from earunet import tensor as T
-from earunet.errors import DegenerateBatchError, ParameterError, ShapeError, StateError
+from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
 from oracles import conv2d_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
@@ -178,27 +180,28 @@ class TestConv2dBackward:
             T.conv2d_backward(x, p, np.zeros((1, 1, 4, 4)))
 
 
-def fresh_bn(c, mode, gamma=None, beta=None, dtype=np.float64):
+def fresh_bn(c, gamma=None, beta=None, dtype=np.float64):
     return T.BatchNormState(
         gamma=np.ones(c, dtype) if gamma is None else np.asarray(gamma, dtype),
         beta=np.zeros(c, dtype) if beta is None else np.asarray(beta, dtype),
         running_mean=np.zeros(c, dtype),
         running_var=np.ones(c, dtype),
-        mode=mode,
     )
 
 
 class TestBatchNorm:
     def test_infer_identity_statistics(self):
-        rng = np.random.default_rng(4)
-        x = t4(rng.standard_normal((2, 3, 4, 4)))
-        out = T.batchnorm2d(x, fresh_bn(3, T.INFER))[0]
-        assert np.allclose(out.data, x.data, atol=1e-5)
+        # identity running stats fold into a weight scale of 1/sqrt(1+eps) and a zero bias
+        conv = B.init_conv(np.random.default_rng(4), 3, 3, 3, dtype=np.float64)
+        bn = B.init_bn(3, np.float64)
+        folded = B._fold_bn(conv, bn)
+        want = conv.weight / np.sqrt(1.0 + bn.eps)
+        assert np.allclose(folded.weight, want, rtol=1e-15, atol=0) and not folded.bias.any()
 
     def test_train_normalizes_per_channel(self):
         rng = np.random.default_rng(5)
         x = t4(rng.standard_normal((3, 2, 5, 5)) * 4.0 + 2.0)
-        out = T.batchnorm2d(x, fresh_bn(2, T.TRAIN))[0].data
+        out = T.batchnorm2d(x, fresh_bn(2))[0].data
         for c in range(2):
             assert abs(out[:, c].mean()) < 1e-5
             assert abs(out[:, c].var() - 1.0) < 1e-5
@@ -206,7 +209,7 @@ class TestBatchNorm:
     def test_scale_shift(self):
         rng = np.random.default_rng(6)
         x = t4(rng.standard_normal((2, 2, 6, 6)))
-        s = fresh_bn(2, T.TRAIN, gamma=[2.0, 2.0], beta=[3.0, 3.0])
+        s = fresh_bn(2, gamma=[2.0, 2.0], beta=[3.0, 3.0])
         out = T.batchnorm2d(x, s)[0].data
         for c in range(2):
             assert abs(out[:, c].mean() - 3.0) < 1e-4
@@ -215,7 +218,7 @@ class TestBatchNorm:
     def test_running_stats_update(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 2, 4, 4)) + 5.0
-        s = fresh_bn(2, T.TRAIN)
+        s = fresh_bn(2)
         T.batchnorm2d(t4(x), s)
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
@@ -224,11 +227,19 @@ class TestBatchNorm:
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatchError):
-            T.batchnorm2d(t4(np.ones((1, 3, 1, 1))), fresh_bn(3, T.TRAIN))
+            T.batchnorm2d(t4(np.ones((1, 3, 1, 1))), fresh_bn(3))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            T.batchnorm2d(t4(np.ones((1, 3, 2, 2))), fresh_bn(4, T.INFER))
+            T.batchnorm2d(t4(np.ones((1, 3, 2, 2))), fresh_bn(4))
+
+    def test_mode_is_not_stored(self):
+        s = fresh_bn(2)
+        assert "mode" not in {f.name for f in dataclasses.fields(s)} and s.mode == T.TRAIN
+        with pytest.raises(TypeError):
+            T.BatchNormState(s.gamma, s.beta, s.running_mean, s.running_var, mode=T.INFER)
+        with pytest.raises(AttributeError):
+            s.mode = T.INFER
 
     def test_finite_difference(self):
         rng = np.random.default_rng(9)
@@ -238,9 +249,9 @@ class TestBatchNorm:
         go = rng.standard_normal((2, 2, 3, 3))
 
         def bn(x, gamma, beta):
-            return T.batchnorm2d(t4(x), fresh_bn(2, T.TRAIN, gamma=gamma, beta=beta))
+            return T.batchnorm2d(t4(x), fresh_bn(2, gamma=gamma, beta=beta))
 
-        s = fresh_bn(2, T.TRAIN, gamma=gamma0, beta=beta0)
+        s = fresh_bn(2, gamma=gamma0, beta=beta0)
         gx, gg, gb = T.batchnorm2d_backward(T.batchnorm2d(t4(x0), s)[1], s, go)
 
         def loss_x(x):
@@ -255,14 +266,6 @@ class TestBatchNorm:
         assert max_rel_err(gx, numeric_grad(loss_x, x0)) < GRAD_TOL
         assert max_rel_err(gg, numeric_grad(loss_g, gamma0)) < GRAD_TOL
         assert max_rel_err(gb, numeric_grad(loss_b, beta0)) < GRAD_TOL
-
-    def test_backward_rejects_infer_forward(self):
-        # infer mode saves nothing: no backward runs through it
-        s = fresh_bn(2, T.INFER)
-        out, saved = T.batchnorm2d(t4(np.ones((1, 2, 2, 2))), s)
-        assert saved is None
-        with pytest.raises(StateError):
-            T.batchnorm2d_backward(saved, s, np.ones(out.dims))
 
 
 class TestActivations:

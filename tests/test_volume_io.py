@@ -70,6 +70,16 @@ def test_read_nonfinite_intercept_reads_as_zero(tmp_path):
     assert np.array_equal(back.voxels, np.full((2, 3, 4), 2.0, dtype=np.float32))
 
 
+def test_scaled_overflow_of_float32_is_a_format_error(tmp_path):
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(np.full((3, 4, 5), 30000, dtype=np.int16), (1.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<2f", blob, 112, 1e35, 0.0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="scl_slope"):
+        read_nifti(path)
+
+
 def _corrupt(tmp_path, fmt, offset, *values):
     """A valid 4x6x6 int16 file with one header field overwritten."""
     path = tmp_path / "ct.nii"
@@ -95,6 +105,12 @@ def test_nonfinite_pixdim_is_a_format_error(tmp_path, value):
 def test_zero_dim_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="dim"):
         read_nifti(_corrupt(tmp_path, "<h", 46, 0))  # dim[3]
+
+
+@pytest.mark.parametrize("value", [8, 252])
+def test_rank_beyond_seven_is_a_format_error(tmp_path, value):
+    with pytest.raises(FormatError, match="dim"):
+        read_nifti(_corrupt(tmp_path, "<h", 40, value))  # dim[0]; 252 is byte 40 XOR 0xFF
 
 
 @pytest.mark.parametrize("value", [-1, -2])

@@ -52,30 +52,17 @@ def flip_pair(image, mask):
     return image[:, ::-1].copy(), mask[:, ::-1].copy()
 
 
-def elastic_pair(
-    image,
-    mask,
-    rng: np.random.Generator,
-    sigma: float = ELASTIC_SIGMA_PX,
-    alpha: float = ELASTIC_ALPHA_PX,
-):
+def elastic_pair(image, mask, rng: np.random.Generator):
     """Gaussian-smoothed random displacement field, identical for both."""
     h, w = image.shape
-    d_rows = gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), sigma) * alpha
-    d_cols = gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), sigma) * alpha
+    d_rows = gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), ELASTIC_SIGMA_PX) * ELASTIC_ALPHA_PX
+    d_cols = gaussian_filter(rng.uniform(-1.0, 1.0, (h, w)), ELASTIC_SIGMA_PX) * ELASTIC_ALPHA_PX
     grid_r, grid_c = np.meshgrid(np.arange(h, dtype=np.float64),
                                  np.arange(w, dtype=np.float64), indexing="ij")
     return _warp(image, mask, grid_r + d_rows, grid_c + d_cols)
 
 
-def augment(
-    p: SlicePair,
-    spec: tuple[str, ...],
-    rng: np.random.Generator,
-    zoom_range: tuple[float, float] = ZOOM_RANGE,
-    sigma: float = ELASTIC_SIGMA_PX,
-    alpha: float = ELASTIC_ALPHA_PX,
-) -> SlicePair:
+def augment(p: SlicePair, spec: tuple[str, ...], rng: np.random.Generator) -> SlicePair:
     """Apply a non-empty subset of {zoom, flip, elastic} to one pair."""
     if not spec:
         raise ParameterError("augmentation spec must name at least one transform")
@@ -84,12 +71,12 @@ def augment(
         raise ParameterError(f"unknown augmentations {sorted(bad)}; valid: {KINDS}")
     image, mask = p.image, p.mask
     if "zoom" in spec:
-        factor = float(rng.uniform(*zoom_range))
+        factor = float(rng.uniform(*ZOOM_RANGE))
         image, mask = zoom_pair(image, mask, factor)
     if "flip" in spec:
         image, mask = flip_pair(image, mask)
     if "elastic" in spec:
-        image, mask = elastic_pair(image, mask, rng, sigma, alpha)
+        image, mask = elastic_pair(image, mask, rng)
     tag = "+".join(k for k in KINDS if k in spec)
     return SlicePair(
         image=image,

@@ -16,8 +16,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ShapeError, StateError
+from .errors import ParameterError, ShapeError, StateError
 from .tensor import (
+    BN_EPS,
+    INFER,
     TRAIN,
     BatchNormState,
     BnSaved,
@@ -58,8 +60,7 @@ class SeBlockParams:
 class MbConvParams:
     """Mobile inverted bottleneck with SE gating and optional shortcut.
 
-    expand_conv is absent for expansion ratio 1.  has_shortcut must hold
-    exactly when stride == 1 and in/out channel counts match.
+    expand_conv is absent for expansion ratio 1.
     """
 
     expand_conv: ConvParams | None = None
@@ -70,7 +71,12 @@ class MbConvParams:
     project_conv: ConvParams
     project_bn: BatchNormState
     survive_p: float = 1.0
-    has_shortcut: bool = False
+
+    @property
+    def has_shortcut(self) -> bool:
+        """True exactly when stride == 1 and in/out channel counts match."""
+        first = self.dw_conv if self.expand_conv is None else self.expand_conv
+        return self.dw_conv.stride == 1 and first.in_channels == self.project_conv.out_channels
 
 
 @dataclass
@@ -105,7 +111,7 @@ def named_arrays(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bool]
     dataclass, in field order, recursing into dataclass fields.
 
     Names are dotted field paths under `prefix`; None and non-array fields
-    (stride, eps, survive_p, ...) are skipped.  A field is trainable unless
+    (stride, survive_p, ...) are skipped.  A field is trainable unless
     its metadata says ``trainable=False``.  Arrays are the live objects.
     """
     for f in fields(obj):
@@ -180,7 +186,6 @@ def init_mbconv(
         project_conv=init_conv(rng, hidden, out_c, 1, dtype=dtype),
         project_bn=init_bn(out_c, dtype),
         survive_p=survive_p,
-        has_shortcut=(stride == 1 and in_c == out_c),
     )
 
 
@@ -224,10 +229,10 @@ class ConvBnCtx:
 
 def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
     """The conv whose output equals infer-mode bn(conv(x)): each output
-    channel's weights and bias scaled by gamma/sqrt(running_var + eps),
+    channel's weights and bias scaled by gamma/sqrt(running_var + BN_EPS),
     computed in float64, and the bias shifted by beta - running_mean*scale
     (Jacob et al., arXiv:1712.05877)."""
-    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + bn.eps)
+    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
     bias = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
     if conv.bias is not None:
         bias += conv.bias.astype(np.float64) * scale
@@ -249,10 +254,13 @@ def conv_bn_act(
     Train mode runs conv2d -> batchnorm2d -> activate and saves the context.
     Infer mode runs one conv with the BN folded in (``_fold_bn``), saves no
     context, and matches the running-stat BN formula to float rounding.
+    Any other mode raises ParameterError.
     """
-    if mode != TRAIN:
+    if mode == INFER:
         out = conv2d(x, _fold_bn(conv, bn))
         return (out if kind is None else activate(out, kind)), None
+    if mode != TRAIN:
+        raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     act_in, saved = batchnorm2d(conv2d(x, conv), bn)
     if kind is None:
         return act_in, ConvBnCtx(conv, bn, kind, x, saved, None)

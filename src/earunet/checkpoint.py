@@ -3,9 +3,10 @@
 Layout (all integers little-endian):
 
     magic  b"EARU"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
     payload:
-        u32 + bytes      model config JSON
+        u32 + bytes      model config JSON: exactly the keys input_size,
+                         width_mult and depth_mult
         u32              parameter record count
         records          name (u16 len + utf8), dtype code u8,
                          ndim u8, u32 dims..., raw little-endian data
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, VersionError
+from .errors import ConfigError, FormatError, VersionError
 from .model import ModelConfig
 from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
-VERSION = 1
+VERSION = 2
 
 _DTYPE_CODES = {"float32": 0, "float64": 1}
 _CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
@@ -130,13 +131,13 @@ def _json_bytes(obj) -> bytes:
 
 
 def _parse_json_blob(raw: bytes, what: str, build):
-    """build(obj) of a blob holding one JSON object; bad UTF-8, JSON, keys or
-    types raise FormatError naming the blob."""
+    """build(obj) of a blob holding one JSON object; bad UTF-8, JSON, keys,
+    types or config values raise FormatError naming the blob."""
     try:
         obj = json.loads(raw.decode("utf-8"))
         if isinstance(obj, dict):
             return build(obj)
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, ConfigError) as e:
         raise FormatError(f"checkpoint {what} blob is malformed: {e!r}") from e
     raise FormatError(f"checkpoint {what} blob is not a JSON object")
 

@@ -12,7 +12,8 @@ head is a 1x1 convolution to one channel followed by a sigmoid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Iterator
 
@@ -50,6 +51,7 @@ BASE_STAGES = (
 
 BASE_DECODER_CHANNELS = (256, 128, 64, 32, 16)
 SKIP_STAGES = (1, 3, 4, 5, 7)  # 1-based stage indices, shallowest first
+DROP_CONNECT_RATE = 0.2  # drop rate of the last mbconv block; linear from 0 at the first
 
 PRESETS = {
     "full": {"input_size": 256, "width_mult": 1.0, "depth_mult": 1.0},
@@ -73,52 +75,14 @@ class StageSpec:
     expansion: int
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """Resolved layer plan; all widths/depths already scaled and rounded."""
-
-    input_size: tuple[int, int]
-    width_mult: float
-    depth_mult: float
-    stage_specs: tuple[StageSpec, ...]
-    decoder_channels: tuple[int, ...]
-    skip_stages: tuple[int, ...]
-    drop_connect_rate: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "input_size": list(self.input_size),
-            "width_mult": self.width_mult,
-            "depth_mult": self.depth_mult,
-            "stage_specs": [
-                [s.kind, s.kernel, s.stride, s.out_channels, s.layers, s.expansion]
-                for s in self.stage_specs
-            ],
-            "decoder_channels": list(self.decoder_channels),
-            "skip_stages": list(self.skip_stages),
-            "drop_connect_rate": self.drop_connect_rate,
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            input_size=tuple(d["input_size"]),
-            width_mult=float(d["width_mult"]),
-            depth_mult=float(d["depth_mult"]),
-            stage_specs=tuple(StageSpec(*row) for row in d["stage_specs"]),
-            decoder_channels=tuple(d["decoder_channels"]),
-            skip_stages=tuple(d["skip_stages"]),
-            drop_connect_rate=float(d["drop_connect_rate"]),
-        )
-
-
-def resolve_config(
-    input_size: int | tuple[int, int] = 256,
-    width_mult: float = 1.0,
-    depth_mult: float = 1.0,
-    drop_connect_rate: float = 0.2,
-) -> ModelConfig:
-    """Scale the base stage plan by width/depth multipliers.
+    """A network's input size and compound-scaling multipliers; the layer
+    plan is derived from them (Tan & Le, arXiv:1905.11946).
 
     Channel counts round to the nearest multiple of 8 (minimum 8); repeated
     layer counts scale as ceil(depth_mult * layers).  Depth scaling applies
@@ -126,47 +90,67 @@ def resolve_config(
     never repeated.  Decoder widths scale with width_mult under the same
     rounding rule.
     """
-    if width_mult <= 0 or depth_mult <= 0:
-        raise ConfigError(f"multipliers must be positive, got {width_mult}, {depth_mult}")
-    if isinstance(input_size, int):
+
+    input_size: tuple[int, int]
+    width_mult: float
+    depth_mult: float
+
+    def __post_init__(self) -> None:
+        size = self.input_size
+        if not (isinstance(size, tuple) and len(size) == 2 and all(map(_is_int, size))):
+            raise ConfigError(f"input size must be two ints, got {size!r}")
+        if not all(v > 0 and v % 32 == 0 for v in size):
+            raise ConfigError(f"input size {size} must be positive multiples of 32")
+        object.__setattr__(self, "input_size", (int(size[0]), int(size[1])))
+        for name in ("width_mult", "depth_mult"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
+                raise ConfigError(f"{name} must be a finite positive number, got {v!r}")
+            object.__setattr__(self, name, float(v))
+
+    @property
+    def stage_specs(self) -> tuple[StageSpec, ...]:
+        return tuple(
+            StageSpec(kind, kernel, stride, round_channels(self.width_mult * out_c),
+                      math.ceil(self.depth_mult * layers) if kind == "mbconv" else layers,
+                      expansion)
+            for kind, kernel, stride, out_c, layers, expansion in BASE_STAGES
+        )
+
+    @property
+    def decoder_channels(self) -> tuple[int, ...]:
+        return tuple(round_channels(self.width_mult * c) for c in BASE_DECODER_CHANNELS)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "input_size": list(self.input_size),
+            "width_mult": self.width_mult,
+            "depth_mult": self.depth_mult,
+        }
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "ModelConfig":
+        keys = {f.name for f in fields(ModelConfig)}
+        if d.keys() != keys:
+            raise ConfigError(f"config keys {sorted(d)} != {sorted(keys)}")
+        return ModelConfig(tuple(d["input_size"]), d["width_mult"], d["depth_mult"])
+
+
+def resolve_config(
+    input_size: int | tuple[int, int] = 256,
+    width_mult: float = 1.0,
+    depth_mult: float = 1.0,
+) -> ModelConfig:
+    """The config of a square (int) or (h, w) input size and the multipliers."""
+    if _is_int(input_size):
         input_size = (input_size, input_size)
-    h, w = input_size
-    if h % 32 or w % 32:
-        raise ConfigError(f"input size {input_size} must be divisible by 32")
-
-    specs = []
-    for kind, kernel, stride, out_c, layers, expansion in BASE_STAGES:
-        if width_mult == 1.0:
-            c = out_c
-        else:
-            c = round_channels(width_mult * out_c)
-        if kind == "mbconv":
-            n_layers = int(math.ceil(depth_mult * layers))
-        else:
-            n_layers = layers
-        specs.append(StageSpec(kind, kernel, stride, c, n_layers, expansion))
-
-    if width_mult == 1.0:
-        dec = BASE_DECODER_CHANNELS
-    else:
-        dec = tuple(round_channels(width_mult * c) for c in BASE_DECODER_CHANNELS)
-    return ModelConfig(
-        input_size=input_size,
-        width_mult=width_mult,
-        depth_mult=depth_mult,
-        stage_specs=tuple(specs),
-        decoder_channels=dec,
-        skip_stages=SKIP_STAGES,
-        drop_connect_rate=drop_connect_rate,
-    )
+    return ModelConfig(input_size, width_mult, depth_mult)
 
 
-def preset_config(name: str, **overrides) -> ModelConfig:
+def preset_config(name: str) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-    kwargs = dict(PRESETS[name])
-    kwargs.update(overrides)
-    return resolve_config(**kwargs)
+    return resolve_config(**PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +218,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
         blocks: list[B.MbConvParams] = []
         for layer in range(spec.layers):
             if mb_total > 1:
-                survive = 1.0 - cfg.drop_connect_rate * mb_index / (mb_total - 1)
+                survive = 1.0 - DROP_CONNECT_RATE * mb_index / (mb_total - 1)
             else:
                 survive = 1.0
             blocks.append(
@@ -257,7 +241,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
     head_conv9 = B.init_conv(rng, in_c, head.out_channels, head.kernel, dtype=dtype)
     head_bn9 = B.init_bn(head.out_channels, dtype)
 
-    skip_channels = [specs[s - 1].out_channels for s in cfg.skip_stages]  # shallowest first
+    skip_channels = [specs[s - 1].out_channels for s in SKIP_STAGES]  # shallowest first
     gates: list[B.AttentionGateParams] = []
     decoder: list[B.ResBlockParams] = []
     gate_in = head.out_channels  # decoder features entering level 1
@@ -389,7 +373,7 @@ def _run_forward(
 
     def tap(stage: int, feats: Tensor4) -> None:
         """Keep a skip stage's output for its decoder level."""
-        if stage in cfg.skip_stages:
+        if stage in SKIP_STAGES:
             skips[stage] = feats
             if tape is not None:
                 tape.append((f"encoder.stage{stage}", partial(_tap_step, skip_grads, stage)))
@@ -407,7 +391,7 @@ def _run_forward(
                     B.conv_bn_act(feats, params.head_conv9, params.head_bn9, mode, "swish"),
                     _unit_step)
     for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
-        si = cfg.skip_stages[-li]
+        si = SKIP_STAGES[-li]
         feats = _decoder_level(tape, f"decoder.level{li}", feats, skips.pop(si), gate, res, mode,
                                skip_grads, si)
 

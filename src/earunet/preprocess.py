@@ -41,10 +41,9 @@ class SlicePair:
         self.mask = self.mask.astype(np.uint8, copy=False)
 
 
-def hu_window(v: CtVolume, lo: float = HU_WINDOW[0], hi: float = HU_WINDOW[1]) -> CtVolume:
-    """Clamp Hounsfield values to [lo, hi] and map affinely onto [0,1]."""
-    if lo >= hi:
-        raise ParameterError(f"window requires lo < hi, got [{lo}, {hi}]")
+def hu_window(v: CtVolume) -> CtVolume:
+    """Clamp Hounsfield values to HU_WINDOW = [lo, hi] and map affinely onto [0,1]."""
+    lo, hi = HU_WINDOW
     # one slice at a time: the float64 arithmetic stays slice-sized
     out = np.empty(v.voxels.shape, dtype=np.float32)
     for k, plane in enumerate(v.voxels):
@@ -215,8 +214,6 @@ def _stage(name: str, fn, *args, **kwargs):
 
 def preprocess_volume(
     image: CtVolume,
-    hu_lo: float = HU_WINDOW[0],
-    hu_hi: float = HU_WINDOW[1],
     target_sz: float = TARGET_SLICE_SPACING_MM,
     size: int = SLICE_SIZE,
 ) -> CtVolume:
@@ -230,7 +227,7 @@ def preprocess_volume(
     full plane.  This is exact because z-resampling acts on each pixel on
     its own, so it commutes with a pixel gather.
     """
-    v = _stage("hu_window", hu_window, image, hu_lo, hu_hi)
+    v = _stage("hu_window", hu_window, image)
     v = _stage("hist_equalize", hist_equalize, v)
     h, w = v.dims[1], v.dims[2]
     y0, y1, fy = _bilinear_taps(h, size)
@@ -249,8 +246,6 @@ def preprocess_case(
     image: CtVolume,
     mask: LabelVolume,
     case_id: str = "case",
-    hu_lo: float = HU_WINDOW[0],
-    hu_hi: float = HU_WINDOW[1],
     target_sz: float = TARGET_SLICE_SPACING_MM,
     margin: int = CROP_MARGIN_SLICES,
     size: int = SLICE_SIZE,
@@ -265,7 +260,7 @@ def preprocess_case(
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
-    v = preprocess_volume(image, hu_lo, hu_hi, target_sz, size)
+    v = preprocess_volume(image, target_sz, size)
     m = _stage("resample_z", resample_z, mask, target_sz, "nearest")
     v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m, margin)
     m = _stage("resize_slices", resize_slices, m, size)

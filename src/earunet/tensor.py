@@ -24,6 +24,9 @@ from .errors import DegenerateBatchError, ParameterError, ShapeError
 TRAIN = "train"
 INFER = "infer"
 
+BN_EPS = 1e-5  # added to the variance before its square root
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-stat update
+
 
 @dataclass
 class Tensor4:
@@ -106,8 +109,8 @@ class BatchNormState:
     """Per-channel batch-norm parameters and running statistics.
 
     ``batchnorm2d`` normalizes with batch statistics over (n, h, w) and
-    updates the running stats in place as running <- (1-momentum)*running
-    + momentum*batch.  Infer reads the running stats only through
+    updates the running stats in place as running <- (1-BN_MOMENTUM)*running
+    + BN_MOMENTUM*batch.  Infer reads the running stats only through
     ``blocks._fold_bn``.
     """
 
@@ -115,8 +118,6 @@ class BatchNormState:
     beta: np.ndarray
     running_mean: np.ndarray = field(metadata={"trainable": False})
     running_var: np.ndarray = field(metadata={"trainable": False})
-    eps: float = 1e-5
-    momentum: float = 0.1
 
     def __post_init__(self) -> None:
         c = self.gamma.shape[0]
@@ -124,10 +125,6 @@ class BatchNormState:
             arr = getattr(self, name)
             if arr.shape != (c,):
                 raise ShapeError(f"{name} shape {arr.shape} does not match gamma shape {(c,)}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
-        if not 0.0 < self.momentum < 1.0:
-            raise ParameterError(f"momentum must be in (0,1), got {self.momentum}")
         if np.any(self.running_var <= 0):
             raise ParameterError("running_var must be strictly positive")
 
@@ -306,12 +303,12 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
         raise DegenerateBatchError("batch variance undefined for a single element per channel")
     dt = x.data.dtype
     mu64, var64 = _batch_stats(x.data)
-    m = s.momentum
+    m = BN_MOMENTUM
     for running, batch in ((s.running_mean, mu64), (s.running_var, var64)):
         running[:] = ((1.0 - m) * running.astype(np.float64) + m * batch).astype(running.dtype)
     mu = mu64.astype(dt)
     var = var64.astype(dt)
-    inv = (1.0 / np.sqrt(var.astype(np.float64) + s.eps)).astype(dt)
+    inv = (1.0 / np.sqrt(var.astype(np.float64) + BN_EPS)).astype(dt)
     xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xh * s.gamma.astype(dt)[None, :, None, None] + s.beta.astype(dt)[None, :, None, None]
     return Tensor4(out), (xh, inv)
@@ -460,15 +457,12 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 def linear_backward(
     x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of linear w.r.t. x, weight and bias."""
-    grad_x = grad_out @ weight.T
-    if x.ndim == 1:
-        grad_w = np.outer(x, grad_out)
-        grad_b = grad_out.copy()
-    else:
-        grad_w = x.T @ grad_out
-        grad_b = grad_out.sum(axis=0)
-    return grad_x, grad_w.astype(weight.dtype, copy=False), grad_b
+    """Gradients of linear w.r.t. the (n, k) rows x, weight and bias."""
+    if x.ndim != 2 or grad_out.shape != (x.shape[0], weight.shape[1]):
+        raise ShapeError(f"linear_backward needs (n, k) rows x and (n, m) grad_out, "
+                         f"got x {x.shape}, weight {weight.shape}, grad_out {grad_out.shape}")
+    grad_w = x.T @ grad_out
+    return grad_out @ weight.T, grad_w.astype(weight.dtype, copy=False), grad_out.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

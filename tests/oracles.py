@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from earunet.tensor import BN_EPS
+
 
 # ---------------------------------------------------------------------------
 # convolution: 7-loop reference
@@ -53,11 +55,11 @@ def conv2d_naive(x, weight, bias=None, stride=1, padding=0, groups=1):
 
 def bn_infer_naive(z, bn):
     """Infer-mode batch norm from the running statistics, one channel at a
-    time in float64: (z - running_mean)*gamma/sqrt(running_var + eps) + beta."""
+    time in float64: (z - running_mean)*gamma/sqrt(running_var + BN_EPS) + beta."""
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     for c in range(z.shape[1]):
-        scale = float(bn.gamma[c]) / math.sqrt(float(bn.running_var[c]) + bn.eps)
+        scale = float(bn.gamma[c]) / math.sqrt(float(bn.running_var[c]) + BN_EPS)
         out[:, c] = (z[:, c] - float(bn.running_mean[c])) * scale + float(bn.beta[c])
     return out
 

@@ -7,7 +7,7 @@ import pytest
 
 from earunet import blocks as B
 from earunet import tensor as T
-from earunet.errors import ShapeError, StateError
+from earunet.errors import ParameterError, ShapeError, StateError
 from oracles import bn_infer_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
@@ -152,8 +152,16 @@ class TestMbConv:
     def test_shortcut_flag_rule(self):
         rng = np.random.default_rng(7)
         assert B.init_mbconv(rng, 4, 4, 3, 1, 6).has_shortcut
+        assert B.init_mbconv(rng, 4, 4, 3, 1, 1).has_shortcut
         assert not B.init_mbconv(rng, 4, 6, 3, 1, 6).has_shortcut
+        assert not B.init_mbconv(rng, 4, 6, 3, 1, 1).has_shortcut
         assert not B.init_mbconv(rng, 4, 4, 3, 2, 6).has_shortcut
+
+    def test_unknown_mode_is_rejected(self):
+        rng = np.random.default_rng(7)
+        p = B.init_mbconv(rng, 4, 4, 3, 1, 6, dtype=np.float64)
+        with pytest.raises(ParameterError, match="mode"):
+            B.mbconv_forward(t4(rng.standard_normal((1, 4, 5, 5))), p, "trian", rng)
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(8)
@@ -272,6 +280,12 @@ class TestResidualBlock:
         out = B.residual_block_forward(t4(rng.standard_normal((1, 3, h, w))), p, T.INFER)[0]
         assert out.dims == (1, 6, h, w)
 
+    def test_unknown_mode_is_rejected(self):
+        rng = np.random.default_rng(18)
+        p = B.init_res_block(rng, 3, 3, dtype=np.float64)
+        with pytest.raises(ParameterError, match="mode"):
+            B.residual_block_forward(t4(rng.standard_normal((1, 3, 4, 4))), p, "trian")
+
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(19)
         p = B.init_res_block(rng, 3, 5, dtype=np.float64)
@@ -318,7 +332,7 @@ class TestResidualBlock:
         def bn_batch(z, bn):
             mu = z.mean(axis=(0, 2, 3), keepdims=True)
             var = z.var(axis=(0, 2, 3), keepdims=True)
-            xh = (z - mu) / np.sqrt(var + bn.eps)
+            xh = (z - mu) / np.sqrt(var + T.BN_EPS)
             return xh * bn.gamma[:, None, None] + bn.beta[:, None, None]
 
         r = np.maximum(bn_batch(T.conv2d(x, p.conv1).data, p.bn1), 0.0)

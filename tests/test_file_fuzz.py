@@ -83,19 +83,25 @@ def _config_json(edit):
     return json.dumps(d).encode()
 
 
-def _short_stage_row(d):
-    d["stage_specs"][0] = d["stage_specs"][0][:5]
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
 
 
 @pytest.mark.parametrize(
     "what,config,rng",
     [
-        ("config", _config_json(_short_stage_row), None),
+        ("config", _config_json(_set("width_mult", "0.05")), None),
+        ("config", _config_json(_set("depth_mult", float("nan"))), None),
+        ("config", _config_json(_set("input_size", [32])), None),
+        ("config", _config_json(_set("input_size", [33, 32])), None),
         ("config", _config_json(lambda d: d.pop("input_size")), None),
+        ("config", _config_json(_set("stage_specs", [["conv", 3, 1, 8, 1, 0]])), None),
         ("rng state", None, b"not json"),
         ("rng state", None, b"[1, 2]"),
     ],
-    ids=["stage-row-5-entries", "config-missing-input-size", "rng-not-json", "rng-not-object"],
+    ids=["config-string-width", "config-nan-depth", "config-size-one-entry",
+         "config-size-not-multiple-of-32", "config-missing-input-size",
+         "config-leftover-stage-specs", "rng-not-json", "rng-not-object"],
 )
 def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, what, config, rng):
     with pytest.raises(FormatError, match=f"checkpoint {what} blob"):

@@ -45,6 +45,33 @@ class TestConfig:
         with pytest.raises(ConfigError):
             M.resolve_config(100, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "input_size,width_mult,depth_mult",
+        [
+            ((32,), 1.0, 1.0),
+            ((32, 32, 32), 1.0, 1.0),
+            ((32.0, 32.0), 1.0, 1.0),
+            (("32", "32"), 1.0, 1.0),
+            ((0, 32), 1.0, 1.0),
+            ((64, 33), 1.0, 1.0),
+            ((32, 32), "1.0", 1.0),
+            ((32, 32), True, 1.0),
+            ((32, 32), 1.0, float("nan")),
+            ((32, 32), float("inf"), 1.0),
+            ((32, 32), 0.0, 1.0),
+            ((32, 32), 1.0, -0.5),
+        ],
+    )
+    def test_constructor_rejects_bad_values(self, input_size, width_mult, depth_mult):
+        with pytest.raises(ConfigError):
+            M.ModelConfig(input_size, width_mult, depth_mult)
+
+    def test_config_is_three_values(self):
+        cfg = M.resolve_config((64, 96), 1, 0.5)
+        assert cfg == M.ModelConfig((64, 96), 1.0, 0.5)
+        assert cfg.to_json_dict() == {"input_size": [64, 96], "width_mult": 1.0, "depth_mult": 0.5}
+        assert cfg.decoder_channels == M.BASE_DECODER_CHANNELS
+
     def test_bad_preset(self):
         with pytest.raises(ConfigError):
             M.preset_config("huge")
@@ -147,9 +174,9 @@ class TestForward:
         stage_out = {s: block_inputs[first[s - 1]][0] for s in range(1, len(params.stages) + 1)}
         # decoder doubles the bottleneck resolution five times, and each level
         # gates the output of its skip stage (deepest first)
-        assert len(gate_inputs) == len(cfg.skip_stages)
+        assert len(gate_inputs) == len(M.SKIP_STAGES)
         assert gate_inputs[0][1].h == 2 * (64 // 32)
-        for (skip, up, _), stage in zip(gate_inputs, reversed(cfg.skip_stages)):
+        for (skip, up, _), stage in zip(gate_inputs, reversed(M.SKIP_STAGES)):
             assert skip is stage_out[stage]
             assert skip.h == up.h
         for (a, _, _), (b, _, _) in zip(gate_inputs, gate_inputs[1:]):
@@ -303,6 +330,29 @@ class TestCheckpoint:
         restore_params(M.named_state(params2), loaded)
         y1 = M.forward(params2, cfg, x).data
         assert np.array_equal(y0, y1)
+
+    def test_micro_round_trip_infer_and_train_bit_exact(self, tmp_path):
+        # a config and the arrays are the whole model: nothing else needs saving
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(9))
+        x = Tensor4(np.random.default_rng(0).random((2, 1, 32, 32), dtype=np.float32))
+        M.forward(params, cfg, x, TRAIN, np.random.default_rng(1))  # moves the running stats
+        path = tmp_path / "micro.ckpt"
+        save_checkpoint(Checkpoint(cfg, M.named_state(params)), path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == cfg
+        params2 = M.build_model(loaded.config, np.random.default_rng(999))
+        restore_params(M.named_state(params2), loaded)
+
+        def outputs(p):
+            train = M.forward(p, cfg, x, TRAIN, np.random.default_rng(2))
+            return M.forward(p, cfg, x, INFER).data, train.data
+
+        for a, b in zip(outputs(params), outputs(params2)):
+            assert np.array_equal(a, b)
+        after, after2 = M.named_state(params), M.named_state(params2)
+        for k in after:
+            assert np.array_equal(after[k], after2[k]), k
 
     @pytest.mark.parametrize(
         "name,value",

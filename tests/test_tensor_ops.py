@@ -191,11 +191,11 @@ def fresh_bn(c, gamma=None, beta=None, dtype=np.float64):
 
 class TestBatchNorm:
     def test_infer_identity_statistics(self):
-        # identity running stats fold into a weight scale of 1/sqrt(1+eps) and a zero bias
+        # identity running stats fold into a weight scale of 1/sqrt(1+BN_EPS) and a zero bias
         conv = B.init_conv(np.random.default_rng(4), 3, 3, 3, dtype=np.float64)
         bn = B.init_bn(3, np.float64)
         folded = B._fold_bn(conv, bn)
-        want = conv.weight / np.sqrt(1.0 + bn.eps)
+        want = conv.weight / np.sqrt(1.0 + T.BN_EPS)
         assert np.allclose(folded.weight, want, rtol=1e-15, atol=0) and not folded.bias.any()
 
     def test_train_normalizes_per_channel(self):
@@ -240,6 +240,13 @@ class TestBatchNorm:
             T.BatchNormState(s.gamma, s.beta, s.running_mean, s.running_var, mode=T.INFER)
         with pytest.raises(AttributeError):
             s.mode = T.INFER
+
+    def test_state_is_arrays_only(self):
+        # eps and momentum are the module constants, so a checkpoint's arrays are the whole state
+        fields = [f.name for f in dataclasses.fields(fresh_bn(2))]
+        assert fields == ["gamma", "beta", "running_mean", "running_var"]
+        with pytest.raises(TypeError):
+            T.BatchNormState(*(np.ones(2) for _ in range(4)), eps=1e-3)
 
     def test_finite_difference(self):
         rng = np.random.default_rng(9)
@@ -389,15 +396,25 @@ class TestLinear:
 
     def test_finite_difference(self):
         rng = np.random.default_rng(16)
-        x0 = rng.standard_normal(4)
+        x0 = rng.standard_normal((2, 4))
         w0 = rng.standard_normal((4, 3))
         b0 = rng.standard_normal(3)
-        go = rng.standard_normal(3)
+        go = rng.standard_normal((2, 3))
         gx, gw, gb = T.linear_backward(x0, w0, go)
 
-        assert max_rel_err(gx, numeric_grad(lambda x: float(go @ T.linear(x, w0, b0)), x0)) < GRAD_TOL
-        assert max_rel_err(gw, numeric_grad(lambda w: float(go @ T.linear(x0, w, b0)), w0)) < GRAD_TOL
-        assert max_rel_err(gb, numeric_grad(lambda b: float(go @ T.linear(x0, w0, b)), b0)) < GRAD_TOL
+        def loss(x, w, b):
+            return float(np.sum(go * T.linear(x, w, b)))
+
+        assert max_rel_err(gx, numeric_grad(lambda x: loss(x, w0, b0), x0)) < GRAD_TOL
+        assert max_rel_err(gw, numeric_grad(lambda w: loss(x0, w, b0), w0)) < GRAD_TOL
+        assert max_rel_err(gb, numeric_grad(lambda b: loss(x0, w0, b), b0)) < GRAD_TOL
+
+    def test_backward_needs_rows(self):
+        # a 1-D x would make x.T @ grad_out a dot product, not the weight gradient
+        with pytest.raises(ShapeError):
+            T.linear_backward(np.ones(3), np.ones((3, 2)), np.ones(2))
+        with pytest.raises(ShapeError):
+            T.linear_backward(np.ones((2, 3)), np.ones((3, 2)), np.ones((3, 2)))
 
     def test_batched_rows(self):
         rng = np.random.default_rng(17)

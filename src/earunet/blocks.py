@@ -133,14 +133,11 @@ def he_normal_conv(rng: np.random.Generator, out_c, in_c_per_group, kh, kw, dtyp
     return (rng.standard_normal((out_c, in_c_per_group, kh, kw)) * std).astype(dtype)
 
 
-def init_conv(
-    rng, in_c, out_c, k, stride=1, padding=None, groups=1, bias=False, dtype=np.float32
-) -> ConvParams:
-    if padding is None:
-        padding = k // 2
+def init_conv(rng, in_c, out_c, k, stride=1, groups=1, bias=False, dtype=np.float32) -> ConvParams:
+    """He-normal k×k conv with "same" padding (k // 2)."""
     w = he_normal_conv(rng, out_c, in_c // groups, k, k, dtype)
     b = np.zeros(out_c, dtype=dtype) if bias else None
-    return ConvParams(weight=w, bias=b, stride=stride, padding=padding, groups=groups)
+    return ConvParams(weight=w, bias=b, stride=stride, padding=k // 2, groups=groups)
 
 
 def init_bn(c, dtype=np.float32) -> BatchNormState:
@@ -193,8 +190,8 @@ def gate_inter_width(skip_c: int) -> int:
     return max(1, skip_c // 2)
 
 
-def init_attention_gate(rng, skip_c, gate_c, inter=None, dtype=np.float32) -> AttentionGateParams:
-    ic = gate_inter_width(skip_c) if inter is None else inter
+def init_attention_gate(rng, skip_c, gate_c, dtype=np.float32) -> AttentionGateParams:
+    ic = gate_inter_width(skip_c)
     return AttentionGateParams(
         wg=init_conv(rng, gate_c, ic, 1, dtype=dtype),
         wx=init_conv(rng, skip_c, ic, 1, dtype=dtype),
@@ -344,7 +341,6 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
 @dataclass
 class MbConvCtx:
     p: MbConvParams
-    x: Tensor4
     expand: ConvBnCtx | None
     dw: ConvBnCtx | None  # unit contexts are None in infer mode
     se_ctx: SeCtx
@@ -371,7 +367,7 @@ def mbconv_forward(
             keep_mask = sample_keep_mask(x.n, p.survive_p, rng)
             y = apply_keep_mask(y, keep_mask, p.survive_p)
         y = Tensor4(x.data + y.data)
-    return y, MbConvCtx(p, x, expand, dw, se_ctx, proj, keep_mask)
+    return y, MbConvCtx(p, expand, dw, se_ctx, proj, keep_mask)
 
 
 def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:

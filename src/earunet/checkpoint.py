@@ -13,8 +13,11 @@ Layout (all integers little-endian):
         u8               has optimizer moments
         [u64 step count + u32 + moment records]   when present
         u32 + bytes      RNG state JSON
-        u32              epoch counter
+        u32              epoch counter, the last payload bytes
     u32    CRC32 of payload
+
+Record names are unique within their list, and moment record names
+start with "m." or "v.".
 
 Writes are atomic (temp file + rename); loads parse the whole file into
 fresh objects before anything is returned, so a truncated or corrupt file
@@ -24,6 +27,7 @@ never yields partial state.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -108,15 +112,20 @@ def _unpack_array_records(r: _Reader) -> dict[str, np.ndarray]:
     count = r.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
+        raw = r.take(r.u16())
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"checkpoint record name {raw!r} is not UTF-8") from e
+        if name in arrays:
+            raise FormatError(f"checkpoint holds {name!r} twice")
         code = r.u8()
         if code not in _CODE_DTYPES:
             raise FormatError(f"unknown dtype code {code} for {name!r}")
         dt = _CODE_DTYPES[code]
         ndim = r.u8()
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        nbytes = size * dt.itemsize
+        nbytes = math.prod(shape) * dt.itemsize  # Python ints: no overflow
         if r.pos + nbytes > len(r.buf):
             raise FormatError(
                 f"checkpoint truncated inside {name!r}: needed {nbytes} more bytes"
@@ -190,13 +199,16 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     moments = None
     if r.u8():
         t = r.u64()
-        moment_arrays = _unpack_array_records(r)
-        m = {k[2:]: v for k, v in moment_arrays.items() if k.startswith("m.")}
-        v = {k[2:]: v for k, v in moment_arrays.items() if k.startswith("v.")}
-        moments = AdamMoments(t=t, m=m, v=v)
+        moments = AdamMoments(t=t)
+        for k, arr in _unpack_array_records(r).items():
+            if k[:2] not in ("m.", "v."):
+                raise FormatError(f"checkpoint moment record {k!r} is neither m.* nor v.*")
+            (moments.m if k[0] == "m" else moments.v)[k[2:]] = arr
     rng_blob = r.blob()
     rng_state = _parse_json_blob(rng_blob, "rng state", dict) if rng_blob else None
     epoch = r.u32()
+    if r.pos != len(payload):
+        raise FormatError(f"checkpoint has {len(payload) - r.pos} bytes after the epoch")
     return Checkpoint(config=config, arrays=arrays, moments=moments, rng_state=rng_state, epoch=epoch)
 
 

@@ -33,9 +33,5 @@ class VersionError(FormatError):
     """A file declares a format version this build does not understand."""
 
 
-class UndefinedMetricError(EarUnetError):
-    """A metric's precondition does not hold (e.g. empty reference set)."""
-
-
 class InputError(EarUnetError):
     """Input data violates a pipeline precondition."""

@@ -15,7 +15,7 @@ triggers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,11 @@ FLOOR = 1e-2
 class CheckReport:
     max_rel_err: float = 0.0
     worst: str = ""
-    sections: dict[str, float] = field(default_factory=dict)
     checked: int = 0
     skipped: int = 0
     seconds: float = 0.0
 
     def merge(self, name: str, err: float) -> None:
-        self.sections[name] = max(err, self.sections.get(name, 0.0))
         if err > self.max_rel_err:
             self.max_rel_err = err
             self.worst = name

@@ -9,6 +9,7 @@ reductions run in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,22 +36,12 @@ class LossWeights:
     w_dice: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.w_bce) and math.isfinite(self.w_dice)):
+            raise ParameterError(f"loss weights must be finite, got {self}")
         if self.w_bce < 0 or self.w_dice < 0:
             raise ParameterError(f"loss weights must be non-negative, got {self}")
         if self.w_bce + self.w_dice <= 0:
             raise ParameterError("at least one loss weight must be positive")
-
-
-def parse_loss_ratio(text: str) -> LossWeights:
-    """Parse a "BCE:DICE" ratio string, e.g. "1:1" or "0.8:0.2"."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ParameterError(f"loss ratio must look like BCE:DICE, got {text!r}")
-    try:
-        w_bce, w_dice = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ParameterError(f"loss ratio must be numeric, got {text!r}") from exc
-    return LossWeights(w_bce=w_bce, w_dice=w_dice)
 
 
 def _check_pair(pred: Tensor4, target: Tensor4) -> None:

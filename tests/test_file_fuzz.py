@@ -74,6 +74,11 @@ def _with_blobs(blob, config=None, rng=None):
         # the payload ends with u32 length + rng-state JSON + u32 epoch
         old = json.dumps(_tiny_checkpoint().rng_state, sort_keys=True).encode()
         payload = payload[: -(8 + len(old))] + struct.pack("<I", len(rng)) + rng + payload[-4:]
+    return _with_payload(blob, payload)
+
+
+def _with_payload(blob, payload):
+    """The checkpoint blob around another payload, with its CRC recomputed."""
     return blob[:8] + payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -106,6 +111,39 @@ def _set(key, value):
 def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, what, config, rng):
     with pytest.raises(FormatError, match=f"checkpoint {what} blob"):
         _load(tmp_path, "bad", _with_blobs(checkpoint_blob, config, rng))
+
+
+def _name(text):
+    return struct.pack("<H", len(text)) + text
+
+
+_WEIGHT_RECORD = _name(b"a.weight") + b"\x00\x02" + struct.pack("<2I", 2, 3)
+
+
+# (payload bytes, their replacement or None to append): each edit leaves a
+# CRC-valid payload that breaks one rule of the record layout
+@pytest.mark.parametrize(
+    "old,new,match",
+    [
+        (_WEIGHT_RECORD, _name(b"a.weight") + b"\x00\x04" + struct.pack("<4I", *[2**32 - 1] * 4),
+         "truncated inside"),
+        (_name(b"a.weight"), _name(b"a.weig\xff\xfe"), "not UTF-8"),
+        (_name(b"a.bias"), _name(b"a.weight"), "twice"),
+        (_name(b"m.a.weight"), _name(b"x.a.weight"), "neither m"),
+        (None, b"\x00", "after the epoch"),
+    ],
+    ids=["record-size-overflows-int64", "record-name-not-utf8", "record-name-twice",
+         "moment-record-unknown-prefix", "byte-after-epoch"],
+)
+def test_checkpoint_malformed_records(tmp_path, checkpoint_blob, old, new, match):
+    payload = checkpoint_blob[8:-4]
+    if old is None:
+        payload += new
+    else:
+        assert payload.count(old) == 1
+        payload = payload.replace(old, new)
+    with pytest.raises(FormatError, match=match):
+        _load(tmp_path, "bad", _with_payload(checkpoint_blob, payload))
 
 
 def _tiny_volume(dtype):

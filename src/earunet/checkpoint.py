@@ -3,9 +3,10 @@
 Layout (all integers little-endian):
 
     magic  b"EARU"
-    u32    format version (currently 2)
+    u32    format version (currently 3)
     payload:
-        u32 + bytes      model config JSON: exactly the keys input_size,
+        u32 + bytes      model config JSON: exactly the keys input_size
+                         (one int, the side of the square slice),
                          width_mult and depth_mult
         u32              parameter record count
         records          name (u16 len + utf8), dtype code u8,
@@ -40,7 +41,7 @@ from .model import ModelConfig
 from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
-VERSION = 2
+VERSION = 3
 
 _DTYPE_CODES = {"float32": 0, "float64": 1}
 _CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
@@ -64,16 +65,24 @@ class Checkpoint:
     epoch: int = 0
 
 
+def _pack(fmt: str, what: str, *values) -> bytes:
+    """struct.pack; a value its field cannot hold raises FormatError naming it."""
+    try:
+        return struct.pack(fmt, *values)
+    except struct.error as e:
+        raise FormatError(f"checkpoint {what} does not fit its {fmt!r} field: {e}") from e
+
+
 def _pack_array_records(arrays: dict[str, np.ndarray]) -> bytes:
     out = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         nb = name.encode("utf-8")
         if arr.dtype.name not in _DTYPE_CODES:
             raise FormatError(f"unsupported checkpoint dtype {arr.dtype} for {name!r}")
-        out.append(struct.pack("<H", len(nb)))
+        out.append(_pack("<H", f"record name length of {name[:20]!r}...", len(nb)))
         out.append(nb)
         out.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype.name], arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        out.append(_pack(f"<{arr.ndim}I", f"shape of {name!r}", *arr.shape))
         out.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
     return b"".join(out)
 
@@ -135,8 +144,14 @@ def _unpack_array_records(r: _Reader) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True).encode("utf-8")
+def _json_bytes(obj, what: str) -> bytes:
+    """A JSON object blob; anything else raises FormatError naming it."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"checkpoint {what} must be a dict, got {type(obj).__name__}")
+    try:
+        return json.dumps(obj, sort_keys=True).encode("utf-8")
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"checkpoint {what} is not JSON-encodable: {e}") from e
 
 
 def _parse_json_blob(raw: bytes, what: str, build):
@@ -152,9 +167,10 @@ def _parse_json_blob(raw: bytes, what: str, build):
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
-    """Serialize and atomically replace `path`."""
+    """Serialize and atomically replace `path`.  A field the format cannot
+    hold raises FormatError before anything is written."""
     parts = []
-    cfg = _json_bytes(ckpt.config.to_json_dict())
+    cfg = _json_bytes(ckpt.config.to_json_dict(), "config")
     parts.append(struct.pack("<I", len(cfg)))
     parts.append(cfg)
     parts.append(_pack_array_records(ckpt.arrays))
@@ -162,14 +178,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         parts.append(b"\x00")
     else:
         parts.append(b"\x01")
-        parts.append(struct.pack("<Q", ckpt.moments.t))
+        parts.append(_pack("<Q", "moments.t", ckpt.moments.t))
         moment_arrays = {f"m.{k}": v for k, v in ckpt.moments.m.items()}
         moment_arrays.update({f"v.{k}": v for k, v in ckpt.moments.v.items()})
         parts.append(_pack_array_records(moment_arrays))
-    rng = _json_bytes(ckpt.rng_state) if ckpt.rng_state is not None else b""
+    rng = _json_bytes(ckpt.rng_state, "rng_state") if ckpt.rng_state is not None else b""
     parts.append(struct.pack("<I", len(rng)))
     parts.append(rng)
-    parts.append(struct.pack("<I", ckpt.epoch))
+    parts.append(_pack("<I", "epoch", ckpt.epoch))
     payload = b"".join(parts)
 
     blob = MAGIC + struct.pack("<I", VERSION) + payload + struct.pack("<I", zlib.crc32(payload))

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blocks as B
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, InputError, ParameterError, ShapeError
 from .tensor import (
     INFER,
     TRAIN,
@@ -75,14 +75,10 @@ class StageSpec:
     expansion: int
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    """A network's input size and compound-scaling multipliers; the layer
-    plan is derived from them (Tan & Le, arXiv:1905.11946).
+    """A network's square input size and compound-scaling multipliers; the
+    layer plan is derived from them (Tan & Le, arXiv:1905.11946).
 
     Channel counts round to the nearest multiple of 8 (minimum 8); repeated
     layer counts scale as ceil(depth_mult * layers).  Depth scaling applies
@@ -91,17 +87,16 @@ class ModelConfig:
     rounding rule.
     """
 
-    input_size: tuple[int, int]
+    input_size: int  # side of the square input slice
     width_mult: float
     depth_mult: float
 
     def __post_init__(self) -> None:
         size = self.input_size
-        if not (isinstance(size, tuple) and len(size) == 2 and all(map(_is_int, size))):
-            raise ConfigError(f"input size must be two ints, got {size!r}")
-        if not all(v > 0 and v % 32 == 0 for v in size):
-            raise ConfigError(f"input size {size} must be positive multiples of 32")
-        object.__setattr__(self, "input_size", (int(size[0]), int(size[1])))
+        whole = isinstance(size, numbers.Integral) and not isinstance(size, bool)
+        if not (whole and size > 0 and size % 32 == 0):
+            raise ConfigError(f"input size must be a positive int multiple of 32, got {size!r}")
+        object.__setattr__(self, "input_size", int(size))
         for name in ("width_mult", "depth_mult"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < math.inf:
@@ -122,35 +117,20 @@ class ModelConfig:
         return tuple(round_channels(self.width_mult * c) for c in BASE_DECODER_CHANNELS)
 
     def to_json_dict(self) -> dict:
-        return {
-            "input_size": list(self.input_size),
-            "width_mult": self.width_mult,
-            "depth_mult": self.depth_mult,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "ModelConfig":
         keys = {f.name for f in fields(ModelConfig)}
         if d.keys() != keys:
             raise ConfigError(f"config keys {sorted(d)} != {sorted(keys)}")
-        return ModelConfig(tuple(d["input_size"]), d["width_mult"], d["depth_mult"])
-
-
-def resolve_config(
-    input_size: int | tuple[int, int] = 256,
-    width_mult: float = 1.0,
-    depth_mult: float = 1.0,
-) -> ModelConfig:
-    """The config of a square (int) or (h, w) input size and the multipliers."""
-    if _is_int(input_size):
-        input_size = (input_size, input_size)
-    return ModelConfig(input_size, width_mult, depth_mult)
+        return ModelConfig(**d)
 
 
 def preset_config(name: str) -> ModelConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
-    return resolve_config(**PRESETS[name])
+    return ModelConfig(**PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +179,7 @@ def parameter_count(params: ModelParams) -> int:
 
 
 def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ModelParams:
-    """Initialize all parameters for the resolved config.
+    """Initialize all parameters for the config.
 
     Conv weights are He-normal (fan-out), batch norms start at identity,
     fully connected layers are uniform +-1/sqrt(fan_in).  The construction
@@ -271,29 +251,24 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 # A train-mode forward records one backward step per layer, in forward
 # order; ``backward_from_context`` runs them in reverse.  A step maps the
 # layer's output gradient to (input gradient, parameter grads named under
-# the step's name).  Each step looks its ``B.*_backward`` up through the
-# module attribute when it runs, so tracers that patch ``blocks`` see it.
+# the step's name).  Steps bind their ``B.*_backward`` when the forward
+# records them, so a tracer that patches ``blocks`` sees them only if it is
+# installed before the forward runs.
 Step = Callable[[np.ndarray], tuple[np.ndarray, B.GradDict]]
 Tape = list[tuple[str, Step]]
 
 
 def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
-    h, w = cfg.input_size
-    if x.c != 1 or x.h != h or x.w != w:
-        raise ShapeError(f"input {x.dims} does not match expected (n, 1, {h}, {w})")
+    s = cfg.input_size
+    if x.c != 1 or x.h != s or x.w != s:
+        raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
+    if x.data.dtype not in (np.float32, np.float64):
+        raise InputError(f"input dtype {x.data.dtype} is not float32 or float64")
 
 
 def _unit_step(ctx: B.ConvBnCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
     grads: B.GradDict = {}
     return B.conv_bn_act_backward(ctx, g, grads, "conv", "bn"), grads
-
-
-def _mbconv_step(ctx: B.MbConvCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
-    return B.mbconv_backward(ctx, g)
-
-
-def _res_step(ctx: B.ResCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
-    return B.residual_block_backward(ctx, g)
 
 
 def _gate_step(
@@ -344,7 +319,8 @@ def _decoder_level(
     gated = _record(tape, f"{name}.gate", B.attention_gate_forward(skip, up, gate),
                     _gate_step, feats, skip_grads, stage)
     cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
-    return _record(tape, f"{name}.res", B.residual_block_forward(cat, res, mode), _res_step)
+    return _record(tape, f"{name}.res", B.residual_block_forward(cat, res, mode),
+                   B.residual_block_backward)
 
 
 def _run_forward(
@@ -384,7 +360,7 @@ def _run_forward(
     for si, stage in enumerate(params.stages, start=2):
         for bi, blk in enumerate(stage):
             feats = _record(tape, f"encoder.stage{si}.block{bi}",
-                            B.mbconv_forward(feats, blk, mode, rng), _mbconv_step)
+                            B.mbconv_forward(feats, blk, mode, rng), B.mbconv_backward)
         tap(si, feats)
 
     feats = _record(tape, "encoder.stage9",

@@ -1,6 +1,10 @@
 """CT preprocessing chain: windowing, equalization, z-resampling,
 liver-range cropping and in-plane resizing down to training slice pairs.
 
+Three constants fix the chain: equalization counts EQUALIZE_BINS bins,
+slices are resampled to TARGET_SLICE_SPACING_MM apart, and the organ crop
+keeps CROP_MARGIN_SLICES extra slices (after resampling) on each side.
+
 The chain is deterministic; running it twice on the same volumes yields
 byte-identical slices.  Images are resampled bilinearly (half-pixel
 centers, edge clamp), masks with nearest neighbor so they stay binary.
@@ -51,13 +55,13 @@ def hu_window(v: CtVolume) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
-def hist_equalize(v: CtVolume, bins: int = EQUALIZE_BINS) -> CtVolume:
-    """Global histogram equalization over the whole volume.
+def hist_equalize(v: CtVolume) -> CtVolume:
+    """Global histogram equalization over the whole volume (EQUALIZE_BINS bins).
 
     Values map to the cumulative distribution of their bin, so the output
     is monotone nondecreasing in the input and spans (0, 1].
     """
-    vox = v.voxels
+    vox, bins = v.voxels, EQUALIZE_BINS
     # written so that NaN fails the test too
     if not (vox.min() >= 0.0 and vox.max() <= 1.0):
         raise InputError(
@@ -115,10 +119,8 @@ def resample_z(
     return CtVolume(out, spacing)
 
 
-def crop_liver_range(
-    v: CtVolume, m: LabelVolume, margin: int = CROP_MARGIN_SLICES
-) -> tuple[CtVolume, LabelVolume, tuple[int, int]]:
-    """Keep slices [first_nonzero - margin, last_nonzero + margin], clamped.
+def crop_liver_range(v: CtVolume, m: LabelVolume) -> tuple[CtVolume, LabelVolume, tuple[int, int]]:
+    """Keep CROP_MARGIN_SLICES slices either side of the labeled range, clamped.
 
     Only the slice counts must agree: the image may already be resized
     in-plane while the mask keeps the grid its range is read from.
@@ -128,8 +130,8 @@ def crop_liver_range(
     nonzero = np.flatnonzero(m.voxels.any(axis=(1, 2)))
     if nonzero.size == 0:
         raise InputError("mask has no foreground slices; cannot locate the organ range")
-    lo = max(0, int(nonzero[0]) - margin)
-    hi = min(v.dims[0] - 1, int(nonzero[-1]) + margin)
+    lo = max(0, int(nonzero[0]) - CROP_MARGIN_SLICES)
+    hi = min(v.dims[0] - 1, int(nonzero[-1]) + CROP_MARGIN_SLICES)
     return (
         CtVolume(v.voxels[lo : hi + 1].copy(), v.spacing),
         LabelVolume(m.voxels[lo : hi + 1].copy(), m.spacing),
@@ -212,11 +214,7 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def preprocess_volume(
-    image: CtVolume,
-    target_sz: float = TARGET_SLICE_SPACING_MM,
-    size: int = SLICE_SIZE,
-) -> CtVolume:
+def preprocess_volume(image: CtVolume, size: int = SLICE_SIZE) -> CtVolume:
     """The mask-free part of the chain, as used for inference inputs:
     resize_slices(resample_z(hist_equalize(hu_window(image)))), bit for
     bit, without z-resampling whole planes.
@@ -236,7 +234,7 @@ def preprocess_volume(
     cols, cx = np.unique(np.concatenate([x0, x1]), return_inverse=True)
     grid = CtVolume(np.take(np.take(v.voxels, rows, axis=1), cols, axis=2), v.spacing)
     del v  # the full-resolution planes are no longer needed
-    z = _stage("resample_z", resample_z, grid, target_sz, "linear")
+    z = _stage("resample_z", resample_z, grid, TARGET_SLICE_SPACING_MM, "linear")
     _stage("resize_slices", _check_plane, h, w)
     out = _bilinear_combine(z.voxels, ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)
     return CtVolume(out.astype(np.float32), _resized_spacing(z.spacing, h, w, size))
@@ -246,8 +244,6 @@ def preprocess_case(
     image: CtVolume,
     mask: LabelVolume,
     case_id: str = "case",
-    target_sz: float = TARGET_SLICE_SPACING_MM,
-    margin: int = CROP_MARGIN_SLICES,
     size: int = SLICE_SIZE,
 ) -> list[SlicePair]:
     """Full training chain: window, equalize, resample z, crop to the
@@ -260,9 +256,9 @@ def preprocess_case(
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
-    v = preprocess_volume(image, target_sz, size)
-    m = _stage("resample_z", resample_z, mask, target_sz, "nearest")
-    v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m, margin)
+    v = preprocess_volume(image, size)
+    m = _stage("resample_z", resample_z, mask, TARGET_SLICE_SPACING_MM, "nearest")
+    v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m)
     m = _stage("resize_slices", resize_slices, m, size)
     return [
         SlicePair(

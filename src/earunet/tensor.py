@@ -145,7 +145,14 @@ class BatchNormState:
 _DEPTHWISE_BLOCK_BYTES = 1 << 20
 
 
-def _conv_out_dims(h: int, w: int, p: ConvParams) -> tuple[int, int]:
+def _conv_out_dims(x: Tensor4, p: ConvParams) -> tuple[int, int]:
+    """conv2d's (oh, ow), once the input channels and the kernel fit the weight."""
+    _, c, h, w = x.dims
+    if c != p.in_channels:
+        raise ShapeError(
+            f"input channels {x.dims} do not match conv weight {p.weight.shape} "
+            f"with groups={p.groups}"
+        )
     kh, kw = p.kernel
     oh = (h + 2 * p.padding - kh) // p.stride + 1
     ow = (w + 2 * p.padding - kw) // p.stride + 1
@@ -192,13 +199,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     Output dims: (n, out_c, (h+2*pad-kh)//stride + 1, (w+2*pad-kw)//stride + 1).
     """
     n, c, h, w = x.dims
-    if c != p.in_channels:
-        raise ShapeError(
-            f"input channels {x.dims} do not match conv weight {p.weight.shape} "
-            f"with groups={p.groups}"
-        )
     kh, kw = p.kernel
-    oh, ow = _conv_out_dims(h, w, p)
+    oh, ow = _conv_out_dims(x, p)
     xp = _pad_input(x.data, p.padding)
     patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
     oc = p.out_channels
@@ -224,13 +226,8 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of conv2d w.r.t. input, weight and bias."""
     n, c, h, w = x.dims
-    if c != p.in_channels:
-        raise ShapeError(
-            f"input channels {x.dims} do not match conv weight {p.weight.shape} "
-            f"with groups={p.groups}"
-        )
     kh, kw = p.kernel
-    oh, ow = _conv_out_dims(h, w, p)
+    oh, ow = _conv_out_dims(x, p)
     if grad_out.shape != (n, p.out_channels, oh, ow):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match conv output "

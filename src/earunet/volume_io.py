@@ -42,12 +42,6 @@ def _atomic_write(path: str | os.PathLike, blob: bytes) -> None:
         raise
 
 
-def _volume_from_array(arr: np.ndarray, spacing) -> CtVolume | LabelVolume:
-    if arr.dtype == np.uint8:
-        return LabelVolume(arr, spacing)
-    return CtVolume(arr, spacing)
-
-
 # ---------------------------------------------------------------------------
 # NIfTI-1
 
@@ -62,11 +56,7 @@ def read_nifti_header(path: str | os.PathLike) -> bytes:
 
 def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     """Check the 348-byte header, then read the payload straight into one array."""
-    with open(path, "rb") as f:
-        hdr = f.read(NIFTI_HEADER_SIZE)
-        file_size = os.fstat(f.fileno()).st_size
-    if len(hdr) < NIFTI_HEADER_SIZE:
-        raise FormatError(f"{path}: file shorter than the 348-byte NIfTI header")
+    hdr = read_nifti_header(path)
     (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
     if sizeof_hdr != NIFTI_HEADER_SIZE:
         (be,) = struct.unpack_from(">i", hdr, 0)
@@ -100,7 +90,7 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
     if offset < NIFTI_HEADER_SIZE:
         raise FormatError(f"{path}: vox_offset {vox_offset} inside the header")
     needed = nx * ny * nz * dt.itemsize
-    have = file_size - offset
+    have = os.path.getsize(path) - offset
     if have < needed:
         raise FormatError(f"{path}: payload needs {needed} bytes, file has {have}")
     vox = np.fromfile(path, dtype=dt, count=nx * ny * nz, offset=offset)
@@ -115,7 +105,8 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
                 raise FormatError(f"{path}: scl_slope {slope}, scl_inter {inter} overflow float32")
             out[k] = scaled
         return CtVolume(out, spacing)
-    return _volume_from_array(vox.astype(dt.newbyteorder("="), copy=False), spacing)
+    vox = vox.astype(dt.newbyteorder("="), copy=False)
+    return LabelVolume(vox, spacing) if vox.dtype == np.uint8 else CtVolume(vox, spacing)
 
 
 def write_nifti(
@@ -127,13 +118,23 @@ def write_nifti(
 
     A template header contributes its other fields (pixdim[0], qform,
     sform, descriptions); spacing, dims, datatype and identity scaling
-    always come from v.
+    always come from v.  A volume the header cannot hold raises
+    FormatError before anything is written.
     """
     vox = np.ascontiguousarray(v.voxels)
     if vox.dtype.name not in _NIFTI_CODES:
         raise FormatError(f"cannot write dtype {vox.dtype} as NIfTI (u8/i16/f32 only)")
     code = _NIFTI_CODES[vox.dtype.name]
     d, h, w = v.dims
+    if max(d, h, w) > 32767:
+        raise FormatError(f"dims {v.dims} exceed the int16 dim field (at most 32767)")
+    sz, sy, sx = v.spacing
+    try:
+        pixdim = struct.pack("<3f", sx, sy, sz)
+    except OverflowError as e:
+        raise FormatError(f"spacing {v.spacing} mm overflows the float32 pixdim field") from e
+    if 0.0 in struct.unpack("<3f", pixdim):
+        raise FormatError(f"spacing {v.spacing} mm rounds to 0 in the float32 pixdim field")
     if template_header is not None:
         if len(template_header) != NIFTI_HEADER_SIZE:
             raise FormatError(f"template header must be 348 bytes, got {len(template_header)}")
@@ -142,8 +143,7 @@ def write_nifti(
         hdr = bytearray(NIFTI_HEADER_SIZE)
         struct.pack_into("<i", hdr, 0, NIFTI_HEADER_SIZE)
         struct.pack_into("<f", hdr, 76, 1.0)  # pixdim[0]: qfac
-    sz, sy, sx = v.spacing
-    struct.pack_into("<3f", hdr, 80, sx, sy, sz)  # pixdim[1:4]
+    hdr[80:92] = pixdim  # pixdim[1:4]
     struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope, scl_inter
     struct.pack_into("<8h", hdr, 40, 3, w, h, d, 1, 1, 1, 1)
     struct.pack_into("<h", hdr, 70, code)

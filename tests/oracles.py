@@ -161,6 +161,41 @@ def resize_nearest_naive(img, out_h, out_w):
     return out
 
 
+def _edge_taps(c, n):
+    """Bilinear taps (index, weight) of coordinate c on an axis of n pixels,
+    the indices clamped to the axis (edge padding)."""
+    i0 = math.floor(c)
+    f = c - i0
+    return (min(max(i0, 0), n - 1), 1 - f), (min(max(i0 + 1, 0), n - 1), f)
+
+
+def zoom_naive(image, mask, factor):
+    """Zoom of one slice pair about its centre, one output pixel at a time.
+
+    Output pixel i reads source coordinate c + (i - c) / factor: the image
+    bilinearly, the mask at floor(coord + 0.5); indices outside the plane
+    are clamped to its edge."""
+    h, w = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    img = np.zeros((h, w), dtype=np.float32)
+    msk = np.zeros((h, w), dtype=np.uint8)
+    for i in range(h):
+        sy = cy + (i - cy) / factor
+        (y0, wy0), (y1, wy1) = _edge_taps(sy, h)
+        for j in range(w):
+            sx = cx + (j - cx) / factor
+            (x0, wx0), (x1, wx1) = _edge_taps(sx, w)
+            img[i, j] = (
+                float(image[y0, x0]) * wy0 * wx0
+                + float(image[y0, x1]) * wy0 * wx1
+                + float(image[y1, x0]) * wy1 * wx0
+                + float(image[y1, x1]) * wy1 * wx1
+            )
+            msk[i, j] = mask[min(max(math.floor(sy + 0.5), 0), h - 1),
+                             min(max(math.floor(sx + 0.5), 0), w - 1)]
+    return img, msk
+
+
 # ---------------------------------------------------------------------------
 # intensity: per-voxel loops
 

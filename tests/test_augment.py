@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from earunet.augment import all_augmentations, augment, flip_pair
+from earunet.augment import ZOOM_RANGE, all_augmentations, augment, flip_pair, zoom_pair
 from earunet.preprocess import SlicePair
+from oracles import zoom_naive
 
 SEEDS = range(5)
 SUBSETS = all_augmentations()
@@ -61,3 +62,17 @@ def test_image_and_mask_get_the_same_map(spec):
         exact = (out.image == 0.0) | (out.image == 1.0)
         assert exact.mean() >= 0.9
         assert np.array_equal(out.mask[exact], out.image[exact].astype(np.uint8))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_zoom_matches_naive(seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(5, 40, 2)
+    # the ends of the range, then random factors inside it
+    factor = ZOOM_RANGE[seed] if seed < 2 else rng.uniform(*ZOOM_RANGE)
+    image = rng.random((h, w), dtype=np.float32)
+    mask = (rng.random((h, w)) < 0.4).astype(np.uint8)
+    got, want = zoom_pair(image, mask, factor), zoom_naive(image, mask, factor)
+    assert got[0].dtype == np.float32 and got[1].dtype == np.uint8
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])

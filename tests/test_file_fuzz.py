@@ -4,13 +4,14 @@ or NIfTI file fails with a named error, never with a raw exception."""
 import json
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from earunet import model as M
 from earunet.checkpoint import AdamMoments, Checkpoint, load_checkpoint, save_checkpoint
-from earunet.errors import EarUnetError, FormatError
+from earunet.errors import EarUnetError, FormatError, VersionError
 from earunet.volume_io import NIFTI_HEADER_SIZE, read_nifti, write_nifti
 from earunet.volumes import CtVolume, LabelVolume
 
@@ -98,19 +99,51 @@ def _set(key, value):
         ("config", _config_json(_set("width_mult", "0.05")), None),
         ("config", _config_json(_set("depth_mult", float("nan"))), None),
         ("config", _config_json(_set("input_size", [32])), None),
-        ("config", _config_json(_set("input_size", [33, 32])), None),
+        ("config", _config_json(_set("input_size", 33)), None),
+        ("config", _config_json(_set("input_size", [32, 32])), None),
         ("config", _config_json(lambda d: d.pop("input_size")), None),
         ("config", _config_json(_set("stage_specs", [["conv", 3, 1, 8, 1, 0]])), None),
         ("rng state", None, b"not json"),
         ("rng state", None, b"[1, 2]"),
     ],
     ids=["config-string-width", "config-nan-depth", "config-size-one-entry",
-         "config-size-not-multiple-of-32", "config-missing-input-size",
+         "config-size-not-multiple-of-32", "config-size-pair", "config-missing-input-size",
          "config-leftover-stage-specs", "rng-not-json", "rng-not-object"],
 )
 def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, what, config, rng):
     with pytest.raises(FormatError, match=f"checkpoint {what} blob"):
         _load(tmp_path, "bad", _with_blobs(checkpoint_blob, config, rng))
+
+
+def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob):
+    # format 2 stored input_size as an (h, w) pair
+    blob = checkpoint_blob[:4] + struct.pack("<I", 2) + checkpoint_blob[8:]
+    with pytest.raises(VersionError, match="version 2"):
+        _load(tmp_path, "v2", blob)
+
+
+# each set of fields gives a checkpoint that its format cannot hold
+@pytest.mark.parametrize(
+    "fields,match",
+    [
+        ({"epoch": -1}, "epoch"),
+        ({"epoch": 2**32}, "epoch"),
+        ({"moments": AdamMoments(t=-1)}, "moments.t"),
+        ({"arrays": {"a" * 70_000: np.zeros(1, np.float32)}}, "record name length"),
+        ({"arrays": {"wide": np.zeros((0, 2**32), np.float32)}}, "shape of 'wide'"),
+        ({"rng_state": {"seed": np.uint64(5)}}, "rng_state is not JSON"),
+        ({"rng_state": [1, 2]}, "rng_state must be a dict"),
+    ],
+    ids=["epoch-negative", "epoch-over-u32", "moment-step-negative", "name-over-u16",
+         "dim-over-u32", "rng-state-not-json", "rng-state-not-dict"],
+)
+def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(FormatError, match=match):
+        save_checkpoint(replace(_tiny_checkpoint(), **fields), path)
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]
 
 
 def _name(text):

@@ -1,4 +1,4 @@
-"""Model assembly tests: config resolution, shapes, determinism, checkpoints."""
+"""Model assembly tests: config, shapes, determinism, checkpoints."""
 
 import os
 import re
@@ -15,7 +15,9 @@ from earunet.checkpoint import (
     restore_params,
     save_checkpoint,
 )
-from earunet.errors import ConfigError, FormatError, ParameterError, ShapeError, VersionError
+from earunet.errors import (
+    ConfigError, FormatError, InputError, ParameterError, ShapeError, VersionError,
+)
 from earunet.tensor import INFER, TRAIN, Tensor4
 from oracles import max_rel_err
 
@@ -26,40 +28,48 @@ TABLE_STRIDES = (1, 2, 1, 2, 2, 2, 1, 2, 1)
 
 class TestConfig:
     def test_defaults_match_stage_table(self):
-        cfg = M.resolve_config(256, 1.0, 1.0)
+        cfg = M.ModelConfig(256, 1.0, 1.0)
         assert tuple(s.out_channels for s in cfg.stage_specs) == TABLE_CHANNELS
         assert tuple(s.layers for s in cfg.stage_specs) == TABLE_LAYERS
         assert tuple(s.stride for s in cfg.stage_specs) == TABLE_STRIDES
 
     def test_width_scaling_rounds_to_8(self):
-        cfg = M.resolve_config(64, 0.25, 0.25)
+        cfg = M.ModelConfig(64, 0.25, 0.25)
         assert cfg.stage_specs[0].out_channels == 16  # round8(0.25*48)=16
         assert cfg.stage_specs[1].out_channels == 8  # max(8, round8(6))
         assert all(c % 8 == 0 and c >= 8 for c in (s.out_channels for s in cfg.stage_specs))
 
     def test_depth_scaling_ceil(self):
-        cfg = M.resolve_config(64, 1.0, 0.25)
+        cfg = M.ModelConfig(64, 1.0, 0.25)
         assert tuple(s.layers for s in cfg.stage_specs) == (1, 1, 1, 1, 2, 2, 2, 1, 1)
 
     def test_input_size_must_divide_32(self):
         with pytest.raises(ConfigError):
-            M.resolve_config(100, 1.0, 1.0)
+            M.ModelConfig(100, 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "input_size,width_mult,depth_mult",
         [
-            ((32,), 1.0, 1.0),
-            ((32, 32, 32), 1.0, 1.0),
-            ((32.0, 32.0), 1.0, 1.0),
-            (("32", "32"), 1.0, 1.0),
-            ((0, 32), 1.0, 1.0),
-            ((64, 33), 1.0, 1.0),
-            ((32, 32), "1.0", 1.0),
-            ((32, 32), True, 1.0),
-            ((32, 32), 1.0, float("nan")),
-            ((32, 32), float("inf"), 1.0),
-            ((32, 32), 0.0, 1.0),
-            ((32, 32), 1.0, -0.5),
+            ((32, 32), 1.0, 1.0),  # the (h, w) pair of format-2 checkpoints
+            ([32], 1.0, 1.0),
+            (np.float32(32.0), 1.0, 1.0),
+            (np.array(32), 1.0, 1.0),
+            (np.int64(0), 1.0, 1.0),
+            (np.int64(33), 1.0, 1.0),
+            # a numpy int (as an array shape gives) is a valid size, so
+            # these rows fail on a multiplier alone
+            (np.int64(32), "1.0", 1.0),
+            (np.int64(32), True, 1.0),
+            (np.int64(32), 1.0, float("nan")),
+            (np.int64(32), float("inf"), 1.0),
+            (np.int64(32), 0.0, 1.0),
+            (np.int64(32), 1.0, -0.5),
+            (32.0, 1.0, 1.0),
+            ("32", 1.0, 1.0),
+            (True, 1.0, 1.0),
+            (0, 1.0, 1.0),
+            (-32, 1.0, 1.0),
+            (48, 1.0, 1.0),
         ],
     )
     def test_constructor_rejects_bad_values(self, input_size, width_mult, depth_mult):
@@ -67,9 +77,10 @@ class TestConfig:
             M.ModelConfig(input_size, width_mult, depth_mult)
 
     def test_config_is_three_values(self):
-        cfg = M.resolve_config((64, 96), 1, 0.5)
-        assert cfg == M.ModelConfig((64, 96), 1.0, 0.5)
-        assert cfg.to_json_dict() == {"input_size": [64, 96], "width_mult": 1.0, "depth_mult": 0.5}
+        cfg = M.ModelConfig(np.int64(64), 1, 0.5)
+        assert cfg == M.ModelConfig(64, 1.0, 0.5)
+        assert type(cfg.input_size) is int
+        assert cfg.to_json_dict() == {"input_size": 64, "width_mult": 1.0, "depth_mult": 0.5}
         assert cfg.decoder_channels == M.BASE_DECODER_CHANNELS
 
     def test_bad_preset(self):
@@ -83,7 +94,7 @@ class TestConfig:
 
 class TestBuild:
     def test_stage9_default_channels(self):
-        cfg = M.resolve_config(64, 1.0, 0.1)
+        cfg = M.ModelConfig(64, 1.0, 0.1)
         params = M.build_model(cfg, np.random.default_rng(0))
         assert params.head_conv9.out_channels == 1792
 
@@ -104,12 +115,12 @@ class TestBuild:
     def test_param_count_monotone_in_multipliers(self):
         counts = []
         for wm in (0.1, 0.25, 0.5, 1.0):
-            cfg = M.resolve_config(64, wm, 0.25)
+            cfg = M.ModelConfig(64, wm, 0.25)
             counts.append(M.parameter_count(M.build_model(cfg, np.random.default_rng(0))))
         assert counts == sorted(counts)
         counts = []
         for dm in (0.1, 0.5, 1.0, 1.5):
-            cfg = M.resolve_config(64, 0.25, dm)
+            cfg = M.ModelConfig(64, 0.25, dm)
             counts.append(M.parameter_count(M.build_model(cfg, np.random.default_rng(0))))
         assert counts == sorted(counts)
 
@@ -143,6 +154,17 @@ class TestForward:
             M.forward(params, cfg, Tensor4(np.zeros((1, 1, 32, 32), dtype=np.float32)))
         with pytest.raises(ShapeError):
             M.forward(params, cfg, Tensor4(np.zeros((1, 2, 64, 64), dtype=np.float32)))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_non_float_input_is_an_input_error(self, desk, dtype):
+        # an integer input used to fail inside numpy in infer mode, and in
+        # train mode to give probabilities from integer-truncated convs
+        cfg, params = desk
+        x = Tensor4(np.ones((2, 1, 64, 64), dtype=dtype))
+        with pytest.raises(InputError, match=np.dtype(dtype).name):
+            M.forward(params, cfg, x, INFER)
+        with pytest.raises(InputError, match=np.dtype(dtype).name):
+            M.forward_training(params, cfg, x, np.random.default_rng(0))
 
     def test_batch_independence_infer(self, desk):
         cfg, params = desk
@@ -290,7 +312,7 @@ class TestBackward:
         from earunet.gradcheck import check_model
 
         cfg, _ = micro64
-        report = check_model(cfg, seed=0, tensors=10, entries_per_tensor=2)
+        report = check_model(cfg, tensors=10, entries_per_tensor=2)
         assert report.max_rel_err < 1e-3, report.worst
 
 

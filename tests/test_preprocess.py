@@ -5,6 +5,8 @@ import pytest
 
 from earunet.errors import InputError
 from earunet.preprocess import (
+    CROP_MARGIN_SLICES,
+    EQUALIZE_BINS,
     crop_liver_range,
     hist_equalize,
     hu_window,
@@ -29,13 +31,14 @@ def test_case_images_are_the_volume_chain_cropped():
     # inference chain's slices over that range, bit for bit
     rng = np.random.default_rng(0)
     spacing = (2.5, 0.9, 0.8)
-    hu = rng.normal(40.0, 120.0, (14, 20, 24)).astype(np.float32)
+    # 30 slices resample to 73; the organ's 32..38 plus the margin is a strict crop
+    hu = rng.normal(40.0, 120.0, (30, 20, 24)).astype(np.float32)
     mask = np.zeros(hu.shape, dtype=np.uint8)
-    mask[6:9, 5:15, 6:18] = 1
+    mask[13:16, 5:15, 6:18] = 1
     image, labels = CtVolume(hu, spacing), LabelVolume(mask, spacing)
 
     volume = preprocess_volume(image, size=32).voxels
-    pairs = preprocess_case(image, labels, margin=3, size=32)
+    pairs = preprocess_case(image, labels, size=32)
     lo, hi = pairs[0].slice_index, pairs[-1].slice_index
     assert [p.slice_index for p in pairs] == list(range(lo, hi + 1))
     assert 0 < lo and hi < volume.shape[0] - 1  # the crop is strict
@@ -90,14 +93,38 @@ def test_resize_plane_nearest_matches_naive(shape, out):
     assert np.array_equal(resize_plane_nearest(img, *out), resize_nearest_naive(img, *out))
 
 
-@pytest.mark.parametrize("bins", [256, 64, 5])
-def test_hist_equalize_matches_naive(bins):
+@pytest.mark.parametrize("levels", [256, 64, 5])
+def test_hist_equalize_matches_naive(levels):
+    # one slice of values k/levels: every one a bin edge at 256 or 64
+    # levels, mostly inside a bin at 5
     rng = np.random.default_rng(6)
     vox = rng.random((3, 7, 6), dtype=np.float32)
+    vox[1] = rng.integers(0, levels + 1, vox.shape[1:]) / levels
     vox[0, 0, :3] = (0.0, 1.0, 0.5)  # both ends of the range and a bin edge
-    got = hist_equalize(CtVolume(vox, (1.0, 1.0, 1.0)), bins)
+    got = hist_equalize(CtVolume(vox, (1.0, 1.0, 1.0)))
     assert got.voxels.dtype == np.float32
-    assert np.array_equal(got.voxels, hist_equalize_naive(vox, bins))
+    assert np.array_equal(got.voxels, hist_equalize_naive(vox, EQUALIZE_BINS))
+
+
+@pytest.mark.parametrize(
+    "depth,first,last,want",
+    [
+        (40, 10, 30, (0, 39)),  # clamped at both ends
+        (40, 5, 8, (0, 28)),
+        (40, 25, 28, (5, 39)),
+        (50, 22, 26, (2, 46)),  # strict
+    ],
+)
+def test_crop_keeps_a_margin_clamped_to_the_volume(depth, first, last, want):
+    assert CROP_MARGIN_SLICES == 20
+    vox = np.random.default_rng(7).random((depth, 3, 4), dtype=np.float32)
+    mask = np.zeros(vox.shape, dtype=np.uint8)
+    mask[first, 1, 2] = mask[last, 0, 0] = 1
+    unit = (1.0, 1.0, 1.0)
+    v, m, (lo, hi) = crop_liver_range(CtVolume(vox, unit), LabelVolume(mask, unit))
+    assert (lo, hi) == want
+    assert np.array_equal(v.voxels, vox[lo : hi + 1])
+    assert np.array_equal(m.voxels, mask[lo : hi + 1])
 
 
 def _phantom_hu(shape, dtype, seed=4):
@@ -116,10 +143,10 @@ def _phantom_hu(shape, dtype, seed=4):
     ],
 )
 def test_preprocess_volume_is_the_stage_chain(dtype, shape, size):
-    image = CtVolume(_phantom_hu(shape, dtype), (2.5, 0.9, 0.7))
-    for target in (1.0, 1.3):
-        want = resize_slices(resample_z(hist_equalize(hu_window(image)), target), size)
-        got = preprocess_volume(image, target_sz=target, size=size)
+    for sz in (2.5, 0.7):  # non-integer z ratios, up and down
+        image = CtVolume(_phantom_hu(shape, dtype), (sz, 0.9, 0.7))
+        want = resize_slices(resample_z(hist_equalize(hu_window(image))), size)
+        got = preprocess_volume(image, size=size)
         assert got.voxels.dtype == np.float32
         assert got.spacing == want.spacing
         assert np.array_equal(got.voxels, want.voxels)
@@ -127,21 +154,25 @@ def test_preprocess_volume_is_the_stage_chain(dtype, shape, size):
 
 def test_preprocess_case_is_the_stage_chain():
     spacing = (2.5, 0.9, 0.8)
-    image = CtVolume(_phantom_hu((12, 60, 52), np.int16), spacing)
+    # 26 slices resample to 63: the lone voxel's 24..26 and the organ's
+    # 34..41, with the margin, make the strict crop 4..61
+    image = CtVolume(_phantom_hu((26, 60, 52), np.int16), spacing)
     mask = np.zeros(image.dims, dtype=np.uint8)
-    mask[6:9, 20:40, 15:35] = 1
-    mask[3, 0, 0] = 1  # an organ voxel that no 8x8 nearest-neighbor pixel reads
+    mask[14:17, 20:40, 15:35] = 1
+    mask[10, 0, 0] = 1  # an organ voxel that no 8x8 nearest-neighbor pixel reads
     labels = LabelVolume(mask, spacing)
 
     v = resample_z(hist_equalize(hu_window(image)))
     m = resample_z(labels, kind="nearest")
-    v, m, (lo, hi) = crop_liver_range(v, m, margin=1)
+    v, m, (lo, hi) = crop_liver_range(v, m)
     v, m = resize_slices(v, 8), resize_slices(m, 8)
-    pairs = preprocess_case(image, labels, margin=1, size=8)
+    pairs = preprocess_case(image, labels, size=8)
 
+    assert (lo, hi) == (4, 61)
     assert [p.slice_index for p in pairs] == list(range(lo, hi + 1))
     assert np.array_equal(np.stack([p.image for p in pairs]), v.voxels)
     assert np.array_equal(np.stack([p.mask for p in pairs]), m.voxels)
-    # the crop starts one margin slice before the lone voxel's first slice;
-    # both are empty once resized, so the range came from the full-size mask
-    assert not m.voxels[:2].any()
+    # the crop starts one margin before the lone voxel's first slice; the
+    # margin and that slice are empty once resized, so the range came from
+    # the full-size mask
+    assert not m.voxels[: CROP_MARGIN_SLICES + 1].any()

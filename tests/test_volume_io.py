@@ -153,6 +153,24 @@ def test_round_trip_is_bit_exact(tmp_path, dtype):
     assert back.spacing == (2.5, 0.75, 0.5)
 
 
+@pytest.mark.parametrize(
+    "volume,match",
+    [
+        (CtVolume(np.zeros((2, 3, 4), np.int16), (1e39, 1.0, 1.0)), "overflows the float32 pixdim"),
+        (CtVolume(np.zeros((2, 3, 4), np.int16), (1.0, 1e-46, 1.0)), "rounds to 0 .*pixdim"),
+        (LabelVolume(np.zeros((40_000, 1, 1), np.uint8), (1.0, 1.0, 1.0)), "int16 dim field"),
+    ],
+    ids=["spacing-overflows-float32", "spacing-rounds-to-zero", "dim-over-int16"],
+)
+def test_write_rejects_what_the_header_cannot_hold(tmp_path, volume, match):
+    path = tmp_path / "old.nii"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(FormatError, match=match):
+        write_nifti(volume, path)
+    assert path.read_bytes() == b"previous contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nii"]
+
+
 def test_short_header_is_a_format_error(tmp_path):
     path = tmp_path / "short.nii"
     write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)

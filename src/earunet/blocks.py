@@ -27,16 +27,10 @@ from .tensor import (
     Tensor4,
     activate,
     activate_backward,
-    apply_keep_mask,
     batchnorm2d,
     batchnorm2d_backward,
     conv2d,
     conv2d_backward,
-    global_avg_pool,
-    global_avg_pool_backward,
-    linear,
-    linear_backward,
-    sample_keep_mask,
 )
 
 GradDict = dict[str, np.ndarray]
@@ -71,6 +65,10 @@ class MbConvParams:
     project_conv: ConvParams
     project_bn: BatchNormState
     survive_p: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.survive_p <= 1.0:
+            raise ParameterError(f"survive_p must be in (0,1], got {self.survive_p}")
 
     @property
     def has_shortcut(self) -> bool:
@@ -287,50 +285,45 @@ def conv_bn_act_backward(
 class SeCtx:
     p: SeBlockParams
     x: Tensor4
-    v: np.ndarray
-    h1: np.ndarray
-    a1: np.ndarray
-    h2: np.ndarray
-    s: np.ndarray
-
-
-def _vec_activate(arr: np.ndarray, kind: str) -> np.ndarray:
-    n, c = arr.shape
-    return activate(Tensor4(arr.reshape(n, c, 1, 1)), kind).data.reshape(n, c)
-
-
-def _vec_activate_backward(arr: np.ndarray, kind: str, grad: np.ndarray) -> np.ndarray:
-    n, c = arr.shape
-    return activate_backward(
-        Tensor4(arr.reshape(n, c, 1, 1)), kind, grad.reshape(n, c, 1, 1)
-    ).reshape(n, c)
+    v: np.ndarray  # (n, c) channel means
+    h1: Tensor4  # (n, c_squeeze, 1, 1) fc1 output
+    a1: np.ndarray  # (n, c_squeeze) swish(h1)
+    h2: Tensor4  # (n, c, 1, 1) fc2 output
+    s: np.ndarray  # (n, c, 1, 1) sigmoid(h2), the gate
 
 
 def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
-    """Per-channel gating: x scaled by sigmoid(fc2(swish(fc1(gap(x)))))."""
+    """Per-channel gating: x scaled by sigmoid(fc2(swish(fc1(mean(x))))),
+    the mean over each (h, w) plane accumulated in float64."""
     if x.c != p.fc1.weight.shape[0]:
         raise ShapeError(
             f"SE input channels {x.dims} do not match fc1 width {p.fc1.weight.shape}"
         )
-    v = global_avg_pool(x).data.reshape(x.n, x.c)
-    h1 = linear(v, p.fc1.weight, p.fc1.bias)
-    a1 = _vec_activate(h1, "swish")
-    h2 = linear(a1, p.fc2.weight, p.fc2.bias)
-    s = _vec_activate(h2, "sigmoid")
-    y = Tensor4(x.data * s[:, :, None, None])
-    return y, SeCtx(p, x, v, h1, a1, h2, s)
+    v = np.mean(x.data, axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
+    h1 = Tensor4((v @ p.fc1.weight + p.fc1.bias)[:, :, None, None])
+    a1 = activate(h1, "swish").data.reshape(x.n, -1)
+    h2 = Tensor4((a1 @ p.fc2.weight + p.fc2.bias)[:, :, None, None])
+    s = activate(h2, "sigmoid").data
+    return Tensor4(x.data * s), SeCtx(p, x, v, h1, a1, h2, s)
 
 
 def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p, x = ctx.p, ctx.x
-    grad_x = grad_out * ctx.s[:, :, None, None]
-    ds = np.sum(grad_out * x.data, axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
-    dh2 = _vec_activate_backward(ctx.h2, "sigmoid", ds)
-    da1, gw2, gb2 = linear_backward(ctx.a1, p.fc2.weight, dh2)
-    dh1 = _vec_activate_backward(ctx.h1, "swish", da1)
-    dv, gw1, gb1 = linear_backward(ctx.v, p.fc1.weight, dh1)
-    grad_x = grad_x + global_avg_pool_backward(x, dv.reshape(x.n, x.c, 1, 1))
-    grads = {"fc1.weight": gw1, "fc1.bias": gb1, "fc2.weight": gw2, "fc2.bias": gb2}
+    dt = x.data.dtype
+    grad_x = grad_out * ctx.s
+    ds = np.sum(grad_out * x.data, axis=(2, 3), keepdims=True, dtype=np.float64).astype(dt)
+    dh2 = activate_backward(ctx.h2, "sigmoid", ds).reshape(x.n, -1)
+    da1 = dh2 @ p.fc2.weight.T
+    dh1 = activate_backward(ctx.h1, "swish", da1[:, :, None, None]).reshape(x.n, -1)
+    # each pixel's share of its channel mean
+    dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.h * x.w), dtype=dt)
+    grad_x = grad_x + dx_mean.astype(dt, copy=False)[:, :, None, None]
+    grads = {
+        "fc1.weight": (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False),
+        "fc1.bias": dh1.sum(axis=0),
+        "fc2.weight": (ctx.a1.T @ dh2).astype(p.fc2.weight.dtype, copy=False),
+        "fc2.bias": dh2.sum(axis=0),
+    }
     return grad_x, grads
 
 
@@ -345,7 +338,8 @@ class MbConvCtx:
     dw: ConvBnCtx | None  # unit contexts are None in infer mode
     se_ctx: SeCtx
     proj: ConvBnCtx | None
-    keep_mask: np.ndarray | None
+    # per-sample drop-connect factor, 0 or 1/survive_p; None when nothing was drawn
+    scale: np.ndarray | None
 
 
 def mbconv_forward(
@@ -353,7 +347,9 @@ def mbconv_forward(
 ) -> tuple[Tensor4, MbConvCtx]:
     """Expand -> depthwise -> SE -> project, with BN/swish between stages
     and a drop-connected shortcut when the shapes allow one.  Only train
-    mode draws a keep mask from rng."""
+    mode with survive_p < 1 draws from rng: each sample's residual branch
+    is kept with probability survive_p and scaled by 1/survive_p, which
+    preserves its expectation."""
     h, expand = x, None
     if p.expand_conv is not None:
         h, expand = conv_bn_act(x, p.expand_conv, p.expand_bn, mode, "swish")
@@ -361,22 +357,21 @@ def mbconv_forward(
     h, se_ctx = se_block_forward(h, p.se)
     y, proj = conv_bn_act(h, p.project_conv, p.project_bn, mode)
 
-    keep_mask = None
+    scale = None
     if p.has_shortcut:
         if mode == TRAIN and p.survive_p < 1.0:
-            keep_mask = sample_keep_mask(x.n, p.survive_p, rng)
-            y = apply_keep_mask(y, keep_mask, p.survive_p)
+            scale = ((rng.random(x.n) < p.survive_p) / p.survive_p).astype(y.data.dtype)
+            y = Tensor4(y.data * scale[:, None, None, None])
         y = Tensor4(x.data + y.data)
-    return y, MbConvCtx(p, expand, dw, se_ctx, proj, keep_mask)
+    return y, MbConvCtx(p, expand, dw, se_ctx, proj, scale)
 
 
 def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p = ctx.p
     grads: GradDict = {}
     g = grad_out
-    if ctx.keep_mask is not None:
-        scale = (ctx.keep_mask / p.survive_p).astype(g.dtype)
-        g = g * scale[:, None, None, None]
+    if ctx.scale is not None:
+        g = g * ctx.scale[:, None, None, None]
     g = conv_bn_act_backward(ctx.proj, g, grads, "project_conv", "project_bn")
     g, se_grads = se_block_backward(ctx.se_ctx, g)
     grads.update({f"se.{k}": v for k, v in se_grads.items()})

@@ -264,6 +264,9 @@ def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
     if x.data.dtype not in (np.float32, np.float64):
         raise InputError(f"input dtype {x.data.dtype} is not float32 or float64")
+    bad = x.data.size - np.count_nonzero(np.isfinite(x.data))
+    if bad:
+        raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
 
 
 def _unit_step(ctx: B.ConvBnCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:

@@ -106,8 +106,7 @@ def resample_z(
     spacing = (float(target_sz), sy, sx)
     if kind == "nearest":
         idx = np.minimum(np.floor(pos + 0.5).astype(np.intp), d - 1)
-        out = v.voxels[idx]
-        return type(v)(out.copy(), spacing)
+        return type(v)(v.voxels[idx], spacing)
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, d - 1)
     w = pos - i0
@@ -201,7 +200,7 @@ def resize_slices(v: CtVolume | LabelVolume, size: int = SLICE_SIZE):
     _check_plane(h, w)
     spacing = _resized_spacing(v.spacing, h, w, size)
     if isinstance(v, LabelVolume):
-        return LabelVolume(resize_plane_nearest(v.voxels, size, size).copy(), spacing)
+        return LabelVolume(resize_plane_nearest(v.voxels, size, size), spacing)
     # the gathered corners promote to float64 against the float64 weights
     out = resize_plane_bilinear(v.voxels, size, size)
     return CtVolume(out.astype(np.float32), spacing)

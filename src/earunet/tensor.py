@@ -3,12 +3,12 @@
 Everything here operates on (batch, channel, height, width) arrays in
 float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding.
-Reductions (pooling, batch statistics) accumulate in float64.
+Batch statistics accumulate in float64.
 
-Ops are pure: given the same inputs (and RNG state, where one is taken)
-they return bit-identical results; ``batchnorm2d`` alone also updates its
-running statistics in place.  Backward functions compute the gradients of
-``sum(grad_out * op(x))`` with respect to each input.
+Ops are pure: given the same inputs they return bit-identical results;
+``batchnorm2d`` alone also updates its running statistics in place.
+Backward functions compute the gradients of ``sum(grad_out * op(x))``
+with respect to each input.
 """
 
 from __future__ import annotations
@@ -378,21 +378,7 @@ def activate_backward(x: Tensor4, kind: str, grad_out: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# pooling / resampling
-
-
-def global_avg_pool(x: Tensor4) -> Tensor4:
-    """Mean over each (h, w) plane; output dims (n, c, 1, 1)."""
-    out = np.mean(x.data, axis=(2, 3), keepdims=True, dtype=np.float64)
-    return Tensor4(out.astype(x.data.dtype))
-
-
-def global_avg_pool_backward(x: Tensor4, grad_out: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.dims
-    if grad_out.shape != (n, c, 1, 1):
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match pooled {(n, c, 1, 1)}")
-    scale = np.asarray(1.0 / (h * w), dtype=x.data.dtype)
-    return np.broadcast_to(grad_out * scale, x.data.shape).astype(x.data.dtype, copy=False)
+# resampling
 
 
 @lru_cache(maxsize=64)
@@ -435,49 +421,3 @@ def upsample_bilinear_2x_backward(x: Tensor4, grad_out: np.ndarray) -> np.ndarra
     wh = _upsample2x_matrix(h, dt)
     ww = _upsample2x_matrix(w, dt)
     return np.ascontiguousarray(np.matmul(np.matmul(wh.T, grad_out), ww))
-
-
-# ---------------------------------------------------------------------------
-# fully connected
-
-
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """y = x W + b for a length-k vector or an (n, k) stack of rows."""
-    k, m = weight.shape
-    if x.shape[-1] != k or bias.shape != (m,):
-        raise ShapeError(
-            f"linear dims disagree: x {x.shape}, weight {weight.shape}, bias {bias.shape}"
-        )
-    return x @ weight + bias
-
-
-def linear_backward(
-    x: np.ndarray, weight: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of linear w.r.t. the (n, k) rows x, weight and bias."""
-    if x.ndim != 2 or grad_out.shape != (x.shape[0], weight.shape[1]):
-        raise ShapeError(f"linear_backward needs (n, k) rows x and (n, m) grad_out, "
-                         f"got x {x.shape}, weight {weight.shape}, grad_out {grad_out.shape}")
-    grad_w = x.T @ grad_out
-    return grad_out @ weight.T, grad_w.astype(weight.dtype, copy=False), grad_out.sum(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# stochastic depth
-
-
-def sample_keep_mask(n: int, survive_p: float, rng: np.random.Generator) -> np.ndarray:
-    """Per-sample Bernoulli(survive_p) keep mask, shape (n,), values {0,1}."""
-    if not 0.0 < survive_p <= 1.0:
-        raise ParameterError(f"survive_p must be in (0,1], got {survive_p}")
-    if survive_p == 1.0:
-        return np.ones(n)
-    return (rng.random(n) < survive_p).astype(np.float64)
-
-
-def apply_keep_mask(x: Tensor4, mask: np.ndarray, survive_p: float) -> Tensor4:
-    """Zero the dropped samples of x and scale the kept ones by 1/survive_p,
-    which preserves the expectation."""
-    scale = (mask / survive_p).astype(x.data.dtype)
-    return Tensor4(x.data * scale[:, None, None, None])
-

@@ -65,6 +65,29 @@ def bn_infer_naive(z, bn):
 
 
 # ---------------------------------------------------------------------------
+# squeeze and excitation: per-sample, per-channel loops
+
+
+def se_naive(x, w1, b1, w2, b2):
+    """x gated by sigmoid(fc2(swish(fc1(channel means)))), one sample and
+    one channel at a time in float64, with math.exp for both nonlinearities."""
+    x = np.asarray(x, dtype=np.float64)
+    n, c, h, w = x.shape
+    cs = len(b1)
+    out = np.empty_like(x)
+    for i in range(n):
+        means = [sum(float(t) for t in x[i, ch].ravel()) / (h * w) for ch in range(c)]
+        hidden = []
+        for j in range(cs):
+            t = float(b1[j]) + sum(means[ch] * float(w1[ch, j]) for ch in range(c))
+            hidden.append(t / (1.0 + math.exp(-t)))
+        for ch in range(c):
+            t = float(b2[ch]) + sum(hidden[j] * float(w2[j, ch]) for j in range(cs))
+            out[i, ch] = x[i, ch] / (1.0 + math.exp(-t))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

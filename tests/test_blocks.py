@@ -8,7 +8,7 @@ import pytest
 from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import ParameterError, ShapeError, StateError
-from oracles import bn_infer_naive, max_rel_err, numeric_grad
+from oracles import bn_infer_naive, max_rel_err, numeric_grad, se_naive
 
 GRAD_TOL = 1e-3
 
@@ -83,19 +83,13 @@ class TestSeBlock:
         out, ctx = B.se_block_forward(x, p)
         assert np.allclose(ctx.s[0], ctx.s[0, 0], atol=1e-12)
 
-    def test_matches_primitive_composition(self):
+    def test_matches_naive_oracle(self):
         rng = np.random.default_rng(2)
-        x = t4(rng.standard_normal((1, 4, 3, 3)))
-        p = B.init_se(rng, 4, dtype=np.float64)
+        x = t4(rng.standard_normal((3, 6, 4, 5)))
+        p = B.init_se(rng, 6, dtype=np.float64)
         got = B.se_block_forward(x, p)[0].data
-
-        pooled = T.global_avg_pool(x).data.reshape(1, 4)
-        h1 = T.linear(pooled[0], p.fc1.weight, p.fc1.bias)
-        a1 = T.activate(T.Tensor4(h1.reshape(1, -1, 1, 1)), "swish").data.reshape(-1)
-        h2 = T.linear(a1, p.fc2.weight, p.fc2.bias)
-        s = T.activate(T.Tensor4(h2.reshape(1, -1, 1, 1)), "sigmoid").data.reshape(-1)
-        want = x.data * s[None, :, None, None]
-        assert np.allclose(got, want, atol=1e-12)
+        want = se_naive(x.data, p.fc1.weight, p.fc1.bias, p.fc2.weight, p.fc2.bias)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_preserves_dims_and_gate_range(self):
         rng = np.random.default_rng(3)
@@ -186,12 +180,17 @@ class TestMbConv:
         p = B.init_mbconv(rng, 4, out_c, kernel=3, stride=stride, expansion=expansion,
                           survive_p=0.8, dtype=np.float64)
         x0 = rng.standard_normal((2, 4, 6, 6))
-        out, ctx = B.mbconv_forward(t4(x0), p, T.TRAIN, np.random.default_rng(123))
+        # draws 0.51 and 0.95: the first sample's branch is kept, the second's dropped
+        out, ctx = B.mbconv_forward(t4(x0), p, T.TRAIN, np.random.default_rng(1))
+        if p.has_shortcut:
+            assert ctx.scale.tolist() == [1.25, 0.0]
+        else:
+            assert ctx.scale is None
         go = np.random.default_rng(10).standard_normal(out.dims)
         gx, grads = B.mbconv_backward(ctx, go)
 
         def run(x):
-            y = B.mbconv_forward(t4(x), p, T.TRAIN, np.random.default_rng(123))[0]
+            y = B.mbconv_forward(t4(x), p, T.TRAIN, np.random.default_rng(1))[0]
             return float(np.sum(go * y.data))
 
         assert max_rel_err(gx, numeric_grad(run, x0, step=BLOCK_STEP)) < GRAD_TOL

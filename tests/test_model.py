@@ -166,6 +166,20 @@ class TestForward:
         with pytest.raises(InputError, match=np.dtype(dtype).name):
             M.forward_training(params, cfg, x, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mode", [INFER, TRAIN])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_an_input_error(self, mode, bad):
+        # one such pixel used to turn the output NaN (the whole batch in train
+        # mode) and, in train mode, every running statistic with it
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        x = np.random.default_rng(5).random((2, 1, 32, 32), dtype=np.float32)
+        x[0, 0, 3, 7] = bad
+        before = {k: v.tobytes() for k, v in M.named_state(params).items()}
+        with pytest.raises(InputError, match="1 non-finite"):
+            M.forward(params, cfg, Tensor4(x), mode, np.random.default_rng(0))
+        assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
+
     def test_batch_independence_infer(self, desk):
         cfg, params = desk
         rng = np.random.default_rng(1)

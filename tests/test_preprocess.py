@@ -63,6 +63,7 @@ def test_resample_z_nearest_matches_naive(sz, target):
     got = resample_z(LabelVolume(mask, (sz, 1.0, 1.0)), target, "nearest")
     assert isinstance(got, LabelVolume)
     assert np.array_equal(got.voxels, resample_z_naive(mask, sz, target, "nearest"))
+    assert not np.shares_memory(got.voxels, mask)
 
 
 @pytest.mark.parametrize("shape,out", [((5, 7), (12, 9)), ((9, 6), (4, 3)), ((2, 2), (2, 2))])
@@ -90,7 +91,9 @@ def test_nan_off_the_resize_taps_fails_in_named_stage():
 @pytest.mark.parametrize("shape,out", [((5, 7), (12, 9)), ((9, 6), (4, 3)), ((60, 52), (8, 8))])
 def test_resize_plane_nearest_matches_naive(shape, out):
     img = np.random.default_rng(5).integers(0, 1000, shape).astype(np.int16)
-    assert np.array_equal(resize_plane_nearest(img, *out), resize_nearest_naive(img, *out))
+    got = resize_plane_nearest(img, *out)
+    assert np.array_equal(got, resize_nearest_naive(img, *out))
+    assert not np.shares_memory(got, img)
 
 
 @pytest.mark.parametrize("levels", [256, 64, 5])

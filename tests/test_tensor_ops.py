@@ -1,4 +1,8 @@
-"""Tensor kernel tests: oracle comparisons and finite-difference gradients."""
+"""Tensor kernel tests: oracle comparisons and finite-difference gradients.
+
+The SE squeeze, SE affine and drop-connect classes check arithmetic that
+lives inside ``blocks``; they drive it through the block forwards.
+"""
 
 import dataclasses
 
@@ -315,34 +319,28 @@ class TestActivations:
 
 
 class TestGlobalAvgPool:
+    """SE's squeeze: the float64-accumulated mean of each (h, w) plane, ``SeCtx.v``."""
+
     def test_constant_plane(self):
-        out = T.global_avg_pool(t4(np.full((2, 3, 4, 5), 7.5)))
-        assert out.dims == (2, 3, 1, 1)
-        assert np.all(out.data == 7.5)
+        x = t4(np.full((2, 3, 4, 5), 7.5))
+        _, ctx = B.se_block_forward(x, B.init_se(np.random.default_rng(11), 3, dtype=np.float64))
+        assert ctx.v.shape == (2, 3)
+        assert np.all(ctx.v == 7.5)
 
     def test_small_plane(self):
         x = t4(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert T.global_avg_pool(x).data.ravel()[0] == 2.5
+        _, ctx = B.se_block_forward(x, B.init_se(np.random.default_rng(11), 1, dtype=np.float64))
+        assert ctx.v.ravel()[0] == 2.5
 
     def test_permutation_invariance(self):
+        # the gate sees a plane only through its mean
         rng = np.random.default_rng(12)
         x = rng.standard_normal((1, 2, 3, 4))
         perm = rng.permutation(12)
         xp = x.reshape(1, 2, -1)[:, :, perm].reshape(1, 2, 3, 4)
-        assert np.allclose(
-            T.global_avg_pool(t4(x)).data, T.global_avg_pool(t4(xp)).data, atol=1e-12
-        )
-
-    def test_finite_difference(self):
-        rng = np.random.default_rng(13)
-        x0 = rng.standard_normal((2, 2, 3, 3))
-        go = rng.standard_normal((2, 2, 1, 1))
-        g = T.global_avg_pool_backward(t4(x0), go)
-
-        def loss(x):
-            return float(np.sum(go * T.global_avg_pool(t4(x)).data))
-
-        assert max_rel_err(g, numeric_grad(loss, x0)) < GRAD_TOL
+        p = B.init_se(rng, 2, dtype=np.float64)
+        s, sp = B.se_block_forward(t4(x), p)[1].s, B.se_block_forward(t4(xp), p)[1].s
+        assert np.allclose(s, sp, rtol=0, atol=1e-12)
 
 
 class TestUpsampleBilinear2x:
@@ -378,88 +376,84 @@ class TestUpsampleBilinear2x:
 
 
 class TestLinear:
+    """SE's affine rows ``x @ W + b``: ``SeCtx.h1`` from the channel means."""
+
+    @staticmethod
+    def h1(x, w, b):
+        c, cs = w.shape
+        p = B.SeBlockParams(B.LinearParams(w, b), B.LinearParams(np.ones((cs, c)), np.zeros(c)))
+        return B.se_block_forward(t4(x), p)[1].h1.data[:, :, 0, 0]
+
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(T.linear(x, np.eye(3), np.zeros(3)), x)
+        x = np.array([1.0, -2.0, 3.0])[None, :, None, None]
+        assert np.array_equal(self.h1(x, np.eye(3), np.zeros(3)), [[1.0, -2.0, 3.0]])
 
     def test_manual_dot(self):
-        y = T.linear(np.array([1.0, 1.0]), np.array([[1.0], [1.0]]), np.array([0.5]))
-        assert np.allclose(y, [2.5])
+        y = self.h1(np.ones((1, 2, 2, 2)), np.array([[1.0], [1.0]]), np.array([0.5]))
+        assert np.allclose(y, [[2.5]])
 
     def test_zero_input_gives_bias(self):
         b = np.array([0.1, 0.2])
-        assert np.array_equal(T.linear(np.zeros(3), np.ones((3, 2)), b), b)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            T.linear(np.zeros(3), np.ones((2, 2)), np.zeros(2))
-
-    def test_finite_difference(self):
-        rng = np.random.default_rng(16)
-        x0 = rng.standard_normal((2, 4))
-        w0 = rng.standard_normal((4, 3))
-        b0 = rng.standard_normal(3)
-        go = rng.standard_normal((2, 3))
-        gx, gw, gb = T.linear_backward(x0, w0, go)
-
-        def loss(x, w, b):
-            return float(np.sum(go * T.linear(x, w, b)))
-
-        assert max_rel_err(gx, numeric_grad(lambda x: loss(x, w0, b0), x0)) < GRAD_TOL
-        assert max_rel_err(gw, numeric_grad(lambda w: loss(x0, w, b0), w0)) < GRAD_TOL
-        assert max_rel_err(gb, numeric_grad(lambda b: loss(x0, w0, b), b0)) < GRAD_TOL
-
-    def test_backward_needs_rows(self):
-        # a 1-D x would make x.T @ grad_out a dot product, not the weight gradient
-        with pytest.raises(ShapeError):
-            T.linear_backward(np.ones(3), np.ones((3, 2)), np.ones(2))
-        with pytest.raises(ShapeError):
-            T.linear_backward(np.ones((2, 3)), np.ones((3, 2)), np.ones((3, 2)))
+        assert np.array_equal(self.h1(np.zeros((2, 3, 2, 2)), np.ones((3, 2)), b), [b, b])
 
     def test_batched_rows(self):
+        # each sample's gate depends on that sample alone
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((5, 4))
-        w = rng.standard_normal((4, 2))
-        b = rng.standard_normal(2)
-        out = T.linear(x, w, b)
+        x = rng.standard_normal((5, 4, 3, 3))
+        p = B.init_se(rng, 4, dtype=np.float64)
+        out, ctx = B.se_block_forward(t4(x), p)
         for i in range(5):
-            assert np.allclose(out[i], T.linear(x[i], w, b), atol=1e-12)
+            one_out, one = B.se_block_forward(t4(x[i : i + 1]), p)
+            assert np.allclose(ctx.h1.data[i], one.h1.data[0], rtol=0, atol=1e-12)
+            assert np.allclose(out.data[i], one_out.data[0], rtol=0, atol=1e-12)
 
 
 class TestDropConnect:
+    """Stochastic depth on an MBConv shortcut: ``MbConvCtx.scale`` holds each
+    sample's factor, 0 (dropped) or 1/survive_p (kept)."""
+
+    @staticmethod
+    def block(rng, survive_p):
+        return B.init_mbconv(rng, 4, 4, kernel=3, stride=1, expansion=1, survive_p=survive_p,
+                             dtype=np.float64)
+
     def test_infer_identity(self):
-        # an infer-mode block draws no keep mask and leaves the rng untouched
+        # an infer-mode block draws nothing and leaves the rng untouched
         rng = np.random.default_rng(18)
-        p = B.init_mbconv(rng, 4, 4, kernel=3, stride=1, expansion=1, survive_p=0.5,
-                          dtype=np.float64)
+        p = self.block(rng, 0.5)
         x = t4(rng.standard_normal((4, 4, 3, 3)))
         state = rng.bit_generator.state
         _, ctx = B.mbconv_forward(x, p, T.INFER, rng)
-        assert ctx.keep_mask is None
+        assert ctx.scale is None
         assert rng.bit_generator.state == state
 
     def test_survive_one_identity(self):
         rng = np.random.default_rng(19)
-        x = t4(rng.standard_normal((4, 2, 3, 3)))
-        mask = T.sample_keep_mask(x.n, 1.0, rng)
-        assert np.array_equal(T.apply_keep_mask(x, mask, 1.0).data, x.data)
+        p = self.block(rng, 1.0)
+        x = t4(rng.standard_normal((4, 4, 3, 3)))
+        state = rng.bit_generator.state
+        _, ctx = B.mbconv_forward(x, p, T.TRAIN, rng)
+        assert ctx.scale is None
+        assert rng.bit_generator.state == state
 
     def test_expectation_preserving(self):
-        x = t4(np.ones((1, 1, 2, 2)))
         rng = np.random.default_rng(20)
-        total = 0.0
-        trials = 10_000
-        for _ in range(trials):
-            total += T.apply_keep_mask(x, T.sample_keep_mask(1, 0.5, rng), 0.5).data.mean()
-        assert abs(total / trials - 1.0) < 0.05
+        p = self.block(rng, 0.5)
+        x = t4(rng.standard_normal((8, 4, 3, 3)))
+        scales = np.concatenate([B.mbconv_forward(x, p, T.TRAIN, rng)[1].scale for _ in range(500)])
+        assert set(scales.tolist()) == {0.0, 2.0}
+        assert abs(scales.mean() - 1.0) < 0.05
 
     def test_invalid_probability(self):
         rng = np.random.default_rng(0)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ParameterError):
-                T.sample_keep_mask(1, bad, rng)
+        for bad in (0.0, -0.5, 1.5, np.nan):
+            with pytest.raises(ParameterError, match="survive_p"):
+                self.block(rng, bad)
 
     def test_seed_determinism(self):
-        a = T.sample_keep_mask(8, 0.7, np.random.default_rng(99))
-        b = T.sample_keep_mask(8, 0.7, np.random.default_rng(99))
-        assert np.array_equal(a, b)
+        p = self.block(np.random.default_rng(0), 0.7)
+        x = t4(np.random.default_rng(1).standard_normal((8, 4, 3, 3)))
+        a = B.mbconv_forward(x, p, T.TRAIN, np.random.default_rng(99))
+        b = B.mbconv_forward(x, p, T.TRAIN, np.random.default_rng(99))
+        assert np.array_equal(a[1].scale, b[1].scale)
+        assert np.array_equal(a[0].data, b[0].data)

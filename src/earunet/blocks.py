@@ -21,6 +21,7 @@ from .tensor import (
     BN_EPS,
     INFER,
     TRAIN,
+    ActSaved,
     BatchNormState,
     BnSaved,
     ConvParams,
@@ -219,7 +220,7 @@ class ConvBnCtx:
     kind: str | None  # activation kind, None for no activation
     x: Tensor4  # conv input
     saved: BnSaved
-    act_in: Tensor4 | None  # BN output; kept only when an activation follows
+    act: ActSaved | None  # what the activation's backward reads; None without one
 
 
 def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
@@ -253,13 +254,12 @@ def conv_bn_act(
     """
     if mode == INFER:
         out = conv2d(x, _fold_bn(conv, bn))
-        return (out if kind is None else activate(out, kind)), None
+        return (out if kind is None else activate(out, kind)[0]), None
     if mode != TRAIN:
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    act_in, saved = batchnorm2d(conv2d(x, conv), bn)
-    if kind is None:
-        return act_in, ConvBnCtx(conv, bn, kind, x, saved, None)
-    return activate(act_in, kind), ConvBnCtx(conv, bn, kind, x, saved, act_in)
+    out, saved = batchnorm2d(conv2d(x, conv), bn)
+    out, act = (out, None) if kind is None else activate(out, kind)
+    return out, ConvBnCtx(conv, bn, kind, x, saved, act)
 
 
 def conv_bn_act_backward(
@@ -269,7 +269,7 @@ def conv_bn_act_backward(
     ``{bn_name}.gamma`` and ``{bn_name}.beta`` into grads."""
     if ctx is None:
         raise StateError("conv_bn_act_backward needs the context of a train-mode forward")
-    g = grad_out if ctx.kind is None else activate_backward(ctx.act_in, ctx.kind, grad_out)
+    g = grad_out if ctx.kind is None else activate_backward(ctx.act, ctx.kind, grad_out)
     g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(
         ctx.saved, ctx.bn, g
     )
@@ -287,9 +287,8 @@ class SeCtx:
     x: Tensor4
     v: np.ndarray  # (n, c) channel means
     h1: Tensor4  # (n, c_squeeze, 1, 1) fc1 output
-    a1: np.ndarray  # (n, c_squeeze) swish(h1)
-    h2: Tensor4  # (n, c, 1, 1) fc2 output
-    s: np.ndarray  # (n, c, 1, 1) sigmoid(h2), the gate
+    act1: ActSaved  # (sigmoid(h1), swish(h1)), each (n, c_squeeze, 1, 1)
+    s: np.ndarray  # (n, c, 1, 1) sigmoid of the fc2 output, the gate
 
 
 def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
@@ -301,10 +300,10 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
         )
     v = np.mean(x.data, axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
     h1 = Tensor4((v @ p.fc1.weight + p.fc1.bias)[:, :, None, None])
-    a1 = activate(h1, "swish").data.reshape(x.n, -1)
-    h2 = Tensor4((a1 @ p.fc2.weight + p.fc2.bias)[:, :, None, None])
-    s = activate(h2, "sigmoid").data
-    return Tensor4(x.data * s), SeCtx(p, x, v, h1, a1, h2, s)
+    a1, act1 = activate(h1, "swish")
+    h2 = Tensor4((a1.data.reshape(x.n, -1) @ p.fc2.weight + p.fc2.bias)[:, :, None, None])
+    s = activate(h2, "sigmoid")[0].data
+    return Tensor4(x.data * s), SeCtx(p, x, v, h1, act1, s)
 
 
 def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
@@ -312,16 +311,16 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
     dt = x.data.dtype
     grad_x = grad_out * ctx.s
     ds = np.sum(grad_out * x.data, axis=(2, 3), keepdims=True, dtype=np.float64).astype(dt)
-    dh2 = activate_backward(ctx.h2, "sigmoid", ds).reshape(x.n, -1)
+    dh2 = activate_backward(ctx.s, "sigmoid", ds).reshape(x.n, -1)
     da1 = dh2 @ p.fc2.weight.T
-    dh1 = activate_backward(ctx.h1, "swish", da1[:, :, None, None]).reshape(x.n, -1)
+    dh1 = activate_backward(ctx.act1, "swish", da1[:, :, None, None]).reshape(x.n, -1)
     # each pixel's share of its channel mean
     dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.h * x.w), dtype=dt)
     grad_x = grad_x + dx_mean.astype(dt, copy=False)[:, :, None, None]
     grads = {
         "fc1.weight": (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False),
         "fc1.bias": dh1.sum(axis=0),
-        "fc2.weight": (ctx.a1.T @ dh2).astype(p.fc2.weight.dtype, copy=False),
+        "fc2.weight": (ctx.act1[1].reshape(x.n, -1).T @ dh2).astype(p.fc2.weight.dtype, copy=False),
         "fc2.bias": dh2.sum(axis=0),
     }
     return grad_x, grads
@@ -390,9 +389,7 @@ class GateCtx:
     p: AttentionGateParams
     x: Tensor4
     g: Tensor4
-    sum_pre: Tensor4
     relu_out: Tensor4
-    psi_pre: Tensor4
     alpha: np.ndarray
 
 
@@ -405,12 +402,10 @@ def attention_gate_forward(
     ga = conv2d(g, p.wg)
     if xa.dims != ga.dims:
         raise ShapeError(f"gate inter features disagree: {xa.dims} vs {ga.dims}")
-    sum_pre = Tensor4(xa.data + ga.data)
-    relu_out = activate(sum_pre, "relu")
-    psi_pre = conv2d(relu_out, p.psi)
-    alpha = activate(psi_pre, "sigmoid").data  # (n, 1, hx, wx)
+    relu_out = activate(Tensor4(xa.data + ga.data), "relu")[0]
+    alpha = activate(conv2d(relu_out, p.psi), "sigmoid")[0].data  # (n, 1, hx, wx)
     y = Tensor4(x.data * alpha)
-    return y, GateCtx(p, x, g, sum_pre, relu_out, psi_pre, alpha)
+    return y, GateCtx(p, x, g, relu_out, alpha)
 
 
 def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, GradDict]:
@@ -419,9 +414,9 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
     dalpha = np.sum(grad_out * x.data, axis=1, keepdims=True, dtype=np.float64).astype(
         x.data.dtype
     )
-    dpsi_pre = activate_backward(ctx.psi_pre, "sigmoid", dalpha)
+    dpsi_pre = activate_backward(ctx.alpha, "sigmoid", dalpha)
     drelu, gw_psi, gb_psi = conv2d_backward(ctx.relu_out, p.psi, dpsi_pre)
-    dsum = activate_backward(ctx.sum_pre, "relu", drelu)
+    dsum = activate_backward(ctx.relu_out.data, "relu", drelu)
     dx2, gw_wx, _ = conv2d_backward(x, p.wx, dsum)
     dg, gw_wg, _ = conv2d_backward(ctx.g, p.wg, dsum)
     grad_x = grad_x + dx2

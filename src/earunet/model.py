@@ -258,12 +258,12 @@ Step = Callable[[np.ndarray], tuple[np.ndarray, B.GradDict]]
 Tape = list[tuple[str, Step]]
 
 
-def _check_input(cfg: ModelConfig, x: Tensor4) -> None:
+def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
     s = cfg.input_size
     if x.c != 1 or x.h != s or x.w != s:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
-    if x.data.dtype not in (np.float32, np.float64):
-        raise InputError(f"input dtype {x.data.dtype} is not float32 or float64")
+    if x.data.dtype != dtype:  # the kernels compute in the input's dtype
+        raise InputError(f"input dtype {x.data.dtype} does not match the parameters' dtype {dtype}")
     bad = x.data.size - np.count_nonzero(np.isfinite(x.data))
     if bad:
         raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
@@ -291,9 +291,9 @@ def _tap_step(
 
 
 def _head_step(
-    x: Tensor4, conv: ConvParams, out_pre: Tensor4, g: np.ndarray
+    x: Tensor4, conv: ConvParams, y: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, B.GradDict]:
-    g = activate_backward(out_pre, "sigmoid", g)
+    g = activate_backward(y, "sigmoid", g)
     g, gw, gb = conv2d_backward(x, conv, g)
     return g, {"conv.weight": gw, "conv.bias": gb}
 
@@ -343,7 +343,7 @@ def _run_forward(
     """
     if mode not in (TRAIN, INFER):
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    _check_input(cfg, x)
+    _check_input(cfg, x, params.stem_conv.weight.dtype)
     tape: Tape | None = [] if mode == TRAIN else None
     if tape is not None and rng is None:
         raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
@@ -374,10 +374,9 @@ def _run_forward(
         feats = _decoder_level(tape, f"decoder.level{li}", feats, skips.pop(si), gate, res, mode,
                                skip_grads, si)
 
-    out_pre = conv2d(feats, params.out_conv)
-    y = activate(out_pre, "sigmoid")
+    y = activate(conv2d(feats, params.out_conv), "sigmoid")[0]
     if tape is not None:
-        tape.append(("head", partial(_head_step, feats, params.out_conv, out_pre)))
+        tape.append(("head", partial(_head_step, feats, params.out_conv, y.data)))
     return y, tape
 
 
@@ -389,7 +388,8 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor4:
     """Per-pixel liver probability map, same spatial dims as the input,
-    every value strictly in (0,1).  Train mode needs an rng."""
+    every value strictly in (0,1).  The input must have the parameters'
+    dtype; train mode needs an rng."""
     return _run_forward(params, cfg, x, mode, rng)[0]
 
 

@@ -8,7 +8,8 @@ Batch statistics accumulate in float64.
 Ops are pure: given the same inputs they return bit-identical results;
 ``batchnorm2d`` alone also updates its running statistics in place.
 Backward functions compute the gradients of ``sum(grad_out * op(x))``
-with respect to each input.
+with respect to each input; ``activate_backward`` reads only the values
+its forward saved.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DegenerateBatchError, ParameterError, ShapeError
 
@@ -141,8 +141,9 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
-# depthwise backward channel-block size: keeps the per-tap scatter cache-resident on large planes
-_DEPTHWISE_BLOCK_BYTES = 1 << 20
+# cache-sized working set: conv2d's patch matrix per chunk of images, and
+# the padded-input channel block of the depthwise conv2d_backward's per-tap scatter
+_BLOCK_BYTES = 1 << 20
 
 
 def _conv_out_dims(x: Tensor4, p: ConvParams) -> tuple[int, int]:
@@ -197,6 +198,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """2-D cross-correlation with zero padding.
 
     Output dims: (n, out_c, (h+2*pad-kh)//stride + 1, (w+2*pad-kw)//stride + 1).
+    Patches are gathered in chunks of images whose patch matrix fits
+    ``_BLOCK_BYTES``, each multiplied by the weight in one matmul.
     """
     n, c, h, w = x.dims
     kh, kw = p.kernel
@@ -204,18 +207,17 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     xp = _pad_input(x.data, p.padding)
     patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
     oc = p.out_channels
-
     if _is_depthwise(p):
-        # depthwise: one filter per channel, vectorized over channels
-        cols = patches.reshape(n, c, kh * kw, oh * ow)
-        w2 = p.weight.reshape(c, kh * kw)
-        out = np.einsum("nckp,ck->ncp", cols, w2).reshape(n, oc, oh, ow)
+        w2 = p.weight.reshape(c, 1, kh * kw)
+        rows, out_rows = (c, kh * kw), (oc, 1)
     else:
-        cols = patches.reshape(n, c * kh * kw, oh * ow)
         w2 = p.weight.reshape(oc, c * kh * kw)
-        out = np.matmul(w2, cols).reshape(n, oc, oh, ow)
-
-    out = np.ascontiguousarray(out, dtype=x.data.dtype)
+        rows, out_rows = (c * kh * kw,), (oc,)
+    out = np.empty((n, oc, oh, ow), dtype=x.data.dtype)
+    nb = max(1, _BLOCK_BYTES // (c * kh * kw * oh * ow * xp.itemsize))
+    for i in range(0, n, nb):
+        cols = patches[i : i + nb].reshape(-1, *rows, oh * ow)
+        np.matmul(w2, cols, out=out[i : i + nb].reshape(-1, *out_rows, oh * ow))
     if p.bias is not None:
         out += p.bias[None, :, None, None]
     return Tensor4(out)
@@ -246,7 +248,7 @@ def conv2d_backward(
     st = p.stride
     if _is_depthwise(p):
         # one vectorized multiply-add per tap, over a block of channels at a time
-        cb = max(1, _DEPTHWISE_BLOCK_BYTES // gxp[:, :1].nbytes)
+        cb = max(1, _BLOCK_BYTES // gxp[:, :1].nbytes)
         for c0 in range(0, c, cb):
             cs = slice(c0, c0 + cb)
             go_b, gx_b, w_b = grad_out[:, cs], gxp[:, cs], p.weight[cs, 0]
@@ -339,42 +341,55 @@ def batchnorm2d_backward(
 # activations
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    s = expit(t)
-    # keep the output strictly inside (0,1) even where exp underflows
-    one = np.asarray(1.0, dtype=s.dtype)
-    return np.clip(s, np.finfo(s.dtype).tiny, np.nextafter(one, 0.0), out=s)
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-t)) in t's dtype, in one new array.  Below t = -88.72 in float32
+    (-709.78 in float64) exp(-t) overflows to inf and the quotient to 0."""
+    s = np.negative(t)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1
+    return np.reciprocal(s, out=s)
 
 
-def activate(x: Tensor4, kind: str) -> Tensor4:
-    """Elementwise activation: relu, swish (t*sigmoid(t)) or sigmoid."""
+# what activate_backward reads: the output, or (sigmoid(t), output) for swish
+ActSaved = np.ndarray | tuple[np.ndarray, np.ndarray]
+
+
+def activate(x: Tensor4, kind: str) -> tuple[Tensor4, ActSaved]:
+    """Elementwise activation: relu, swish (t*sigmoid(t)) or sigmoid;
+    returns ``(out, saved)`` for ``activate_backward``."""
     t = x.data
     if kind == "relu":
-        out = np.maximum(t, 0)
+        out = saved = np.maximum(t, 0)
     elif kind == "swish":
-        out = t * _stable_sigmoid(t)
+        s = _sigmoid(t)
+        out = t * s
+        saved = (s, out)
     elif kind == "sigmoid":
-        out = _stable_sigmoid(t)
+        # strictly inside (0, 1): 0 and subnormals rise to the smallest normal, 1 drops below 1
+        out = saved = _sigmoid(t)
+        np.clip(out, np.finfo(t.dtype).tiny, np.nextafter(np.asarray(1.0, t.dtype), 0.0), out=out)
     else:
         raise ParameterError(f"unknown activation kind {kind!r}")
-    return Tensor4(out.astype(t.dtype, copy=False))
+    return Tensor4(out), saved
 
 
-def activate_backward(x: Tensor4, kind: str, grad_out: np.ndarray) -> np.ndarray:
-    if grad_out.shape != x.data.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {x.data.shape}")
-    t = x.data
+def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.ndarray:
+    """Input gradient of ``activate`` from its saved values, with no exp:
+    relu' = [y > 0], sigmoid' = y*(1-y), swish' = s + y*(1-s), where y is
+    the output and s = sigmoid(t)."""
     if kind == "relu":
-        d = (t > 0).astype(t.dtype)
+        d = (saved > 0).astype(saved.dtype)
     elif kind == "swish":
-        s = _stable_sigmoid(t)
-        d = s * (1.0 + t * (1.0 - s))
+        s, y = saved
+        d = s + y * (1 - s)
     elif kind == "sigmoid":
-        s = _stable_sigmoid(t)
-        d = s * (1.0 - s)
+        d = saved * (1 - saved)
     else:
         raise ParameterError(f"unknown activation kind {kind!r}")
-    return (grad_out * d).astype(t.dtype, copy=False)
+    if grad_out.shape != d.shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {d.shape}")
+    return (grad_out * d).astype(d.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ class TestMbConv:
         x = t4(rng.standard_normal((1, 8, 8, 8)))
         got = B.mbconv_forward(x, p, T.INFER, rng)[0].data
 
-        h = T.activate(t4(bn_infer_naive(T.conv2d(x, p.expand_conv).data, p.expand_bn)), "swish")
-        h = T.activate(t4(bn_infer_naive(T.conv2d(h, p.dw_conv).data, p.dw_bn)), "swish")
+        h = T.activate(t4(bn_infer_naive(T.conv2d(x, p.expand_conv).data, p.expand_bn)), "swish")[0]
+        h = T.activate(t4(bn_infer_naive(T.conv2d(h, p.dw_conv).data, p.dw_bn)), "swish")[0]
         h = B.se_block_forward(h, p.se)[0]
         h = bn_infer_naive(T.conv2d(h, p.project_conv).data, p.project_bn)
         want = x.data + h  # shortcut, infer mode: no drop
@@ -226,7 +226,7 @@ class TestAttentionGate:
         got = B.attention_gate_forward(x, g, p)[0].data
 
         s = T.Tensor4(T.conv2d(x, p.wx).data + T.conv2d(g, p.wg).data)
-        alpha = T.activate(T.conv2d(T.activate(s, "relu"), p.psi), "sigmoid").data
+        alpha = T.activate(T.conv2d(T.activate(s, "relu")[0], p.psi), "sigmoid")[0].data
         assert np.allclose(got, x.data * alpha, atol=1e-12)
 
     def test_output_dominated_by_x(self):
@@ -294,8 +294,8 @@ class TestResidualBlock:
         x = t4(rng.standard_normal((1, 3, 6, 6)))
         got = B.residual_block_forward(x, p, T.INFER)[0].data
 
-        r = T.activate(t4(bn_infer_naive(T.conv2d(x, p.conv1).data, p.bn1)), "relu")
-        r = T.activate(t4(bn_infer_naive(T.conv2d(r, p.conv2).data, p.bn2)), "relu")
+        r = T.activate(t4(bn_infer_naive(T.conv2d(x, p.conv1).data, p.bn1)), "relu")[0]
+        r = T.activate(t4(bn_infer_naive(T.conv2d(r, p.conv2).data, p.bn2)), "relu")[0]
         want = r.data + T.conv2d(x, p.shortcut_proj).data
         assert np.allclose(got, want, atol=1e-12)
 
@@ -385,7 +385,7 @@ class TestFusedInferUnit:
     @staticmethod
     def unfused(x, conv, bn, kind):
         out = t4(bn_infer_naive(T.conv2d(x, conv).data, bn))
-        return out if kind is None else T.activate(out, kind)
+        return out if kind is None else T.activate(out, kind)[0]
 
     @pytest.mark.parametrize("name", sorted(UNITS))
     def test_matches_unfused_chain(self, name):

@@ -167,6 +167,21 @@ class TestForward:
             M.forward_training(params, cfg, x, np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", [INFER, TRAIN])
+    @pytest.mark.parametrize("model_dtype,input_dtype", [(np.float32, np.float64),
+                                                         (np.float64, np.float32)])
+    def test_input_dtype_must_match_parameters(self, mode, model_dtype, input_dtype):
+        # the kernels compute in the input's dtype: a float64 input used to run
+        # a float32 model in float64, at twice the memory
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0), dtype=model_dtype)
+        x = np.random.default_rng(5).random((2, 1, 32, 32)).astype(input_dtype)
+        before = {k: v.tobytes() for k, v in M.named_state(params).items()}
+        names = f"{np.dtype(input_dtype).name}.*{np.dtype(model_dtype).name}"
+        with pytest.raises(InputError, match=names):
+            M.forward(params, cfg, Tensor4(x), mode, np.random.default_rng(0))
+        assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
+
+    @pytest.mark.parametrize("mode", [INFER, TRAIN])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_an_input_error(self, mode, bad):
         # one such pixel used to turn the output NaN (the whole batch in train

@@ -5,6 +5,7 @@ lives inside ``blocks``; they drive it through the block forwards.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,37 @@ class TestConv2d:
         b = T.conv2d(x, p).data
         assert np.array_equal(a, b)
 
+    @staticmethod
+    def chunked_case(dtype, stride, depthwise):
+        """n=7 images whose (c*3*3, 32*32) patch matrices are each about a
+        third of the block, so conv2d gathers them in chunks of 3 + 3 + 1."""
+        itemsize, k, n, oh = np.dtype(dtype).itemsize, 3, 7, 32
+        c = T._BLOCK_BYTES // (3 * k * k * oh * oh * itemsize)
+        assert T._BLOCK_BYTES // (c * k * k * oh * oh * itemsize) == 3
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((n, c, oh * stride, oh * stride)).astype(dtype)
+        oc, groups = (c, c) if depthwise else (5, 1)
+        w = rng.standard_normal((oc, c // groups, k, k)).astype(dtype)
+        b = rng.standard_normal(oc).astype(dtype)
+        return x, T.ConvParams(weight=w, bias=b, stride=stride, padding=1, groups=groups)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dense_chunks_match_single_images(self, dtype, stride):
+        x, p = self.chunked_case(dtype, stride, depthwise=False)
+        got = T.conv2d(T.Tensor4(x), p).data
+        want = np.concatenate([T.conv2d(T.Tensor4(x[i : i + 1]), p).data for i in range(len(x))])
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_chunks_match_naive(self, dtype, stride):
+        x, p = self.chunked_case(dtype, stride, depthwise=True)
+        got = T.conv2d(T.Tensor4(x), p).data
+        want = conv2d_naive(x, p.weight, p.bias, stride=stride, padding=1, groups=p.groups)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        assert got.dtype == dtype and np.allclose(got, want, rtol=tol, atol=tol)
+
 
 class TestConv2dBackward:
     def test_scalar_product_rule(self):
@@ -164,7 +196,7 @@ class TestConv2dBackward:
         rng = np.random.default_rng(21)
         n, c, hw, k, stride, pad = 1, 8, 180, 5, 2, 2
         x = rng.standard_normal((n, c, hw, hw))
-        assert c * n * (hw + 2 * pad) ** 2 * x.itemsize > 2 * T._DEPTHWISE_BLOCK_BYTES
+        assert c * n * (hw + 2 * pad) ** 2 * x.itemsize > 2 * T._BLOCK_BYTES
         w = rng.standard_normal((c, 1, k, k))
         p = T.ConvParams(weight=w, stride=stride, padding=pad, groups=c)
         go = rng.standard_normal(T.conv2d(T.Tensor4(x), p).dims)
@@ -282,26 +314,38 @@ class TestBatchNorm:
 class TestActivations:
     def test_swish_values(self):
         x = t4(np.array([[[[0.0, 1.0]]]]))
-        out = T.activate(x, "swish").data.ravel()
+        out = T.activate(x, "swish")[0].data.ravel()
         assert out[0] == 0.0
         assert abs(out[1] - 0.731059) < 1e-5
 
     def test_sigmoid_values(self):
-        out = T.activate(t4(np.array([[[[0.0]]]])), "sigmoid").data
+        out = T.activate(t4(np.array([[[[0.0]]]])), "sigmoid")[0].data
         assert out.ravel()[0] == 0.5
 
     def test_sigmoid_open_interval(self):
         extremes = np.array([[[[-1e30, -100.0, 0.0, 100.0, 1e30]]]], dtype=np.float32)
-        out = T.activate(T.Tensor4(extremes), "sigmoid").data
+        out = T.activate(T.Tensor4(extremes), "sigmoid")[0].data
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_relu(self):
-        out = T.activate(t4(np.array([[[[-2.0, 0.0, 3.0]]]])), "relu").data.ravel()
+        out = T.activate(t4(np.array([[[[-2.0, 0.0, 3.0]]]])), "relu")[0].data.ravel()
         assert list(out) == [0.0, 0.0, 3.0]
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             T.activate(t4(np.zeros((1, 1, 1, 1))), "tanh")
+        with pytest.raises(ParameterError):
+            T.activate_backward(np.zeros((1, 1, 1, 1)), "tanh", np.zeros((1, 1, 1, 1)))
+
+    def test_saved_holds_no_extra_array(self):
+        # relu and sigmoid save their output; swish saves (sigmoid(t), output)
+        x = t4(np.random.default_rng(12).standard_normal((1, 2, 3, 3)))
+        for kind in ("relu", "sigmoid"):
+            out, saved = T.activate(x, kind)
+            assert saved is out.data
+        out, (s, y) = T.activate(x, "swish")
+        assert y is out.data
+        assert np.allclose(s, 1.0 / (1.0 + np.exp(-x.data)), rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kind", ["relu", "swish", "sigmoid"])
     def test_finite_difference(self, kind):
@@ -310,12 +354,76 @@ class TestActivations:
         x0 = rng.standard_normal((1, 2, 3, 3))
         x0[np.abs(x0) < 0.05] = 0.1
         go = rng.standard_normal(x0.shape)
-        g = T.activate_backward(t4(x0), kind, go)
+        g = T.activate_backward(T.activate(t4(x0), kind)[1], kind, go)
 
         def loss(x):
-            return float(np.sum(go * T.activate(t4(x), kind).data))
+            return float(np.sum(go * T.activate(t4(x), kind)[0].data))
 
         assert max_rel_err(g, numeric_grad(loss, x0)) < GRAD_TOL
+
+
+class TestSigmoidOracle:
+    """float32 sigmoid and swish against a float64 oracle, across the range
+    where exp(-t) overflows (t < -88.72) and exp(t) underflows (t < -103.97).
+
+    The oracle uses exp(-|t|) <= 1, so it never overflows.  Swish is checked
+    relative to the truth where the sigmoid is a normal float32 too; below
+    t = log(tiny) = -87.34 the float32 sigmoid is subnormal or 0, and swish
+    is only bounded by |t| * tiny there.
+    """
+
+    ULPS = 4 * np.finfo(np.float32).eps  # relative tolerance
+    TINY = np.finfo(np.float32).tiny
+
+    @staticmethod
+    def grid():
+        t = np.linspace(-104.0, 89.0, 20001, dtype=np.float32)
+        edge = np.float32(-88.72)
+        near = [np.nextafter(edge, np.float32(-np.inf)), edge, np.nextafter(edge, np.float32(0))]
+        return np.concatenate([t, near, np.float32([-1e30, 1e30, -87.34, -87.33, 0.0, 16.6, 17.0])])
+
+    @staticmethod
+    def oracle(t):
+        t64 = t.astype(np.float64)
+        e = np.exp(-np.abs(t64))
+        s = np.where(t64 >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return t64, s
+
+    def run(self, kind, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, saved = T.activate(T.Tensor4(t[None, None, None, :]), kind)
+            grad = T.activate_backward(saved, kind, np.ones_like(out.data))
+        assert out.data.dtype == np.float32 and grad.dtype == np.float32
+        return out.data.ravel(), grad.ravel()
+
+    def test_sigmoid(self):
+        t = self.grid()
+        _, s = self.oracle(t)
+        got, grad = self.run("sigmoid", t)
+        assert np.all(got > 0.0) and np.all(got < 1.0)
+        normal = s >= self.TINY
+        assert np.all(np.abs(got - s)[normal] <= self.ULPS * s[normal])
+        # below the normal range the output is the smallest normal float
+        assert np.all(got[~normal] == self.TINY)
+        # y*(1-y) loses the relative accuracy of 1-y as y nears 1, so its
+        # error is bounded by the size of y, not of the result
+        assert np.all(np.abs(grad - s * (1.0 - s)) <= self.ULPS * s + self.TINY)
+
+    def test_swish(self):
+        t = self.grid()
+        t64, s = self.oracle(t)
+        got, grad = self.run("swish", t)
+        y = t64 * s
+        checked = (s >= self.TINY) & (np.abs(y) >= self.TINY)
+        assert np.all(np.abs(got - y)[checked] <= self.ULPS * np.abs(y[checked]))
+        assert np.all(np.abs(got - y)[~checked] <= np.abs(t64[~checked]) * self.TINY)
+        assert np.all(got[t > 0] > 0) and np.all(got[t < 0] <= 0)
+        # swish' = s + y*(1-s) sums terms of either sign, so its error is
+        # bounded by the size of the terms, not of the result
+        d = s + y * (1.0 - s)
+        scale = s + np.abs(y) * (1.0 - s)
+        assert np.all(np.abs(grad - d) <= 4 * self.ULPS * scale + (1.0 + np.abs(t64)) * self.TINY)
 
 
 class TestGlobalAvgPool:

@@ -26,6 +26,7 @@ from .tensor import (
     BnSaved,
     ConvParams,
     Tensor4,
+    _sigmoid,
     activate,
     activate_backward,
     batchnorm2d,
@@ -396,14 +397,19 @@ class GateCtx:
 def attention_gate_forward(
     x: Tensor4, g: Tensor4, p: AttentionGateParams
 ) -> tuple[Tensor4, GateCtx]:
-    """Multiply skip features x by a mask in (0,1) computed from x and the
-    decoder features g, which must have x's batch size and resolution."""
+    """Multiply skip features x by a mask in [0, 1] computed from x and the
+    decoder features g, which must have x's batch size and resolution.
+
+    alpha is the plain sigmoid, exactly 0 where it saturates: the clip into
+    (0, 1) that ``activate`` applies for probabilities would turn a saturated
+    gate's skip and its gradient into subnormal floats, which x86 computes
+    with slow microcode assists."""
     xa = conv2d(x, p.wx)
     ga = conv2d(g, p.wg)
     if xa.dims != ga.dims:
         raise ShapeError(f"gate inter features disagree: {xa.dims} vs {ga.dims}")
     relu_out = activate(Tensor4(xa.data + ga.data), "relu")[0]
-    alpha = activate(conv2d(relu_out, p.psi), "sigmoid")[0].data  # (n, 1, hx, wx)
+    alpha = _sigmoid(conv2d(relu_out, p.psi).data)  # (n, 1, hx, wx)
     y = Tensor4(x.data * alpha)
     return y, GateCtx(p, x, g, relu_out, alpha)
 

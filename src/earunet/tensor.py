@@ -2,7 +2,9 @@
 
 Everything here operates on (batch, channel, height, width) arrays in
 float32 (float64 is accepted for high-precision gradient checking).
-Convolution uses the cross-correlation convention with zero padding.
+Convolution uses the cross-correlation convention with zero padding; its
+input gradient is the same chunked correlation, run over the stride-dilated
+output gradient with the flipped kernel.
 Batch statistics accumulate in float64.
 
 Ops are pure: given the same inputs they return bit-identical results;
@@ -141,8 +143,8 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
-# cache-sized working set: conv2d's patch matrix per chunk of images, and
-# the padded-input channel block of the depthwise conv2d_backward's per-tap scatter
+# cache-sized working set: the patch matrix per chunk of images, gathered by
+# conv2d's forward and by conv2d_backward for both the input and the weight gradient
 _BLOCK_BYTES = 1 << 20
 
 
@@ -194,6 +196,28 @@ def _is_depthwise(p: ConvParams) -> bool:
     return p.groups > 1
 
 
+def _patch_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int, depthwise: bool):
+    """(images, cols) for chunks of the padded input whose patch matrix fits
+    ``_BLOCK_BYTES``; cols is (nb, c*kh*kw, oh*ow), or (nb, c, kh*kw, oh*ow) depthwise."""
+    n, c = xp.shape[:2]
+    patches = _patch_view(xp, kh, kw, stride, oh, ow)
+    rows = (c, kh * kw) if depthwise else (c * kh * kw,)
+    nb = max(1, _BLOCK_BYTES // (c * kh * kw * oh * ow * xp.itemsize))
+    for i in range(0, n, nb):
+        yield slice(i, i + nb), patches[i : i + nb].reshape(-1, *rows, oh * ow)
+
+
+def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool, oh: int, ow: int) -> np.ndarray:
+    """Pad-free cross-correlation of xp with weight, one matmul per chunk of images."""
+    oc, icpg, kh, kw = weight.shape
+    w2 = weight.reshape(oc, 1, kh * kw) if depthwise else weight.reshape(oc, icpg * kh * kw)
+    out_rows = (oc, 1) if depthwise else (oc,)
+    out = np.empty((xp.shape[0], oc, oh, ow), dtype=xp.dtype)
+    for s, cols in _patch_chunks(xp, kh, kw, stride, oh, ow, depthwise):
+        np.matmul(w2, cols, out=out[s].reshape(-1, *out_rows, oh * ow))
+    return out
+
+
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """2-D cross-correlation with zero padding.
 
@@ -201,23 +225,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     Patches are gathered in chunks of images whose patch matrix fits
     ``_BLOCK_BYTES``, each multiplied by the weight in one matmul.
     """
-    n, c, h, w = x.dims
-    kh, kw = p.kernel
     oh, ow = _conv_out_dims(x, p)
-    xp = _pad_input(x.data, p.padding)
-    patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
-    oc = p.out_channels
-    if _is_depthwise(p):
-        w2 = p.weight.reshape(c, 1, kh * kw)
-        rows, out_rows = (c, kh * kw), (oc, 1)
-    else:
-        w2 = p.weight.reshape(oc, c * kh * kw)
-        rows, out_rows = (c * kh * kw,), (oc,)
-    out = np.empty((n, oc, oh, ow), dtype=x.data.dtype)
-    nb = max(1, _BLOCK_BYTES // (c * kh * kw * oh * ow * xp.itemsize))
-    for i in range(0, n, nb):
-        cols = patches[i : i + nb].reshape(-1, *rows, oh * ow)
-        np.matmul(w2, cols, out=out[i : i + nb].reshape(-1, *out_rows, oh * ow))
+    out = _correlate(_pad_input(x.data, p.padding), p.weight, p.stride, _is_depthwise(p), oh, ow)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
     return Tensor4(out)
@@ -226,52 +235,46 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
 def conv2d_backward(
     x: Tensor4, p: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradients of conv2d w.r.t. input, weight and bias."""
+    """Gradients of conv2d w.r.t. input, weight and bias.
+
+    The padded input's gradient is a stride-1 correlation of grad_out,
+    dilated by the stride and framed by kernel-1 zeros, with the flipped
+    kernel (in and out channels swapped for a dense conv); only its unpadded
+    part is computed, one output phase mod stride at a time.  The weight
+    gradient sums grad_out . patches^T over the forward's chunks of images.
+    """
     n, c, h, w = x.dims
     kh, kw = p.kernel
     oh, ow = _conv_out_dims(x, p)
-    if grad_out.shape != (n, p.out_channels, oh, ow):
+    oc, st, pad = p.out_channels, p.stride, p.padding
+    if grad_out.shape != (n, oc, oh, ow):
         raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match conv output "
-            f"{(n, p.out_channels, oh, ow)}"
+            f"grad_out shape {grad_out.shape} does not match conv output {(n, oc, oh, ow)}"
         )
-    oc = p.out_channels
-
     grad_bias = None
     if p.bias is not None:
         grad_bias = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(p.bias.dtype)
 
-    xp = _pad_input(x.data, p.padding)
-    patches = _patch_view(xp, kh, kw, p.stride, oh, ow)
-    grad_weight = np.empty_like(p.weight)
-    gxp = np.zeros_like(xp)
-    st = p.stride
-    if _is_depthwise(p):
-        # one vectorized multiply-add per tap, over a block of channels at a time
-        cb = max(1, _BLOCK_BYTES // gxp[:, :1].nbytes)
-        for c0 in range(0, c, cb):
-            cs = slice(c0, c0 + cb)
-            go_b, gx_b, w_b = grad_out[:, cs], gxp[:, cs], p.weight[cs, 0]
-            for u in range(kh):
-                for v in range(kw):
-                    grad_weight[cs, 0, u, v] = np.einsum("ncij,ncij->c", patches[:, cs, u, v], go_b)
-                    gx_b[:, :, u : u + st * oh : st, v : v + st * ow : st] += go_b * w_b[:, u, v, None, None]
-    else:
-        go = grad_out.reshape(n, oc, oh * ow)
-        cols = patches.reshape(n, c * kh * kw, oh * ow)
-        # dW = sum_n grad_out . cols^T
-        grad_weight[:] = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(oc, c, kh, kw)
-        # dX: scatter W^T . grad_out back onto the padded input
-        gcols = np.matmul(p.weight.reshape(oc, c * kh * kw).T, go).reshape(n, c, kh, kw, oh, ow)
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u : u + st * oh : st, v : v + st * ow : st] += gcols[:, :, u, v]
+    dw = _is_depthwise(p)
+    go = grad_out.reshape(n, oc, oh * ow, 1) if dw else grad_out.reshape(n, oc, oh * ow)
+    gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
+    for s, cols in _patch_chunks(_pad_input(x.data, pad), kh, kw, st, oh, ow, dw):
+        gw += (np.matmul(cols, go[s]) if dw else np.matmul(go[s], cols.transpose(0, 2, 1))).sum(axis=0)
 
-    if p.padding:
-        grad_x = gxp[:, :, p.padding : p.padding + h, p.padding : p.padding + w]
-    else:
-        grad_x = gxp
-    return np.ascontiguousarray(grad_x), grad_weight, grad_bias
+    buf = np.zeros((n, oc, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=grad_out.dtype)
+    buf[:, :, kh - 1 : kh - 1 + st * oh : st, kw - 1 : kw - 1 + st * ow : st] = grad_out
+    flipped = p.weight[:, :, ::-1, ::-1] if dw else p.weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    # output rows ry + st*q, from the crop offset on, meet nonzero buffer rows only
+    # at taps u0 + st*m: each phase is a stride-1 correlation over every st-th row
+    grad_x = np.zeros((n, c, h, w), dtype=grad_out.dtype)
+    for ry in range(min(st, h)):
+        for rx in range(min(st, w)):
+            u0, v0 = (kh - 1 - pad - ry) % st, (kw - 1 - pad - rx) % st
+            if u0 < kh and v0 < kw:
+                ph, pw = len(range(ry, h, st)), len(range(rx, w, st))
+                sub = buf[:, :, pad + ry + u0 :: st, pad + rx + v0 :: st]
+                grad_x[:, :, ry::st, rx::st] = _correlate(sub, flipped[:, :, u0::st, v0::st], 1, dw, ph, pw)
+    return grad_x, gw.reshape(p.weight.shape), grad_bias
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,33 @@ def conv2d_naive(x, weight, bias=None, stride=1, padding=0, groups=1):
     return out
 
 
+def conv2d_backward_naive(x, weight, grad_out, stride=1, padding=0, groups=1):
+    """(grad_x, grad_weight) of sum(grad_out * conv2d(x)) in float64, one
+    output pixel at a time: each grad_out value adds itself times the
+    weight into the padded input's gradient, and times its input patch
+    into the weight's gradient."""
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    n, c, h, w = x.shape
+    oc, icpg, kh, kw = weight.shape
+    ocpg = oc // groups
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(weight)
+    for b in range(n):
+        for o in range(oc):
+            chans = slice(o // ocpg * icpg, (o // ocpg + 1) * icpg)
+            for i in range(grad_out.shape[2]):
+                for j in range(grad_out.shape[3]):
+                    g = float(grad_out[b, o, i, j])
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    gxp[b, chans, rows, cols] += g * weight[o]
+                    gw[o] += g * xp[b, chans, rows, cols]
+    return gxp[:, :, padding : padding + h, padding : padding + w], gw
+
+
 # ---------------------------------------------------------------------------
 # batch norm: infer mode
 

@@ -218,6 +218,23 @@ class TestAttentionGate:
         out = B.attention_gate_forward(x, g, p)[0]
         assert np.max(np.abs(out.data - x.data)) < 1e-6 * np.max(np.abs(x.data))
 
+    def test_shut_gate_gives_exact_zeros(self):
+        # alpha is the plain sigmoid: a shut gate multiplies by 0, not by a
+        # clipped finfo.tiny, so neither the gated skip nor its gradient is subnormal
+        rng = np.random.default_rng(17)
+        x = T.Tensor4(rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
+        g = T.Tensor4(rng.standard_normal((2, 6, 8, 8)).astype(np.float32))
+        p = B.init_attention_gate(rng, 4, 6)
+        p.psi.bias[:] = -200.0
+        out, ctx = B.attention_gate_forward(x, g, p)
+        go = rng.standard_normal(out.dims).astype(np.float32)
+        gx, gg, grads = B.attention_gate_backward(ctx, go)
+        tiny = np.finfo(np.float32).tiny
+        assert np.all(ctx.alpha == 0)
+        for arr in (out.data, gx):
+            assert not np.any((arr != 0) & (np.abs(arr) < tiny))
+        assert all(np.all(np.isfinite(v)) for v in (gx, gg, *grads.values()))
+
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(13)
         x = t4(rng.standard_normal((1, 4, 8, 8)))

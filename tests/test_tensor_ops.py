@@ -13,7 +13,7 @@ import pytest
 from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
-from oracles import conv2d_naive, max_rel_err, numeric_grad
+from oracles import conv2d_backward_naive, conv2d_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
 
@@ -191,8 +191,8 @@ class TestConv2dBackward:
         assert max_rel_err(gb, numeric_grad(loss_b, b0)) < GRAD_TOL
 
     def test_depthwise_matches_per_channel_convs(self):
-        # planes large enough that the channel-blocked depthwise path runs
-        # several blocks (here 3 + 3 + 2 channels)
+        # the depthwise (c, 1, k*k) weight rows against one dense conv per
+        # channel, on planes whose padded input is larger than the block
         rng = np.random.default_rng(21)
         n, c, hw, k, stride, pad = 1, 8, 180, 5, 2, 2
         x = rng.standard_normal((n, c, hw, hw))
@@ -208,6 +208,66 @@ class TestConv2dBackward:
             gx_i, gw_i, _ = T.conv2d_backward(T.Tensor4(x[:, i : i + 1]), q, go[:, i : i + 1])
             assert np.array_equal(gx[:, i : i + 1], gx_i)
             assert np.max(np.abs(gw[i] - gw_i[0])) <= 1e-6 * np.max(np.abs(gw_i))
+
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_against_naive_oracle(self, stride, padding):
+        rng = np.random.default_rng(60 + stride * 10 + padding)
+        non_square = pad_over_kernel = stride_remainder = False
+        for _ in range(15):
+            n, h, w = int(rng.integers(1, 3)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            kh = int(rng.integers(1, min(h + 2 * padding, 4) + 1))
+            kw = int(rng.integers(1, min(w + 2 * padding, 4) + 1))
+            groups = int(rng.choice([1, 1, 3]))
+            c, oc = (groups, groups) if groups > 1 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            x = rng.standard_normal((n, c, h, w))
+            p = T.ConvParams(weight=rng.standard_normal((oc, c // groups, kh, kw)),
+                             stride=stride, padding=padding, groups=groups)
+            go = rng.standard_normal(T.conv2d(t4(x), p).dims)
+            gx, gw, _ = T.conv2d_backward(t4(x), p, go)
+            want_gx, want_gw = conv2d_backward_naive(x, p.weight, go, stride, padding, groups)
+            assert np.allclose(gx, want_gx, rtol=0, atol=1e-12)
+            assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
+            non_square |= kh != kw
+            pad_over_kernel |= padding >= min(kh, kw)
+            stride_remainder |= (h + 2 * padding - kh) % stride > 0
+        assert non_square and (pad_over_kernel or padding == 0) and (stride_remainder or stride == 1)
+
+    @staticmethod
+    def chunked_case(depthwise):
+        """n=7 float32 images whose patch matrices, of x for the weight
+        gradient and of the framed grad_out for the input gradient, are each
+        about a third of the block, so both gather in chunks of 3 + 3 + 1."""
+        n, c, hw, k = 7, 8, 32, 3
+        assert T._BLOCK_BYTES // (c * k * k * hw * hw * 4) == 3
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+        w = rng.standard_normal((c, 1 if depthwise else c, k, k)).astype(np.float32)
+        p = T.ConvParams(weight=w, padding=1, groups=c if depthwise else 1)
+        return x, p, rng.standard_normal((n, c, hw, hw)).astype(np.float32)
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    def test_chunks_match_single_images(self, depthwise):
+        x, p, go = self.chunked_case(depthwise)
+        gx, gw, _ = T.conv2d_backward(T.Tensor4(x), p, go)
+        singles = [T.conv2d_backward(T.Tensor4(x[i : i + 1]), p, go[i : i + 1]) for i in range(len(x))]
+        assert gx.dtype == np.float32 and np.array_equal(gx, np.concatenate([s[0] for s in singles]))
+        want_gw = np.sum([s[1] for s in singles], axis=0, dtype=np.float64)
+        assert gw.dtype == np.float32 and np.allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
+
+    @pytest.mark.parametrize("groups,k", [(1, 3), (4, 3), (1, 1)], ids=["dense", "depthwise", "1x1"])
+    def test_never_calls_public_conv2d(self, monkeypatch, groups, k):
+        # tracers wrap tensor.conv2d: a backward through it would count as forward time and flops
+        rng = np.random.default_rng(24)
+        x = t4(rng.standard_normal((2, 4, 6, 6)))
+        p = T.ConvParams(weight=rng.standard_normal((4, 4 // groups, k, k)), padding=k // 2, groups=groups)
+        go = rng.standard_normal(T.conv2d(x, p).dims)
+
+        def forbidden(*args):
+            raise AssertionError("conv2d_backward called the public conv2d")
+
+        monkeypatch.setattr(T, "conv2d", forbidden)
+        T.conv2d_backward(x, p, go)
 
     def test_grad_out_shape_error(self):
         x = t4(np.zeros((1, 1, 4, 4)))

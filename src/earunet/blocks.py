@@ -6,24 +6,26 @@ the output gradient and returns the input gradient together with a dict of
 parameter gradients.  Its keys are the dotted field paths of the block's
 parameter dataclass that ``named_arrays`` yields as trainable
 ("fc1.weight", "se.fc2.bias", ...).
+
+A train-mode conv -> BN -> activation unit (``conv_bn_act``) returns its
+backward as a closure over its saved values; its block's context holds it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StateError
+from .errors import ParameterError, ShapeError
 from .tensor import (
     BN_EPS,
     INFER,
     TRAIN,
     ActSaved,
     BatchNormState,
-    BnSaved,
     ConvParams,
     Tensor4,
     _sigmoid,
@@ -36,6 +38,8 @@ from .tensor import (
 )
 
 GradDict = dict[str, np.ndarray]
+# a train-mode conv unit's backward: (grad_out, grads, conv_name, bn_name) -> input gradient
+UnitBackward = Callable[[np.ndarray, GradDict, str, str], np.ndarray]
 
 
 @dataclass
@@ -214,16 +218,6 @@ def init_res_block(rng, in_c, out_c, dtype=np.float32) -> ResBlockParams:
 # conv -> batch norm -> activation
 
 
-@dataclass
-class ConvBnCtx:
-    conv: ConvParams
-    bn: BatchNormState
-    kind: str | None  # activation kind, None for no activation
-    x: Tensor4  # conv input
-    saved: BnSaved
-    act: ActSaved | None  # what the activation's backward reads; None without one
-
-
 def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
     """The conv whose output equals infer-mode bn(conv(x)): each output
     channel's weights and bias scaled by gamma/sqrt(running_var + BN_EPS),
@@ -245,12 +239,14 @@ def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
 
 def conv_bn_act(
     x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str, kind: str | None = None
-) -> tuple[Tensor4, ConvBnCtx | None]:
+) -> tuple[Tensor4, UnitBackward | None]:
     """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation.
 
-    Train mode runs conv2d -> batchnorm2d -> activate and saves the context.
-    Infer mode runs one conv with the BN folded in (``_fold_bn``), saves no
-    context, and matches the running-stat BN formula to float rounding.
+    Train mode runs conv2d -> batchnorm2d -> activate and returns its backward
+    ``(grad_out, grads, conv_name, bn_name) -> grad_x``, which writes
+    ``{conv_name}.weight`` and ``{bn_name}.gamma``/``.beta`` into grads.
+    Infer mode runs one conv with the BN folded in (``_fold_bn``), returns
+    None for it, and matches the running-stat BN formula to float rounding.
     Any other mode raises ParameterError.
     """
     if mode == INFER:
@@ -260,22 +256,15 @@ def conv_bn_act(
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     out, saved = batchnorm2d(conv2d(x, conv), bn)
     out, act = (out, None) if kind is None else activate(out, kind)
-    return out, ConvBnCtx(conv, bn, kind, x, saved, act)
 
+    def backward(g: np.ndarray, grads: GradDict, conv_name: str, bn_name: str) -> np.ndarray:
+        if kind is not None:
+            g = activate_backward(act, kind, g)
+        g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(saved, bn, g)
+        g, grads[f"{conv_name}.weight"], _ = conv2d_backward(x, conv, g)
+        return g
 
-def conv_bn_act_backward(
-    ctx: ConvBnCtx | None, grad_out: np.ndarray, grads: GradDict, conv_name: str, bn_name: str
-) -> np.ndarray:
-    """Input gradient of conv_bn_act; writes ``{conv_name}.weight``,
-    ``{bn_name}.gamma`` and ``{bn_name}.beta`` into grads."""
-    if ctx is None:
-        raise StateError("conv_bn_act_backward needs the context of a train-mode forward")
-    g = grad_out if ctx.kind is None else activate_backward(ctx.act, ctx.kind, grad_out)
-    g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(
-        ctx.saved, ctx.bn, g
-    )
-    g, grads[f"{conv_name}.weight"], _ = conv2d_backward(ctx.x, ctx.conv, g)
-    return g
+    return out, backward
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +276,7 @@ class SeCtx:
     p: SeBlockParams
     x: Tensor4
     v: np.ndarray  # (n, c) channel means
-    h1: Tensor4  # (n, c_squeeze, 1, 1) fc1 output
-    act1: ActSaved  # (sigmoid(h1), swish(h1)), each (n, c_squeeze, 1, 1)
+    act1: ActSaved  # (sigmoid(h1), swish(h1)) of the fc1 output h1, each (n, c_squeeze, 1, 1)
     s: np.ndarray  # (n, c, 1, 1) sigmoid of the fc2 output, the gate
 
 
@@ -300,11 +288,10 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
             f"SE input channels {x.dims} do not match fc1 width {p.fc1.weight.shape}"
         )
     v = np.mean(x.data, axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
-    h1 = Tensor4((v @ p.fc1.weight + p.fc1.bias)[:, :, None, None])
-    a1, act1 = activate(h1, "swish")
+    a1, act1 = activate(Tensor4((v @ p.fc1.weight + p.fc1.bias)[:, :, None, None]), "swish")
     h2 = Tensor4((a1.data.reshape(x.n, -1) @ p.fc2.weight + p.fc2.bias)[:, :, None, None])
     s = activate(h2, "sigmoid")[0].data
-    return Tensor4(x.data * s), SeCtx(p, x, v, h1, act1, s)
+    return Tensor4(x.data * s), SeCtx(p, x, v, act1, s)
 
 
 def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
@@ -334,10 +321,11 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
 @dataclass
 class MbConvCtx:
     p: MbConvParams
-    expand: ConvBnCtx | None
-    dw: ConvBnCtx | None  # unit contexts are None in infer mode
+    # the conv units' backwards; None in infer mode, expand also without expansion
+    expand: UnitBackward | None
+    dw: UnitBackward | None
     se_ctx: SeCtx
-    proj: ConvBnCtx | None
+    proj: UnitBackward | None
     # per-sample drop-connect factor, 0 or 1/survive_p; None when nothing was drawn
     scale: np.ndarray | None
 
@@ -372,12 +360,12 @@ def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, G
     g = grad_out
     if ctx.scale is not None:
         g = g * ctx.scale[:, None, None, None]
-    g = conv_bn_act_backward(ctx.proj, g, grads, "project_conv", "project_bn")
+    g = ctx.proj(g, grads, "project_conv", "project_bn")
     g, se_grads = se_block_backward(ctx.se_ctx, g)
     grads.update({f"se.{k}": v for k, v in se_grads.items()})
-    g = conv_bn_act_backward(ctx.dw, g, grads, "dw_conv", "dw_bn")
+    g = ctx.dw(g, grads, "dw_conv", "dw_bn")
     if ctx.expand is not None:
-        g = conv_bn_act_backward(ctx.expand, g, grads, "expand_conv", "expand_bn")
+        g = ctx.expand(g, grads, "expand_conv", "expand_bn")
     return (grad_out + g if p.has_shortcut else g), grads
 
 
@@ -437,8 +425,9 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
 @dataclass
 class ResCtx:
     p: ResBlockParams
-    unit1: ConvBnCtx | None  # None in infer mode
-    unit2: ConvBnCtx | None
+    x: Tensor4  # block input, read by the shortcut's backward
+    unit1: UnitBackward | None  # the conv units' backwards; None in infer mode
+    unit2: UnitBackward | None
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:
@@ -451,15 +440,15 @@ def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Te
     else:
         sc = conv2d(x, p.shortcut_proj).data
     y = Tensor4(r2.data + sc)
-    return y, ResCtx(p, unit1, unit2)
+    return y, ResCtx(p, x, unit1, unit2)
 
 
 def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
     p = ctx.p
     grads: GradDict = {}
-    g = conv_bn_act_backward(ctx.unit2, grad_out, grads, "conv2", "bn2")
-    g = conv_bn_act_backward(ctx.unit1, g, grads, "conv1", "bn1")
+    g = ctx.unit2(grad_out, grads, "conv2", "bn2")
+    g = ctx.unit1(g, grads, "conv1", "bn1")
     if p.shortcut_proj is None:
         return g + grad_out, grads
-    gsc, grads["shortcut_proj.weight"], _ = conv2d_backward(ctx.unit1.x, p.shortcut_proj, grad_out)
+    gsc, grads["shortcut_proj.weight"], _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
     return g + gsc, grads

@@ -139,8 +139,8 @@ def _unpack_array_records(r: _Reader) -> dict[str, np.ndarray]:
             raise FormatError(
                 f"checkpoint truncated inside {name!r}: needed {nbytes} more bytes"
             )
-        data = np.frombuffer(r.take(nbytes), dtype=dt.newbyteorder("<")).astype(dt)
-        arrays[name] = data.reshape(shape).copy()
+        data = np.frombuffer(r.take(nbytes), dtype=dt.newbyteorder("<"))
+        arrays[name] = data.astype(dt).reshape(shape)  # one writable native-order copy
     return arrays
 
 
@@ -252,4 +252,4 @@ def restore_params(params_arrays: dict[str, np.ndarray], ckpt: Checkpoint) -> No
         if name.endswith(".running_var") and not np.all(src > 0):
             raise FormatError(f"{name}: checkpoint running variance must be positive")
     for name, arr in params_arrays.items():
-        arr[:] = ckpt.arrays[name].astype(arr.dtype)
+        arr[:] = ckpt.arrays[name]  # the assignment casts to arr's dtype

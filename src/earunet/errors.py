@@ -17,10 +17,6 @@ class ConfigError(EarUnetError):
     """A configuration value is inconsistent or unsupported."""
 
 
-class StateError(EarUnetError):
-    """An operation was invoked in the wrong mode or with mismatched state."""
-
-
 class DegenerateBatchError(EarUnetError):
     """Batch statistics are undefined (single-element reduction)."""
 

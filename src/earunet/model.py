@@ -251,9 +251,11 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 # A train-mode forward records one backward step per layer, in forward
 # order; ``backward_from_context`` runs them in reverse.  A step maps the
 # layer's output gradient to (input gradient, parameter grads named under
-# the step's name).  Steps bind their ``B.*_backward`` when the forward
-# records them, so a tracer that patches ``blocks`` sees them only if it is
-# installed before the forward runs.
+# the step's name).  Block steps bind their ``B.*_backward`` when the
+# forward records them, so a tracer that patches ``blocks`` sees them only
+# if it is installed before the forward runs.  The stem and stage-9 steps
+# call a conv unit's backward closure (``B.conv_bn_act``), which, like the
+# blocks' backwards, looks its kernels up in ``blocks`` when it runs.
 Step = Callable[[np.ndarray], tuple[np.ndarray, B.GradDict]]
 Tape = list[tuple[str, Step]]
 
@@ -269,9 +271,9 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
         raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
 
 
-def _unit_step(ctx: B.ConvBnCtx, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
+def _unit_step(unit: B.UnitBackward, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
     grads: B.GradDict = {}
-    return B.conv_bn_act_backward(ctx, g, grads, "conv", "bn"), grads
+    return unit(g, grads, "conv", "bn"), grads
 
 
 def _gate_step(

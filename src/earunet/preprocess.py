@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EarUnetError, InputError, ParameterError, ShapeError
+from .tensor import bilinear_taps
 from .volumes import CtVolume, LabelVolume
 
 HU_WINDOW = (-200.0, 200.0)
@@ -82,15 +83,8 @@ def hist_equalize(v: CtVolume) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
-def _z_positions(d: int, sz: float, target: float) -> np.ndarray:
-    new_d = int(np.floor((d - 1) * sz / target)) + 1
-    return np.arange(new_d, dtype=np.float64) * target / sz
-
-
-def resample_z(
-    v: CtVolume | LabelVolume, target_sz: float = TARGET_SLICE_SPACING_MM, kind: str = "linear"
-):
-    """Resample the slice axis to a fixed physical spacing.
+def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
+    """Resample the slice axis to target = TARGET_SLICE_SPACING_MM.
 
     New depth is floor((d-1)*sz/target)+1; output slice i sits at physical
     depth i*target.  Images interpolate linearly between neighbor slices,
@@ -102,8 +96,9 @@ def resample_z(
     if kind not in ("linear", "nearest"):
         raise ParameterError(f"kind must be linear or nearest, got {kind!r}")
     sz, sy, sx = v.spacing
-    pos = _z_positions(d, sz, target_sz)
-    spacing = (float(target_sz), sy, sx)
+    target = TARGET_SLICE_SPACING_MM
+    pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
+    spacing = (target, sy, sx)
     if kind == "nearest":
         idx = np.minimum(np.floor(pos + 0.5).astype(np.intp), d - 1)
         return type(v)(v.voxels[idx], spacing)
@@ -138,19 +133,6 @@ def crop_liver_range(v: CtVolume, m: LabelVolume) -> tuple[CtVolume, LabelVolume
     )
 
 
-def _resize_coords(src: int, dst: int) -> np.ndarray:
-    """Half-pixel-center source coordinates, clamped to the valid range."""
-    return np.clip((np.arange(dst, dtype=np.float64) + 0.5) * src / dst - 0.5, 0.0, src - 1)
-
-
-def _bilinear_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower and upper source index, and the upper weight, of each
-    destination index of a bilinear resize along one axis."""
-    s = _resize_coords(src, dst)
-    i0 = np.floor(s).astype(np.intp)
-    return i0, np.minimum(i0 + 1, src - 1), s - i0
-
-
 def _bilinear_combine(img, y0, y1, fy, x0, x1, fx) -> np.ndarray:
     """Weighted sum of the four taps of every output pixel, in float64:
     a*(1-fy)*(1-fx) + b*(1-fy)*fx + c*fy*(1-fx) + d*fy*fx, left to right,
@@ -174,14 +156,16 @@ def _bilinear_combine(img, y0, y1, fy, x0, x1, fx) -> np.ndarray:
 def resize_plane_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of one or a stack of 2-D planes (leading axes kept)."""
     h, w = img.shape[-2], img.shape[-1]
-    return _bilinear_combine(img, *_bilinear_taps(h, out_h), *_bilinear_taps(w, out_w))
+    return _bilinear_combine(img, *bilinear_taps(h, out_h), *bilinear_taps(w, out_w))
 
 
 def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Nearest-neighbor resize: each output pixel takes the nearer of its
+    two bilinear taps, the upper one on a tie."""
     h, w = img.shape[-2], img.shape[-1]
-    ys = np.minimum(np.floor(_resize_coords(h, out_h) + 0.5).astype(np.intp), h - 1)
-    xs = np.minimum(np.floor(_resize_coords(w, out_w) + 0.5).astype(np.intp), w - 1)
-    return img[..., ys[:, None], xs[None, :]]
+    y0, y1, fy = bilinear_taps(h, out_h)
+    x0, x1, fx = bilinear_taps(w, out_w)
+    return img[..., np.where(fy < 0.5, y0, y1)[:, None], np.where(fx < 0.5, x0, x1)[None, :]]
 
 
 def _check_plane(h: int, w: int) -> None:
@@ -227,13 +211,13 @@ def preprocess_volume(image: CtVolume, size: int = SLICE_SIZE) -> CtVolume:
     v = _stage("hu_window", hu_window, image)
     v = _stage("hist_equalize", hist_equalize, v)
     h, w = v.dims[1], v.dims[2]
-    y0, y1, fy = _bilinear_taps(h, size)
-    x0, x1, fx = _bilinear_taps(w, size)
+    y0, y1, fy = bilinear_taps(h, size)
+    x0, x1, fx = bilinear_taps(w, size)
     rows, ry = np.unique(np.concatenate([y0, y1]), return_inverse=True)
     cols, cx = np.unique(np.concatenate([x0, x1]), return_inverse=True)
     grid = CtVolume(np.take(np.take(v.voxels, rows, axis=1), cols, axis=2), v.spacing)
     del v  # the full-resolution planes are no longer needed
-    z = _stage("resample_z", resample_z, grid, TARGET_SLICE_SPACING_MM, "linear")
+    z = _stage("resample_z", resample_z, grid)
     _stage("resize_slices", _check_plane, h, w)
     out = _bilinear_combine(z.voxels, ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)
     return CtVolume(out.astype(np.float32), _resized_spacing(z.spacing, h, w, size))
@@ -256,7 +240,7 @@ def preprocess_case(
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
     v = preprocess_volume(image, size)
-    m = _stage("resample_z", resample_z, mask, TARGET_SLICE_SPACING_MM, "nearest")
+    m = _stage("resample_z", resample_z, mask, kind="nearest")
     v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m)
     m = _stage("resize_slices", resize_slices, m, size)
     return [

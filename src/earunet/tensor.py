@@ -399,14 +399,19 @@ def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.nd
 # resampling
 
 
+def bilinear_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower and upper source index, and the upper weight, of each of the dst
+    indices of a bilinear resize from src samples: destination index d reads
+    coordinate (d+0.5)*src/dst - 0.5 (half-pixel centers) clamped to [0, src-1]."""
+    s = np.clip((np.arange(dst, dtype=np.float64) + 0.5) * src / dst - 0.5, 0.0, src - 1)
+    i0 = np.floor(s).astype(np.intp)
+    return i0, np.minimum(i0 + 1, src - 1), s - i0
+
+
 @lru_cache(maxsize=64)
 def _upsample2x_matrix(size: int, dtype_name: str) -> np.ndarray:
-    """(2*size, size) interpolation matrix for half-pixel-center bilinear 2x."""
-    src = (np.arange(2 * size, dtype=np.float64) + 0.5) / 2.0 - 0.5
-    src = np.clip(src, 0.0, size - 1)
-    i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, size - 1)
-    f = src - i0
+    """(2*size, size) interpolation matrix for bilinear 2x (``bilinear_taps``)."""
+    i0, i1, f = bilinear_taps(size, 2 * size)
     m = np.zeros((2 * size, size), dtype=np.dtype(dtype_name))
     rows = np.arange(2 * size)
     np.add.at(m, (rows, i0), (1.0 - f).astype(m.dtype))
@@ -416,11 +421,8 @@ def _upsample2x_matrix(size: int, dtype_name: str) -> np.ndarray:
 
 
 def upsample_bilinear_2x(x: Tensor4) -> Tensor4:
-    """Double both spatial dims; half-pixel-center sampling with edge clamp.
-
-    Source coordinate for destination index d is (d+0.5)/2 - 0.5, clamped
-    to the valid range.
-    """
+    """Double both spatial dims by the bilinear resize of ``bilinear_taps``:
+    half-pixel-center sampling with edge clamp."""
     n, c, h, w = x.dims
     dt = x.data.dtype.name
     wh = _upsample2x_matrix(h, dt)

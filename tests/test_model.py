@@ -425,6 +425,17 @@ class TestCheckpoint:
             restore_params(live, ckpt)
         assert {k: v.tobytes() for k, v in live.items()} == before
 
+    def test_loaded_arrays_are_writable_and_restore_casts(self, tmp_path):
+        cfg, params, _, path = self.make(tmp_path)
+        loaded = load_checkpoint(path)
+        assert all(a.flags.writeable and a.dtype.isnative for a in loaded.arrays.values())
+        # float64 blobs restore into the float32 model through the assignment's cast
+        loaded.arrays = {k: v.astype(np.float64) for k, v in loaded.arrays.items()}
+        live = M.named_state(M.build_model(cfg, np.random.default_rng(999)))
+        restore_params(live, loaded)
+        for k, v in M.named_state(params).items():
+            assert live[k].dtype == v.dtype and np.array_equal(live[k], v), k
+
     def test_moments_round_trip(self, tmp_path):
         _, _, ckpt, path = self.make(tmp_path, with_moments=True)
         loaded = load_checkpoint(path)

@@ -7,6 +7,7 @@ from earunet.errors import InputError
 from earunet.preprocess import (
     CROP_MARGIN_SLICES,
     EQUALIZE_BINS,
+    TARGET_SLICE_SPACING_MM,
     crop_liver_range,
     hist_equalize,
     hu_window,
@@ -45,22 +46,26 @@ def test_case_images_are_the_volume_chain_cropped():
     assert np.array_equal(np.stack([p.image for p in pairs]), volume[lo : hi + 1])
 
 
-@pytest.mark.parametrize("sz,target", [(2.5, 1.0), (3.0, 0.7), (1.0, 1.6)])
-def test_resample_z_linear_matches_naive(sz, target):
+# input slice spacing num/den mm: z ratios 2.5, 30/7 and 0.625 against the 1 mm target
+@pytest.mark.parametrize("num,den", [(2.5, 1.0), (3.0, 0.7), (1.0, 1.6)])
+def test_resample_z_linear_matches_naive(num, den):
+    sz, target = num / den, TARGET_SLICE_SPACING_MM
     rng = np.random.default_rng(1)
     vox = rng.random((6, 5, 4), dtype=np.float32)
-    got = resample_z(CtVolume(vox, (sz, 0.8, 0.9)), target, "linear")
+    got = resample_z(CtVolume(vox, (sz, 0.8, 0.9)), "linear")
     want = resample_z_naive(vox, sz, target, "linear")
     assert got.voxels.dtype == np.float32
     assert got.spacing == (target, 0.8, 0.9)
     assert np.array_equal(got.voxels, want.astype(np.float32))
 
 
-@pytest.mark.parametrize("sz,target", [(2.5, 1.0), (1.0, 2.0), (1.0, 1.6)])
-def test_resample_z_nearest_matches_naive(sz, target):
+# z ratios 2.5, 0.5 and 0.625
+@pytest.mark.parametrize("num,den", [(2.5, 1.0), (1.0, 2.0), (1.0, 1.6)])
+def test_resample_z_nearest_matches_naive(num, den):
+    sz, target = num / den, TARGET_SLICE_SPACING_MM
     rng = np.random.default_rng(2)
     mask = (rng.random((7, 4, 5)) < 0.5).astype(np.uint8)
-    got = resample_z(LabelVolume(mask, (sz, 1.0, 1.0)), target, "nearest")
+    got = resample_z(LabelVolume(mask, (sz, 1.0, 1.0)), "nearest")
     assert isinstance(got, LabelVolume)
     assert np.array_equal(got.voxels, resample_z_naive(mask, sz, target, "nearest"))
     assert not np.shares_memory(got.voxels, mask)

@@ -13,6 +13,7 @@ import pytest
 from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
+from earunet.preprocess import resize_plane_bilinear
 from oracles import conv2d_backward_naive, conv2d_naive, max_rel_err, numeric_grad
 
 GRAD_TOL = 1e-3
@@ -542,27 +543,38 @@ class TestUpsampleBilinear2x:
 
         assert max_rel_err(g, numeric_grad(loss, x0)) < GRAD_TOL
 
+    @pytest.mark.parametrize("h", [1, 3, 8])
+    @pytest.mark.parametrize("w", [1, 3, 8])
+    def test_matches_slice_resize(self, h, w):
+        # the upsample and the preprocessing resize share one tap rule
+        x = np.random.default_rng(16).standard_normal((2, 3, h, w))
+        want = resize_plane_bilinear(x, 2 * h, 2 * w)
+        np.testing.assert_allclose(T.upsample_bilinear_2x(t4(x)).data, want, rtol=0, atol=1e-12)
+
 
 class TestLinear:
-    """SE's affine rows ``x @ W + b``: ``SeCtx.h1`` from the channel means."""
+    """SE's affine rows ``x @ W + b`` from the channel means, read through
+    ``SeCtx.act1[0]``: the sigmoid of the rows, which the swish saves."""
 
     @staticmethod
-    def h1(x, w, b):
+    def sigmoid_rows(x, w, b):
         c, cs = w.shape
         p = B.SeBlockParams(B.LinearParams(w, b), B.LinearParams(np.ones((cs, c)), np.zeros(c)))
-        return B.se_block_forward(t4(x), p)[1].h1.data[:, :, 0, 0]
+        return B.se_block_forward(t4(x), p)[1].act1[0][:, :, 0, 0]
 
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])[None, :, None, None]
-        assert np.array_equal(self.h1(x, np.eye(3), np.zeros(3)), [[1.0, -2.0, 3.0]])
+        got = self.sigmoid_rows(x, np.eye(3), np.zeros(3))
+        assert np.array_equal(got, T._sigmoid(np.array([[1.0, -2.0, 3.0]])))
 
     def test_manual_dot(self):
-        y = self.h1(np.ones((1, 2, 2, 2)), np.array([[1.0], [1.0]]), np.array([0.5]))
-        assert np.allclose(y, [[2.5]])
+        y = self.sigmoid_rows(np.ones((1, 2, 2, 2)), np.array([[1.0], [1.0]]), np.array([0.5]))
+        assert np.array_equal(y, T._sigmoid(np.array([[2.5]])))
 
     def test_zero_input_gives_bias(self):
         b = np.array([0.1, 0.2])
-        assert np.array_equal(self.h1(np.zeros((2, 3, 2, 2)), np.ones((3, 2)), b), [b, b])
+        got = self.sigmoid_rows(np.zeros((2, 3, 2, 2)), np.ones((3, 2)), b)
+        assert np.array_equal(got, T._sigmoid(np.array([b, b])))
 
     def test_batched_rows(self):
         # each sample's gate depends on that sample alone
@@ -572,7 +584,7 @@ class TestLinear:
         out, ctx = B.se_block_forward(t4(x), p)
         for i in range(5):
             one_out, one = B.se_block_forward(t4(x[i : i + 1]), p)
-            assert np.allclose(ctx.h1.data[i], one.h1.data[0], rtol=0, atol=1e-12)
+            assert np.allclose(ctx.act1[0][i], one.act1[0][0], rtol=0, atol=1e-12)
             assert np.allclose(out.data[i], one_out.data[0], rtol=0, atol=1e-12)
 
 

@@ -1,14 +1,15 @@
 """Composite network blocks built from the tensor kernels.
 
 Each block is a pure function pair: ``*_forward`` returns the output plus
-a context of saved intermediates, ``*_backward`` consumes that context and
-the output gradient and returns the input gradient together with a dict of
-parameter gradients.  Its keys are the dotted field paths of the block's
-parameter dataclass that ``named_arrays`` yields as trainable
-("fc1.weight", "se.fc2.bias", ...).
+a context of saved intermediates, ``*_backward(ctx, grad_out, grads)``
+consumes that context and the output gradient, returns the input gradient
+and writes the gradient of every trainable array the block read into
+``grads``, keyed by ``id(array)``.  Backwards name no parameter: the caller
+names the gradients from its own walk of the arrays (``named_arrays``).
 
 A train-mode conv -> BN -> activation unit (``conv_bn_act``) returns its
-backward as a closure over its saved values; its block's context holds it.
+backward ``(grad_out, grads) -> grad_in`` as a closure over its saved
+values; its block's context holds it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .tensor import (
     conv2d_backward,
 )
 
-GradDict = dict[str, np.ndarray]
-# a train-mode conv unit's backward: (grad_out, grads, conv_name, bn_name) -> input gradient
-UnitBackward = Callable[[np.ndarray, GradDict, str, str], np.ndarray]
+GradDict = dict[int, np.ndarray]  # id(array) -> its gradient
+# a backward step, e.g. a train-mode conv unit's: (grad_out, grads) -> input gradient
+Step = Callable[[np.ndarray, GradDict], np.ndarray]
 
 
 @dataclass
@@ -165,8 +166,8 @@ def se_squeeze_width(c: int) -> int:
     return max(1, round(c / 4))
 
 
-def init_se(rng, c, c_squeeze=None, dtype=np.float32) -> SeBlockParams:
-    cs = se_squeeze_width(c) if c_squeeze is None else c_squeeze
+def init_se(rng, c, dtype=np.float32) -> SeBlockParams:
+    cs = se_squeeze_width(c)
     return SeBlockParams(fc1=init_linear(rng, c, cs, dtype), fc2=init_linear(rng, cs, c, dtype))
 
 
@@ -239,12 +240,12 @@ def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
 
 def conv_bn_act(
     x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str, kind: str | None = None
-) -> tuple[Tensor4, UnitBackward | None]:
+) -> tuple[Tensor4, Step | None]:
     """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation.
 
     Train mode runs conv2d -> batchnorm2d -> activate and returns its backward
-    ``(grad_out, grads, conv_name, bn_name) -> grad_x``, which writes
-    ``{conv_name}.weight`` and ``{bn_name}.gamma``/``.beta`` into grads.
+    ``(grad_out, grads) -> grad_x``, which writes the gradients of the conv
+    weight and the BN gamma and beta into grads.
     Infer mode runs one conv with the BN folded in (``_fold_bn``), returns
     None for it, and matches the running-stat BN formula to float rounding.
     Any other mode raises ParameterError.
@@ -257,11 +258,11 @@ def conv_bn_act(
     out, saved = batchnorm2d(conv2d(x, conv), bn)
     out, act = (out, None) if kind is None else activate(out, kind)
 
-    def backward(g: np.ndarray, grads: GradDict, conv_name: str, bn_name: str) -> np.ndarray:
+    def backward(g: np.ndarray, grads: GradDict) -> np.ndarray:
         if kind is not None:
             g = activate_backward(act, kind, g)
-        g, grads[f"{bn_name}.gamma"], grads[f"{bn_name}.beta"] = batchnorm2d_backward(saved, bn, g)
-        g, grads[f"{conv_name}.weight"], _ = conv2d_backward(x, conv, g)
+        g, grads[id(bn.gamma)], grads[id(bn.beta)] = batchnorm2d_backward(saved, bn, g)
+        g, grads[id(conv.weight)], _ = conv2d_backward(x, conv, g)
         return g
 
     return out, backward
@@ -294,7 +295,7 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
     return Tensor4(x.data * s), SeCtx(p, x, v, act1, s)
 
 
-def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
+def se_block_backward(ctx: SeCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
     p, x = ctx.p, ctx.x
     dt = x.data.dtype
     grad_x = grad_out * ctx.s
@@ -305,13 +306,12 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
     # each pixel's share of its channel mean
     dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.h * x.w), dtype=dt)
     grad_x = grad_x + dx_mean.astype(dt, copy=False)[:, :, None, None]
-    grads = {
-        "fc1.weight": (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False),
-        "fc1.bias": dh1.sum(axis=0),
-        "fc2.weight": (ctx.act1[1].reshape(x.n, -1).T @ dh2).astype(p.fc2.weight.dtype, copy=False),
-        "fc2.bias": dh2.sum(axis=0),
-    }
-    return grad_x, grads
+    grads[id(p.fc1.weight)] = (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False)
+    grads[id(p.fc1.bias)] = dh1.sum(axis=0)
+    grads[id(p.fc2.weight)] = (ctx.act1[1].reshape(x.n, -1).T @ dh2).astype(
+        p.fc2.weight.dtype, copy=False)
+    grads[id(p.fc2.bias)] = dh2.sum(axis=0)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +322,10 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray) -> tuple[np.ndarray, Gra
 class MbConvCtx:
     p: MbConvParams
     # the conv units' backwards; None in infer mode, expand also without expansion
-    expand: UnitBackward | None
-    dw: UnitBackward | None
+    expand: Step | None
+    dw: Step | None
     se_ctx: SeCtx
-    proj: UnitBackward | None
+    proj: Step | None
     # per-sample drop-connect factor, 0 or 1/survive_p; None when nothing was drawn
     scale: np.ndarray | None
 
@@ -354,19 +354,16 @@ def mbconv_forward(
     return y, MbConvCtx(p, expand, dw, se_ctx, proj, scale)
 
 
-def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
-    p = ctx.p
-    grads: GradDict = {}
+def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
     g = grad_out
     if ctx.scale is not None:
         g = g * ctx.scale[:, None, None, None]
-    g = ctx.proj(g, grads, "project_conv", "project_bn")
-    g, se_grads = se_block_backward(ctx.se_ctx, g)
-    grads.update({f"se.{k}": v for k, v in se_grads.items()})
-    g = ctx.dw(g, grads, "dw_conv", "dw_bn")
+    g = ctx.proj(g, grads)
+    g = se_block_backward(ctx.se_ctx, g, grads)
+    g = ctx.dw(g, grads)
     if ctx.expand is not None:
-        g = ctx.expand(g, grads, "expand_conv", "expand_bn")
-    return (grad_out + g if p.has_shortcut else g), grads
+        g = ctx.expand(g, grads)
+    return grad_out + g if ctx.p.has_shortcut else g
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +399,22 @@ def attention_gate_forward(
     return y, GateCtx(p, x, g, relu_out, alpha)
 
 
-def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, GradDict]:
+def attention_gate_backward(
+    ctx: GateCtx, grad_out: np.ndarray, grads: GradDict
+) -> tuple[np.ndarray, np.ndarray]:
     p, x = ctx.p, ctx.x
     grad_x = grad_out * ctx.alpha
     dalpha = np.sum(grad_out * x.data, axis=1, keepdims=True, dtype=np.float64).astype(
         x.data.dtype
     )
     dpsi_pre = activate_backward(ctx.alpha, "sigmoid", dalpha)
-    drelu, gw_psi, gb_psi = conv2d_backward(ctx.relu_out, p.psi, dpsi_pre)
+    drelu, grads[id(p.psi.weight)], grads[id(p.psi.bias)] = conv2d_backward(
+        ctx.relu_out, p.psi, dpsi_pre
+    )
     dsum = activate_backward(ctx.relu_out.data, "relu", drelu)
-    dx2, gw_wx, _ = conv2d_backward(x, p.wx, dsum)
-    dg, gw_wg, _ = conv2d_backward(ctx.g, p.wg, dsum)
-    grad_x = grad_x + dx2
-    grads = {"wx.weight": gw_wx, "wg.weight": gw_wg, "psi.weight": gw_psi, "psi.bias": gb_psi}
-    return grad_x, dg, grads
+    dx2, grads[id(p.wx.weight)], _ = conv2d_backward(x, p.wx, dsum)
+    dg, grads[id(p.wg.weight)], _ = conv2d_backward(ctx.g, p.wg, dsum)
+    return grad_x + dx2, dg
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +425,8 @@ def attention_gate_backward(ctx: GateCtx, grad_out: np.ndarray) -> tuple[np.ndar
 class ResCtx:
     p: ResBlockParams
     x: Tensor4  # block input, read by the shortcut's backward
-    unit1: UnitBackward | None  # the conv units' backwards; None in infer mode
-    unit2: UnitBackward | None
+    unit1: Step | None  # the conv units' backwards; None in infer mode
+    unit2: Step | None
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:
@@ -443,12 +442,11 @@ def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Te
     return y, ResCtx(p, x, unit1, unit2)
 
 
-def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray) -> tuple[np.ndarray, GradDict]:
+def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
     p = ctx.p
-    grads: GradDict = {}
-    g = ctx.unit2(grad_out, grads, "conv2", "bn2")
-    g = ctx.unit1(g, grads, "conv1", "bn1")
+    g = ctx.unit2(grad_out, grads)
+    g = ctx.unit1(g, grads)
     if p.shortcut_proj is None:
-        return g + grad_out, grads
-    gsc, grads["shortcut_proj.weight"], _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
-    return g + gsc, grads
+        return g + grad_out
+    gsc, grads[id(p.shortcut_proj.weight)], _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
+    return g + gsc

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -197,10 +197,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
     for spec in specs[1:-1]:
         blocks: list[B.MbConvParams] = []
         for layer in range(spec.layers):
-            if mb_total > 1:
-                survive = 1.0 - DROP_CONNECT_RATE * mb_index / (mb_total - 1)
-            else:
-                survive = 1.0
+            survive = 1.0 - DROP_CONNECT_RATE * mb_index / (mb_total - 1)
             blocks.append(
                 B.init_mbconv(
                     rng,
@@ -250,14 +247,16 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 
 # A train-mode forward records one backward step per layer, in forward
 # order; ``backward_from_context`` runs them in reverse.  A step maps the
-# layer's output gradient to (input gradient, parameter grads named under
-# the step's name).  Block steps bind their ``B.*_backward`` when the
-# forward records them, so a tracer that patches ``blocks`` sees them only
-# if it is installed before the forward runs.  The stem and stage-9 steps
-# call a conv unit's backward closure (``B.conv_bn_act``), which, like the
-# blocks' backwards, looks its kernels up in ``blocks`` when it runs.
-Step = Callable[[np.ndarray], tuple[np.ndarray, B.GradDict]]
-Tape = list[tuple[str, Step]]
+# layer's output gradient to its input gradient and writes the gradient of
+# each parameter array it read into the shared grads, keyed by the array's
+# id; a gate step also leaves its skip's gradient there for the tap step
+# of the skip's encoder stage.  Block steps bind their ``B.*_backward``
+# when the forward records them, so a tracer that patches ``blocks`` sees
+# them only if it is installed before the forward runs.  The stem and
+# stage-9 steps are the conv units' backward closures (``B.conv_bn_act``),
+# which, like the blocks' backwards, look their kernels up in ``blocks``
+# when they run.
+Tape = list[B.Step]
 
 
 def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
@@ -271,61 +270,48 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
         raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
 
 
-def _unit_step(unit: B.UnitBackward, g: np.ndarray) -> tuple[np.ndarray, B.GradDict]:
-    grads: B.GradDict = {}
-    return unit(g, grads, "conv", "bn"), grads
-
-
-def _gate_step(
-    ctx: B.GateCtx, up_in: Tensor4, skip_grads: dict[int, np.ndarray], stage: int, g: np.ndarray
-) -> tuple[np.ndarray, B.GradDict]:
+def _gate_step(ctx: B.GateCtx, up_in: Tensor4, g: np.ndarray, grads: B.GradDict) -> np.ndarray:
     """Backward of upsample -> gate -> concat; the skip's gradient waits in
-    skip_grads for the tap step of its encoder stage."""
+    grads, under its array's id, for the tap step of its encoder stage."""
     gated_c = ctx.x.c
-    skip_grads[stage], g_up_gate, grads = B.attention_gate_backward(ctx, g[:, :gated_c])
-    return upsample_bilinear_2x_backward(up_in, g[:, gated_c:] + g_up_gate), grads
+    grads[id(ctx.x.data)], g_up_gate = B.attention_gate_backward(ctx, g[:, :gated_c], grads)
+    return upsample_bilinear_2x_backward(up_in, g[:, gated_c:] + g_up_gate)
 
 
-def _tap_step(
-    skip_grads: dict[int, np.ndarray], stage: int, g: np.ndarray
-) -> tuple[np.ndarray, B.GradDict]:
-    return g + skip_grads[stage], {}
+def _tap_step(skip: np.ndarray, g: np.ndarray, grads: B.GradDict) -> np.ndarray:
+    return g + grads.pop(id(skip))
 
 
 def _head_step(
-    x: Tensor4, conv: ConvParams, y: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, B.GradDict]:
+    x: Tensor4, conv: ConvParams, y: np.ndarray, g: np.ndarray, grads: B.GradDict
+) -> np.ndarray:
     g = activate_backward(y, "sigmoid", g)
-    g, gw, gb = conv2d_backward(x, conv, g)
-    return g, {"conv.weight": gw, "conv.bias": gb}
+    g, grads[id(conv.weight)], grads[id(conv.bias)] = conv2d_backward(x, conv, g)
+    return g
 
 
-def _record(tape: Tape | None, name: str, result: tuple, step, *saved) -> Tensor4:
-    """A layer's output; a train-mode tape also records its backward step,
-    which holds the layer's context.  Without a tape the context is dropped."""
+def _record(tape: Tape | None, result: tuple, step=None, *saved) -> Tensor4:
+    """A layer's output; a train-mode tape also records its backward: `step`
+    bound to the layer's context, or with no `step` the context itself, a
+    conv unit's closure.  Without a tape the context is dropped."""
     out, ctx = result
     if tape is not None:
-        tape.append((name, partial(step, ctx, *saved)))
+        tape.append(ctx if step is None else partial(step, ctx, *saved))
     return out
 
 
 def _decoder_level(
     tape: Tape | None,
-    name: str,
     feats: Tensor4,
     skip: Tensor4,
     gate: B.AttentionGateParams,
     res: B.ResBlockParams,
     mode: str,
-    skip_grads: dict[int, np.ndarray],
-    stage: int,
 ) -> Tensor4:
     up = upsample_bilinear_2x(feats)
-    gated = _record(tape, f"{name}.gate", B.attention_gate_forward(skip, up, gate),
-                    _gate_step, feats, skip_grads, stage)
+    gated = _record(tape, B.attention_gate_forward(skip, up, gate), _gate_step, feats)
     cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
-    return _record(tape, f"{name}.res", B.residual_block_forward(cat, res, mode),
-                   B.residual_block_backward)
+    return _record(tape, B.residual_block_forward(cat, res, mode), B.residual_block_backward)
 
 
 def _run_forward(
@@ -350,35 +336,29 @@ def _run_forward(
     if tape is not None and rng is None:
         raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
     skips: dict[int, Tensor4] = {}
-    skip_grads: dict[int, np.ndarray] = {}  # filled by gate steps, read by tap steps
 
     def tap(stage: int, feats: Tensor4) -> None:
         """Keep a skip stage's output for its decoder level."""
         if stage in SKIP_STAGES:
             skips[stage] = feats
             if tape is not None:
-                tape.append((f"encoder.stage{stage}", partial(_tap_step, skip_grads, stage)))
+                tape.append(partial(_tap_step, feats.data))
 
-    feats = _record(tape, "encoder.stage1",
-                    B.conv_bn_act(x, params.stem_conv, params.stem_bn, mode, "swish"), _unit_step)
+    feats = _record(tape, B.conv_bn_act(x, params.stem_conv, params.stem_bn, mode, "swish"))
     tap(1, feats)
     for si, stage in enumerate(params.stages, start=2):
-        for bi, blk in enumerate(stage):
-            feats = _record(tape, f"encoder.stage{si}.block{bi}",
-                            B.mbconv_forward(feats, blk, mode, rng), B.mbconv_backward)
+        for blk in stage:
+            feats = _record(tape, B.mbconv_forward(feats, blk, mode, rng), B.mbconv_backward)
         tap(si, feats)
 
-    feats = _record(tape, "encoder.stage9",
-                    B.conv_bn_act(feats, params.head_conv9, params.head_bn9, mode, "swish"),
-                    _unit_step)
+    feats = _record(tape, B.conv_bn_act(feats, params.head_conv9, params.head_bn9, mode, "swish"))
     for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
         si = SKIP_STAGES[-li]
-        feats = _decoder_level(tape, f"decoder.level{li}", feats, skips.pop(si), gate, res, mode,
-                               skip_grads, si)
+        feats = _decoder_level(tape, feats, skips.pop(si), gate, res, mode)
 
     y = activate(conv2d(feats, params.out_conv), "sigmoid")[0]
     if tape is not None:
-        tape.append(("head", partial(_head_step, feats, params.out_conv, y.data)))
+        tape.append(partial(_head_step, feats, params.out_conv, y.data))
     return y, tape
 
 
@@ -407,14 +387,19 @@ def forward_training(
 
 def backward_from_context(
     params: ModelParams, ctx: Tape, grad_out: np.ndarray
-) -> tuple[B.GradDict, np.ndarray]:
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Run the tape of ``forward_training`` in reverse; returns (parameter
-    grads, input grad).  ``params`` is unused: each step holds the
-    parameters its layer read.  A tape can be run more than once."""
+    grads, input grad), the grads named and ordered as ``iter_params``
+    yields the trainable arrays of ``params``.  Raises ParameterError when
+    the arrays the tape wrote are not exactly those, e.g. for a tape
+    recorded with another model's params.  A tape can be run more than once."""
     grads: B.GradDict = {}
     g = grad_out
-    for name, step in reversed(ctx):
-        g, local = step(g)
-        for k, v in local.items():
-            grads[f"{name}.{k}"] = v
-    return grads, g
+    for step in reversed(ctx):
+        g = step(g, grads)
+    named = {name: grads.pop(id(arr), None) for name, arr in named_trainable(params).items()}
+    missing = [name for name, grad in named.items() if grad is None]
+    if missing or grads:
+        raise ParameterError(f"the tape was not recorded with these params: no gradient for "
+                             f"{missing[:3]} ({len(missing)} in all), {len(grads)} for other arrays")
+    return named, g

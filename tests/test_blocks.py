@@ -23,15 +23,24 @@ def t4(arr):
 BLOCK_STEP = 1e-5
 
 
-def check_param_grads(loss, params, analytic, tol=GRAD_TOL, step=BLOCK_STEP):
-    """The backward's gradient keys are the block's trainable names; then
-    finite-difference every entry of every (shared, in-place) array."""
+def named_grads(params, grads):
+    """The gradients a backward wrote under id(array), by the field path of
+    each trainable array of `params`; exactly those arrays must be written."""
     trainable = {name: arr for name, arr, tr in B.named_arrays(params) if tr}
-    assert sorted(analytic) == sorted(trainable)
-    for name, arr in trainable.items():
-        num = numeric_grad(lambda _: loss(), arr, step=step)
-        err = max_rel_err(analytic[name], num)
-        assert err < tol, f"{name}: rel err {err}"
+    assert set(grads) == {id(arr) for arr in trainable.values()}
+    return {name: grads[id(arr)] for name, arr in trainable.items()}
+
+
+def check_param_grads(loss, params, grads, tol=GRAD_TOL, step=BLOCK_STEP):
+    """The backward wrote a gradient for exactly the block's trainable
+    arrays (``named_grads``); then finite-difference every entry of every
+    (shared, in-place) array."""
+    analytic = named_grads(params, grads)
+    for name, arr, trainable in B.named_arrays(params):
+        if trainable:
+            num = numeric_grad(lambda _: loss(), arr, step=step)
+            err = max_rel_err(analytic[name], num)
+            assert err < tol, f"{name}: rel err {err}"
 
 
 class TestNamedArrays:
@@ -111,7 +120,8 @@ class TestSeBlock:
         go = rng.standard_normal(x0.shape)
 
         out, ctx = B.se_block_forward(t4(x0), p)
-        gx, grads = B.se_block_backward(ctx, go)
+        grads = {}
+        gx = B.se_block_backward(ctx, go, grads)
 
         def loss():
             return float(np.sum(go * B.se_block_forward(t4(x0), p)[0].data))
@@ -187,7 +197,8 @@ class TestMbConv:
         else:
             assert ctx.scale is None
         go = np.random.default_rng(10).standard_normal(out.dims)
-        gx, grads = B.mbconv_backward(ctx, go)
+        grads = {}
+        gx = B.mbconv_backward(ctx, go, grads)
 
         def run(x):
             y = B.mbconv_forward(t4(x), p, T.TRAIN, np.random.default_rng(1))[0]
@@ -228,7 +239,8 @@ class TestAttentionGate:
         p.psi.bias[:] = -200.0
         out, ctx = B.attention_gate_forward(x, g, p)
         go = rng.standard_normal(out.dims).astype(np.float32)
-        gx, gg, grads = B.attention_gate_backward(ctx, go)
+        grads = {}
+        gx, gg = B.attention_gate_backward(ctx, go, grads)
         tiny = np.finfo(np.float32).tiny
         assert np.all(ctx.alpha == 0)
         for arr in (out.data, gx):
@@ -269,7 +281,8 @@ class TestAttentionGate:
         p = B.init_attention_gate(rng, 3, 5, dtype=np.float64)
         out, ctx = B.attention_gate_forward(t4(x0), t4(g0), p)
         go = rng.standard_normal(out.dims)
-        gx, gg, grads = B.attention_gate_backward(ctx, go)
+        grads = {}
+        gx, gg = B.attention_gate_backward(ctx, go, grads)
 
         def run(x, g):
             return float(np.sum(go * B.attention_gate_forward(t4(x), t4(g), p)[0].data))
@@ -325,7 +338,8 @@ class TestResidualBlock:
         x0 = rng.standard_normal((2, 4, 4, 4))
         out, ctx = B.residual_block_forward(t4(x0), p, T.TRAIN)
         go = rng.standard_normal(out.dims)
-        gx, grads = B.residual_block_backward(ctx, go)
+        grads = {}
+        gx = B.residual_block_backward(ctx, go, grads)
 
         def run(x):
             return float(np.sum(go * B.residual_block_forward(t4(x), p, T.TRAIN)[0].data))
@@ -356,12 +370,14 @@ class TestResidualBlock:
         assert np.allclose(out.data, r + x.data, atol=1e-10)
 
         go = rng.standard_normal(out.dims)
-        gx, grads = B.residual_block_backward(ctx, go)
+        grads, want_grads = {}, {}
+        gx = B.residual_block_backward(ctx, go, grads)
         want_out, want_ctx = B.residual_block_forward(x, fresh, T.TRAIN)
-        want_gx, want_grads = B.residual_block_backward(want_ctx, go)
+        want_gx = B.residual_block_backward(want_ctx, go, want_grads)
         assert np.array_equal(out.data, want_out.data) and np.array_equal(gx, want_gx)
-        for k in want_grads:
-            assert np.array_equal(grads[k], want_grads[k]), k
+        got, want = named_grads(p, grads), named_grads(fresh, want_grads)
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
 
 
 # float32 tolerance of the fused infer unit against the unfused chain
@@ -445,6 +461,6 @@ class TestFusedInferUnit:
 
             monkeypatch.setattr(B, name, recording)
         grads = {}
-        g = backward(np.ones(out.dims), grads, "c", "b")
+        g = backward(np.ones(out.dims), grads)
         assert calls == ["activate_backward", "batchnorm2d_backward", "conv2d_backward"]
-        assert g.shape == x.dims and sorted(grads) == ["b.beta", "b.gamma", "c.weight"]
+        assert g.shape == x.dims and set(grads) == {id(conv.weight), id(bn.gamma), id(bn.beta)}

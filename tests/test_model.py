@@ -298,7 +298,7 @@ class TestBackward:
         x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32)))
         go = np.random.default_rng(2).standard_normal((2, 1, 32, 32))
         grads = train_grads(params, cfg, x, go, np.random.default_rng(3))
-        assert set(grads.keys()) == set(M.named_trainable(params).keys())
+        assert list(grads) == list(M.named_trainable(params))  # names and order of iter_params
         for k, g in grads.items():
             assert g.shape == M.named_trainable(params)[k].shape, k
 
@@ -322,6 +322,16 @@ class TestBackward:
         assert np.array_equal(gx_a, gx_b)
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+    def test_tape_of_other_params_is_rejected(self, micro64):
+        # gradients are keyed by the arrays the tape read, so a tape recorded
+        # with one model cannot be named by another model's parameters
+        cfg, params = micro64
+        other = M.build_model(cfg, np.random.default_rng(3), dtype=np.float64)
+        x = Tensor4(np.random.default_rng(13).random((2, 1, 32, 32)))
+        _, tape = M.forward_training(params, cfg, x, np.random.default_rng(14))
+        with pytest.raises(ParameterError, match="encoder.stage1.conv.weight"):
+            M.backward_from_context(other, tape, np.ones((2, 1, 32, 32)))
 
     def test_infer_forward_between_leaves_gradients(self, micro64):
         # an infer forward (a validation pass) between a train forward and

@@ -77,12 +77,5 @@ def augment(p: SlicePair, spec: tuple[str, ...], rng: np.random.Generator) -> Sl
         image, mask = flip_pair(image, mask)
     if "elastic" in spec:
         image, mask = elastic_pair(image, mask, rng)
-    tag = "+".join(k for k in KINDS if k in spec)
-    return SlicePair(
-        image=image,
-        mask=mask,
-        case_id=p.case_id,
-        slice_index=p.slice_index,
-        augmentation=tag,
-    )
+    return SlicePair(image=image, mask=mask, case_id=p.case_id, slice_index=p.slice_index)
 

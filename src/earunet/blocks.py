@@ -102,13 +102,16 @@ class AttentionGateParams:
 
 @dataclass
 class ResBlockParams:
-    """Two 3x3 conv+BN+ReLU stages plus an identity or 1x1-projected shortcut."""
+    """Two 3x3 conv+BN+ReLU stages plus a 1x1-projected shortcut.
+
+    A decoder level's input (gated skip + upsampled features) is always
+    wider than its output, so the shortcut always projects."""
 
     conv1: ConvParams
     bn1: BatchNormState
     conv2: ConvParams
     bn2: BatchNormState
-    shortcut_proj: ConvParams | None = None
+    shortcut_proj: ConvParams
 
 
 def named_arrays(obj, prefix: str = "") -> Iterator[tuple[str, np.ndarray, bool]]:
@@ -205,7 +208,8 @@ def init_attention_gate(rng, skip_c, gate_c, dtype=np.float32) -> AttentionGateP
 
 
 def init_res_block(rng, in_c, out_c, dtype=np.float32) -> ResBlockParams:
-    proj = None if in_c == out_c else init_conv(rng, in_c, out_c, 1, dtype=dtype)
+    # drawn before conv1, so a seed keeps giving the same arrays
+    proj = init_conv(rng, in_c, out_c, 1, dtype=dtype)
     return ResBlockParams(
         conv1=init_conv(rng, in_c, out_c, 3, dtype=dtype),
         bn1=init_bn(out_c, dtype),
@@ -430,15 +434,11 @@ class ResCtx:
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:
-    """relu(bn2(conv2(relu(bn1(conv1(x)))))) plus an identity or projected
-    shortcut, with both BNs in `mode`; spatial dims are preserved."""
+    """relu(bn2(conv2(relu(bn1(conv1(x)))))) + shortcut_proj(x), with both
+    BNs in `mode`; spatial dims are preserved."""
     r1, unit1 = conv_bn_act(x, p.conv1, p.bn1, mode, "relu")
     r2, unit2 = conv_bn_act(r1, p.conv2, p.bn2, mode, "relu")
-    if p.shortcut_proj is None:
-        sc = x.data
-    else:
-        sc = conv2d(x, p.shortcut_proj).data
-    y = Tensor4(r2.data + sc)
+    y = Tensor4(r2.data + conv2d(x, p.shortcut_proj).data)
     return y, ResCtx(p, x, unit1, unit2)
 
 
@@ -446,7 +446,5 @@ def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray, grads: GradDict) 
     p = ctx.p
     g = ctx.unit2(grad_out, grads)
     g = ctx.unit1(g, grads)
-    if p.shortcut_proj is None:
-        return g + grad_out
     gsc, grads[id(p.shortcut_proj.weight)], _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
     return g + gsc

@@ -174,10 +174,6 @@ def named_trainable(params: ModelParams) -> dict[str, np.ndarray]:
     return {name: arr for name, arr, trainable in iter_params(params) if trainable}
 
 
-def parameter_count(params: ModelParams) -> int:
-    return sum(arr.size for _, arr, trainable in iter_params(params) if trainable)
-
-
 def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) -> ModelParams:
     """Initialize all parameters for the config.
 

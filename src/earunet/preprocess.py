@@ -24,7 +24,6 @@ HU_WINDOW = (-200.0, 200.0)
 EQUALIZE_BINS = 256
 TARGET_SLICE_SPACING_MM = 1.0
 CROP_MARGIN_SLICES = 20
-SLICE_SIZE = 256
 
 
 @dataclass
@@ -35,7 +34,6 @@ class SlicePair:
     mask: np.ndarray  # (s, s) uint8
     case_id: str
     slice_index: int
-    augmentation: str = ""  # empty for unaugmented slices
 
     def __post_init__(self) -> None:
         if self.image.shape != self.mask.shape or self.image.ndim != 2:
@@ -178,7 +176,7 @@ def _resized_spacing(spacing, h: int, w: int, size: int) -> tuple[float, float, 
     return (sz, sy * h / size, sx * w / size)
 
 
-def resize_slices(v: CtVolume | LabelVolume, size: int = SLICE_SIZE):
+def resize_slices(v: CtVolume | LabelVolume, size: int):
     """Resample every slice to size x size (bilinear images, nearest masks)."""
     h, w = v.dims[1], v.dims[2]
     _check_plane(h, w)
@@ -197,7 +195,7 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def preprocess_volume(image: CtVolume, size: int = SLICE_SIZE) -> CtVolume:
+def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     """The mask-free part of the chain, as used for inference inputs:
     resize_slices(resample_z(hist_equalize(hu_window(image)))), bit for
     bit, without z-resampling whole planes.
@@ -227,7 +225,8 @@ def preprocess_case(
     image: CtVolume,
     mask: LabelVolume,
     case_id: str = "case",
-    size: int = SLICE_SIZE,
+    *,
+    size: int,
 ) -> list[SlicePair]:
     """Full training chain: window, equalize, resample z, crop to the
     labeled organ range (plus margin), resize, emit one pair per slice.

@@ -17,7 +17,6 @@ its forward saved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -408,15 +407,13 @@ def bilinear_taps(src: int, dst: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return i0, np.minimum(i0 + 1, src - 1), s - i0
 
 
-@lru_cache(maxsize=64)
-def _upsample2x_matrix(size: int, dtype_name: str) -> np.ndarray:
+def _upsample2x_matrix(size: int, dtype) -> np.ndarray:
     """(2*size, size) interpolation matrix for bilinear 2x (``bilinear_taps``)."""
     i0, i1, f = bilinear_taps(size, 2 * size)
-    m = np.zeros((2 * size, size), dtype=np.dtype(dtype_name))
+    m = np.zeros((2 * size, size), dtype=dtype)
     rows = np.arange(2 * size)
     np.add.at(m, (rows, i0), (1.0 - f).astype(m.dtype))
     np.add.at(m, (rows, i1), f.astype(m.dtype))
-    m.flags.writeable = False
     return m
 
 
@@ -424,9 +421,8 @@ def upsample_bilinear_2x(x: Tensor4) -> Tensor4:
     """Double both spatial dims by the bilinear resize of ``bilinear_taps``:
     half-pixel-center sampling with edge clamp."""
     n, c, h, w = x.dims
-    dt = x.data.dtype.name
-    wh = _upsample2x_matrix(h, dt)
-    ww = _upsample2x_matrix(w, dt)
+    wh = _upsample2x_matrix(h, x.data.dtype)
+    ww = _upsample2x_matrix(w, x.data.dtype)
     out = np.matmul(np.matmul(wh, x.data), ww.T)
     return Tensor4(np.ascontiguousarray(out))
 
@@ -437,7 +433,6 @@ def upsample_bilinear_2x_backward(x: Tensor4, grad_out: np.ndarray) -> np.ndarra
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match upsampled {(n, c, 2 * h, 2 * w)}"
         )
-    dt = x.data.dtype.name
-    wh = _upsample2x_matrix(h, dt)
-    ww = _upsample2x_matrix(w, dt)
+    wh = _upsample2x_matrix(h, x.data.dtype)
+    ww = _upsample2x_matrix(w, x.data.dtype)
     return np.ascontiguousarray(np.matmul(np.matmul(wh.T, grad_out), ww))

@@ -294,13 +294,25 @@ class TestAttentionGate:
 
 class TestResidualBlock:
     def test_zero_weights_identity(self):
+        # zero branch weights and an identity projection: the block is the identity
         rng = np.random.default_rng(17)
         p = B.init_res_block(rng, 4, 4, dtype=np.float64)
         p.conv1.weight[:] = 0
         p.conv2.weight[:] = 0
+        p.shortcut_proj.weight[:] = np.eye(4)[:, :, None, None]
         x = t4(rng.standard_normal((2, 4, 5, 5)))
         out = B.residual_block_forward(x, p, T.INFER)[0]
         assert np.allclose(out.data, x.data, atol=1e-12)
+
+    def test_equal_widths_still_project(self):
+        rng = np.random.default_rng(22)
+        p = B.init_res_block(rng, 3, 3, dtype=np.float64)
+        assert p.shortcut_proj.weight.shape == (3, 3, 1, 1)
+        x = t4(rng.standard_normal((2, 3, 4, 4)))
+        got = B.residual_block_forward(x, p, T.INFER)[0].data
+        r = B.conv_bn_act(x, p.conv1, p.bn1, T.INFER, "relu")[0]
+        r = B.conv_bn_act(r, p.conv2, p.bn2, T.INFER, "relu")[0]
+        assert np.array_equal(got, r.data + T.conv2d(x, p.shortcut_proj).data)
 
     @pytest.mark.parametrize("h,w", [(1, 1), (3, 4), (7, 5)])
     def test_spatial_dims_preserved(self, h, w):
@@ -367,7 +379,7 @@ class TestResidualBlock:
 
         r = np.maximum(bn_batch(T.conv2d(x, p.conv1).data, p.bn1), 0.0)
         r = np.maximum(bn_batch(T.conv2d(t4(r), p.conv2).data, p.bn2), 0.0)
-        assert np.allclose(out.data, r + x.data, atol=1e-10)
+        assert np.allclose(out.data, r + T.conv2d(x, p.shortcut_proj).data, atol=1e-10)
 
         go = rng.standard_normal(out.dims)
         grads, want_grads = {}, {}

@@ -113,15 +113,18 @@ class TestBuild:
         assert len(names) == len(set(names))
 
     def test_param_count_monotone_in_multipliers(self):
+        def param_count(params):
+            return sum(arr.size for arr in M.named_trainable(params).values())
+
         counts = []
         for wm in (0.1, 0.25, 0.5, 1.0):
             cfg = M.ModelConfig(64, wm, 0.25)
-            counts.append(M.parameter_count(M.build_model(cfg, np.random.default_rng(0))))
+            counts.append(param_count(M.build_model(cfg, np.random.default_rng(0))))
         assert counts == sorted(counts)
         counts = []
         for dm in (0.1, 0.5, 1.0, 1.5):
             cfg = M.ModelConfig(64, 0.25, dm)
-            counts.append(M.parameter_count(M.build_model(cfg, np.random.default_rng(0))))
+            counts.append(param_count(M.build_model(cfg, np.random.default_rng(0))))
         assert counts == sorted(counts)
 
     def test_survive_p_schedule(self):

@@ -73,8 +73,10 @@ def _pack(fmt: str, what: str, *values) -> bytes:
         raise FormatError(f"checkpoint {what} does not fit its {fmt!r} field: {e}") from e
 
 
-def _pack_array_records(arrays: dict[str, np.ndarray]) -> bytes:
-    out = [struct.pack("<I", len(arrays))]
+def _pack_array_records(arrays: dict[str, np.ndarray]) -> list:
+    """The records as bytes-like parts; each array is its own buffer, copied
+    only if it is not little-endian and contiguous."""
+    out: list = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         nb = name.encode("utf-8")
         if arr.dtype.name not in _DTYPE_CODES:
@@ -83,8 +85,8 @@ def _pack_array_records(arrays: dict[str, np.ndarray]) -> bytes:
         out.append(nb)
         out.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype.name], arr.ndim))
         out.append(_pack(f"<{arr.ndim}I", f"shape of {name!r}", *arr.shape))
-        out.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-    return b"".join(out)
+        out.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False))
+    return out
 
 
 class _Reader:
@@ -173,7 +175,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     cfg = _json_bytes(ckpt.config.to_json_dict(), "config")
     parts.append(struct.pack("<I", len(cfg)))
     parts.append(cfg)
-    parts.append(_pack_array_records(ckpt.arrays))
+    parts += _pack_array_records(ckpt.arrays)
     if ckpt.moments is None:
         parts.append(b"\x00")
     else:
@@ -181,15 +183,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         parts.append(_pack("<Q", "moments.t", ckpt.moments.t))
         moment_arrays = {f"m.{k}": v for k, v in ckpt.moments.m.items()}
         moment_arrays.update({f"v.{k}": v for k, v in ckpt.moments.v.items()})
-        parts.append(_pack_array_records(moment_arrays))
+        parts += _pack_array_records(moment_arrays)
     rng = _json_bytes(ckpt.rng_state, "rng_state") if ckpt.rng_state is not None else b""
     parts.append(struct.pack("<I", len(rng)))
     parts.append(rng)
     parts.append(_pack("<I", "epoch", ckpt.epoch))
-    payload = b"".join(parts)
-
-    blob = MAGIC + struct.pack("<I", VERSION) + payload + struct.pack("<I", zlib.crc32(payload))
-    _atomic_write(path, blob)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    _atomic_write(path, [MAGIC, struct.pack("<I", VERSION), *parts, struct.pack("<I", crc)])
 
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:

@@ -8,6 +8,12 @@ keeps CROP_MARGIN_SLICES extra slices (after resampling) on each side.
 The chain is deterministic; running it twice on the same volumes yields
 byte-identical slices.  Images are resampled bilinearly (half-pixel
 centers, edge clamp), masks with nearest neighbor so they stay binary.
+
+``preprocess_volume`` streams the image in two passes so that its memory
+is O(input + tapped grid): the first windows the volume slab by slab
+(about one 512x512 plane each) and counts the equalization bins, the
+second windows and equalizes only the rows and columns that the in-plane
+resize taps, about (2*size/h)**2 of a plane per z-resampled slice.
 """
 
 from __future__ import annotations
@@ -54,30 +60,46 @@ def hu_window(v: CtVolume) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
-def hist_equalize(v: CtVolume) -> CtVolume:
-    """Global histogram equalization over the whole volume (EQUALIZE_BINS bins).
+def _bin_index(plane: np.ndarray) -> np.ndarray:
+    """Equalization bin of each voxel, in the smallest unsigned dtype that
+    holds EQUALIZE_BINS."""
+    bins = EQUALIZE_BINS
+    return np.minimum((plane * bins).astype(np.min_scalar_type(bins)), bins - 1)
 
-    Values map to the cumulative distribution of their bin, so the output
-    is monotone nondecreasing in the input and spans (0, 1].
-    """
-    vox, bins = v.voxels, EQUALIZE_BINS
+
+def _check_unit(vox: np.ndarray) -> None:
     # written so that NaN fails the test too
     if not (vox.min() >= 0.0 and vox.max() <= 1.0):
         raise InputError(
             "histogram equalization expects finite voxels in [0,1] (window first); "
             "got non-finite or out-of-range values"
         )
-    # the smallest unsigned bin index that holds `bins`; counting and the
-    # lookup go slice by slice, so their intp index copies stay slice-sized
-    idx = np.empty(vox.shape, dtype=np.min_scalar_type(bins))
+
+
+def hist_equalize(v: CtVolume, of=None) -> CtVolume:
+    """Global histogram equalization (EQUALIZE_BINS bins).
+
+    The bins count every voxel of ``of``, an iterable of windowed volumes
+    (default ``[v]``: the whole volume); v's voxels then map to the
+    cumulative distribution of their bin, so the output is monotone
+    nondecreasing in the input and spans (0, 1].  Given the slabs of a
+    volume as ``of`` and a gather of its voxels as v, v equalizes as it
+    would inside the whole volume, with one slab held at a time.
+    """
+    bins = EQUALIZE_BINS
     hist = np.zeros(bins, dtype=np.int64)
-    for k, plane in enumerate(vox):
-        np.minimum((plane * bins).astype(idx.dtype), bins - 1, out=idx[k])
-        hist += np.bincount(idx[k].ravel(), minlength=bins)
-    cdf = (np.cumsum(hist, dtype=np.float64) / vox.size).astype(np.float32)
-    out = np.empty(vox.shape, dtype=np.float32)
-    for k, plane in enumerate(idx):
-        out[k] = cdf[plane]
+    # counting and the lookup go slice by slice, so the bin indices and
+    # their intp copies stay slice-sized
+    for part in [v] if of is None else of:
+        _check_unit(part.voxels)
+        for plane in part.voxels:
+            hist += np.bincount(_bin_index(plane).ravel(), minlength=bins)
+    if of is not None:
+        _check_unit(v.voxels)
+    cdf = (np.cumsum(hist, dtype=np.float64) / hist.sum()).astype(np.float32)
+    out = np.empty(v.dims, dtype=np.float32)
+    for k, plane in enumerate(v.voxels):
+        out[k] = cdf[_bin_index(plane)]
     return CtVolume(out, v.spacing)
 
 
@@ -198,23 +220,27 @@ def _stage(name: str, fn, *args, **kwargs):
 def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     """The mask-free part of the chain, as used for inference inputs:
     resize_slices(resample_z(hist_equalize(hu_window(image)))), bit for
-    bit, without z-resampling whole planes.
+    bit, in two passes that hold no other array as large as the input.
 
-    Windowing and equalization run at full resolution (equalization counts
-    every voxel).  Then only the rows and columns that the bilinear resize
-    taps are gathered, z-resampled, and combined with the weights of the
-    full plane.  This is exact because z-resampling acts on each pixel on
-    its own, so it commutes with a pixel gather.
+    Pass 1 windows the volume one slab at a time and counts the
+    equalization bins over every voxel.  Pass 2 gathers only the rows and
+    columns that the bilinear resize taps, windows and equalizes that grid
+    against the pass-1 counts, z-resamples it and combines it with the
+    weights of the full plane.  This is exact because windowing,
+    equalization and z-resampling act on each pixel on its own, so they
+    commute with a pixel gather.  Memory is O(input + tapped grid): the
+    grid is about (2*size/h)**2 of a plane per z-resampled slice.
     """
-    v = _stage("hu_window", hu_window, image)
-    v = _stage("hist_equalize", hist_equalize, v)
-    h, w = v.dims[1], v.dims[2]
+    d, h, w = image.dims
     y0, y1, fy = bilinear_taps(h, size)
     x0, x1, fx = bilinear_taps(w, size)
     rows, ry = np.unique(np.concatenate([y0, y1]), return_inverse=True)
     cols, cx = np.unique(np.concatenate([x0, x1]), return_inverse=True)
-    grid = CtVolume(np.take(np.take(v.voxels, rows, axis=1), cols, axis=2), v.spacing)
-    del v  # the full-resolution planes are no longer needed
+    vox, spacing = image.voxels, image.spacing
+    grid = _stage("hu_window", hu_window, CtVolume(vox[:, rows[:, None], cols], spacing))
+    step = max(1, (1 << 18) // (h * w))  # slabs of whole slices, about one 512x512 plane
+    slabs = (hu_window(CtVolume(vox[k : k + step], spacing)) for k in range(0, d, step))
+    grid = _stage("hist_equalize", hist_equalize, grid, of=slabs)
     z = _stage("resample_z", resample_z, grid)
     _stage("resize_slices", _check_plane, h, w)
     out = _bilinear_combine(z.voxels, ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)

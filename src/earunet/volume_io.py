@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -29,12 +30,14 @@ _NIFTI_DTYPES = {2: np.dtype("<u1"), 4: np.dtype("<i2"), 16: np.dtype("<f4")}
 _NIFTI_CODES = {"uint8": 2, "int16": 4, "float32": 16}
 
 
-def _atomic_write(path: str | os.PathLike, blob: bytes) -> None:
+def _atomic_write(path: str | os.PathLike, parts: Iterable) -> None:
+    """Write the bytes-like parts in order to a temp file, then rename it over path."""
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            for part in parts:
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,8 +153,9 @@ def write_nifti(
     struct.pack_into("<h", hdr, 72, vox.dtype.itemsize * 8)
     struct.pack_into("<f", hdr, 108, float(NIFTI_HEADER_SIZE + 4))
     hdr[344:348] = NIFTI_MAGIC
-    payload = vox.astype(vox.dtype.newbyteorder("<"), copy=False).tobytes()
-    _atomic_write(path, bytes(hdr) + b"\x00" * 4 + payload)
+    # the array's own buffer; a no-op astype on little-endian hosts
+    payload = vox.astype(vox.dtype.newbyteorder("<"), copy=False)
+    _atomic_write(path, (hdr, b"\x00" * 4, payload))
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,18 @@ class LabelVolume:
     def __post_init__(self) -> None:
         self.voxels = np.asarray(self.voxels)
         self.spacing = _check_geometry("mask", self.voxels, self.spacing)
-        bad = (self.voxels != 0) & (self.voxels != 1)
-        if bad.any():
-            raise ShapeError(
-                f"mask voxels must be 0/1, found {self.voxels[bad].ravel()[0]!r}"
-            )
-        if self.voxels.dtype != np.uint8:
-            self.voxels = self.voxels.astype(np.uint8)
+        vox = self.voxels
+        # bool and integer masks need one min/max reduction; other dtypes,
+        # and the search for the first bad value, go slice by slice, so no
+        # temporary is volume-sized
+        kind = vox.dtype.kind
+        if not (kind == "b" or (kind in "iu" and vox.min() >= 0 and vox.max() <= 1)):
+            for plane in vox:
+                bad = (plane != 0) & (plane != 1)
+                if bad.any():
+                    raise ShapeError(f"mask voxels must be 0/1, found {plane[bad][0]!r}")
+        if vox.dtype != np.uint8:
+            self.voxels = vox.astype(np.uint8)
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -1,5 +1,7 @@
 """Preprocessing chain tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,29 @@ def test_nan_off_the_resize_taps_fails_in_named_stage():
     hu[1, 0, 0] = np.nan  # rows 0-3 and columns 0-3 feed no 4x4 output pixel
     with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
         preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=4)
+
+
+def test_nan_in_a_partial_last_slab_fails_in_named_stage():
+    # windowing and counting go in slabs of about 2**18 voxels, here 113
+    # slices of 48x48: the depth of 300 leaves a partial last slab
+    hu = np.zeros((300, 48, 48), dtype=np.float32)
+    hu[-1, 0, 0] = np.nan  # off the 4x4 resize taps too
+    with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
+        preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=4)
+
+
+def test_preprocess_volume_holds_less_than_its_input():
+    # a LiTS-sized plane at 1 mm: no array besides the input is volume-sized
+    hu = np.random.default_rng(9).integers(-1000, 1000, (40, 512, 512)).astype(np.int16)
+    image = CtVolume(hu, (1.0, 0.7, 0.7))
+    tracemalloc.start()
+    try:
+        got = preprocess_volume(image, size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dims == (40, 64, 64)
+    assert peak < hu.nbytes, f"peak {peak} bytes for a {hu.nbytes}-byte input"
 
 
 @pytest.mark.parametrize("shape,out", [((5, 7), (12, 9)), ((9, 6), (4, 3)), ((60, 52), (8, 8))])

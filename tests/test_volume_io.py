@@ -1,6 +1,7 @@
 """NIfTI header tests: spacing and intensity scaling survive a round trip,
 and corrupt headers fail with FormatError."""
 
+import re
 import struct
 import tracemalloc
 
@@ -133,6 +134,40 @@ def test_volume_with_an_empty_axis_is_a_shape_error(cls, shape):
         cls(np.zeros(shape, dtype=np.int16 if cls is CtVolume else np.uint8), (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "dtype,value",
+    [
+        (np.uint8, 2),
+        (np.uint8, 255),
+        (np.int16, -1),
+        (np.int16, 2),
+        (np.float32, 0.5),
+        (np.float32, np.nan),
+        (np.float32, np.inf),
+    ],
+)
+def test_mask_rejects_a_non_binary_voxel_by_value(dtype, value):
+    vox = np.zeros((3, 4, 5), dtype=dtype)
+    vox[2, 1, 3] = value
+    vox[2, 3, 0] = 1  # a valid voxel after the bad one
+    with pytest.raises(ShapeError, match=re.escape(f"0/1, found {dtype(value)!r}")):
+        LabelVolume(vox, (1.0, 1.0, 1.0))
+
+
+def test_mask_names_the_first_bad_voxel():
+    vox = np.zeros((3, 4, 5), dtype=np.int16)
+    vox[1, 3, 4], vox[2, 0, 0] = 7, -3
+    with pytest.raises(ShapeError, match=r"found np\.int16\(7\)"):
+        LabelVolume(vox, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int16, np.float32])
+def test_mask_accepts_binary_voxels_as_uint8(dtype):
+    bits = np.random.default_rng(8).random((3, 4, 5)) < 0.5
+    m = LabelVolume(bits.astype(dtype), (1.0, 1.0, 1.0))
+    assert m.voxels.dtype == np.uint8 and np.array_equal(m.voxels, bits)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
 def test_round_trip_is_bit_exact(tmp_path, dtype):
     rng = np.random.default_rng(4)
@@ -224,6 +259,36 @@ def test_read_holds_one_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.voxels, vox)
     assert peak < 1.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"
+
+
+def test_read_mask_holds_one_payload(tmp_path):
+    # checking a uint8 mask for 0/1 takes reductions, not volume-sized temporaries
+    vox = (np.arange(8 * 128 * 128) % 3 == 0).astype(np.uint8).reshape(8, 128, 128)  # 128 KiB
+    path = tmp_path / "mask.nii"
+    write_nifti(LabelVolume(vox, (1.0, 1.0, 1.0)), path)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(back, LabelVolume) and np.array_equal(back.voxels, vox)
+    assert peak < 1.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"
+
+
+def test_write_holds_no_payload_copy(tmp_path):
+    # the header and the array's own buffer go to the file as they are
+    vox = (np.arange(8 * 128 * 128) % 4096 - 1024).astype(np.int16).reshape(8, 128, 128)  # 256 KiB
+    volume = CtVolume(vox, (1.0, 1.0, 1.0))
+    path = tmp_path / "ct.nii"
+    tracemalloc.start()
+    try:
+        write_nifti(volume, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(read_nifti(path).voxels, vox)
+    assert peak < 0.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"
 
 
 def test_scaled_read_holds_payload_and_output(tmp_path):

@@ -1,22 +1,26 @@
 """Composite network blocks built from the tensor kernels.
 
 Each block is a pure function pair: ``*_forward`` returns the output plus
-a context of saved intermediates, ``*_backward(ctx, grad_out, grads)``
+a context of saved intermediates, ``*_backward(ctx, ..., grad_out, grads)``
 consumes that context and the output gradient, returns the input gradient
 and writes the gradient of every trainable array the block read into
 ``grads``, keyed by ``id(array)``.  Backwards name no parameter: the caller
 names the gradients from its own walk of the arrays (``named_arrays``).
 
-A train-mode conv -> BN -> activation unit (``conv_bn_act``) returns its
-backward ``(grad_out, grads) -> grad_in`` as a closure over its saved
-values; its block's context holds it.
+Train mode saves little and recomputes the elementwise rest in backward
+(In-Place ABN, Rota Bulo et al., arXiv:1712.02616): a conv -> BN ->
+activation unit (``conv_bn_act``) keeps only BN's saved ``(xh, inv)`` in
+a ``ConvUnit``, which recomputes the unit's output from ``xh`` bit for bit.
+No conv and no ``batchnorm2d`` runs again, so the running statistics update
+once.  A backward whose input no context holds (the SE, attention-gate and
+residual blocks, and the unit) takes that input from its caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .tensor import (
     TRAIN,
     ActSaved,
     BatchNormState,
+    BnSaved,
     ConvParams,
     Tensor4,
     _sigmoid,
@@ -34,13 +39,12 @@ from .tensor import (
     activate_backward,
     batchnorm2d,
     batchnorm2d_backward,
+    bn_affine,
     conv2d,
     conv2d_backward,
 )
 
 GradDict = dict[int, np.ndarray]  # id(array) -> its gradient
-# a backward step, e.g. a train-mode conv unit's: (grad_out, grads) -> input gradient
-Step = Callable[[np.ndarray, GradDict], np.ndarray]
 
 
 @dataclass
@@ -242,14 +246,56 @@ def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
     )
 
 
+@dataclass
+class ConvUnit:
+    """A train-mode conv -> BN -> activation unit after its forward: its
+    params, its activation kind (None for none) and BN's saved ``(xh, inv)``.
+    It holds neither its input nor its output.  Its methods look their
+    kernels up in ``blocks`` when they run."""
+
+    conv: ConvParams
+    bn: BatchNormState
+    kind: str | None
+    saved: BnSaved
+
+    def output(self) -> tuple[Tensor4, ActSaved | None]:
+        """The forward's output, recomputed bit for bit from ``xh``, and what
+        ``activate`` saved for its backward (None without an activation)."""
+        out = Tensor4(bn_affine(self.saved[0], self.bn))
+        return (out, None) if self.kind is None else activate(out, self.kind)
+
+    def backward(
+        self, x: Tensor4, g: np.ndarray, grads: GradDict, act: ActSaved | None = None
+    ) -> np.ndarray:
+        """Input gradient from the unit's input `x` and output gradient `g`:
+        ``conv_backward`` of ``bn_backward``."""
+        return self.conv_backward(x, self.bn_backward(g, grads, act), grads)
+
+    def bn_backward(self, g: np.ndarray, grads: GradDict, act: ActSaved | None = None) -> np.ndarray:
+        """Gradient at the conv output from the output gradient `g`, through
+        the activation and the BN; writes the gamma and beta gradients into
+        grads.  `act` is ``output()``'s saved values if the caller already
+        recomputed them, so the activation is not recomputed twice."""
+        if self.kind is not None:
+            g = activate_backward(self.output()[1] if act is None else act, self.kind, g)
+        g, grads[id(self.bn.gamma)], grads[id(self.bn.beta)] = batchnorm2d_backward(
+            self.saved, self.bn, g)
+        return g
+
+    def conv_backward(self, x: Tensor4, g: np.ndarray, grads: GradDict) -> np.ndarray:
+        """Input gradient from the unit's input `x` and the gradient `g` at the
+        conv output; writes the conv weight's gradient into grads."""
+        g, grads[id(self.conv.weight)], _ = conv2d_backward(x, self.conv, g)
+        return g
+
+
 def conv_bn_act(
     x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str, kind: str | None = None
-) -> tuple[Tensor4, Step | None]:
+) -> tuple[Tensor4, ConvUnit | None]:
     """activation(bn(conv(x))) with BN in `mode`; kind None applies no activation.
 
-    Train mode runs conv2d -> batchnorm2d -> activate and returns its backward
-    ``(grad_out, grads) -> grad_x``, which writes the gradients of the conv
-    weight and the BN gamma and beta into grads.
+    Train mode runs conv2d -> batchnorm2d -> activate and returns the
+    ``ConvUnit`` for its backward.
     Infer mode runs one conv with the BN folded in (``_fold_bn``), returns
     None for it, and matches the running-stat BN formula to float rounding.
     Any other mode raises ParameterError.
@@ -260,16 +306,8 @@ def conv_bn_act(
     if mode != TRAIN:
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
     out, saved = batchnorm2d(conv2d(x, conv), bn)
-    out, act = (out, None) if kind is None else activate(out, kind)
-
-    def backward(g: np.ndarray, grads: GradDict) -> np.ndarray:
-        if kind is not None:
-            g = activate_backward(act, kind, g)
-        g, grads[id(bn.gamma)], grads[id(bn.beta)] = batchnorm2d_backward(saved, bn, g)
-        g, grads[id(conv.weight)], _ = conv2d_backward(x, conv, g)
-        return g
-
-    return out, backward
+    unit = ConvUnit(conv, bn, kind, saved)
+    return (out if kind is None else activate(out, kind)[0]), unit
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +317,6 @@ def conv_bn_act(
 @dataclass
 class SeCtx:
     p: SeBlockParams
-    x: Tensor4
     v: np.ndarray  # (n, c) channel means
     act1: ActSaved  # (sigmoid(h1), swish(h1)) of the fc1 output h1, each (n, c_squeeze, 1, 1)
     s: np.ndarray  # (n, c, 1, 1) sigmoid of the fc2 output, the gate
@@ -296,20 +333,21 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
     a1, act1 = activate(Tensor4((v @ p.fc1.weight + p.fc1.bias)[:, :, None, None]), "swish")
     h2 = Tensor4((a1.data.reshape(x.n, -1) @ p.fc2.weight + p.fc2.bias)[:, :, None, None])
     s = activate(h2, "sigmoid")[0].data
-    return Tensor4(x.data * s), SeCtx(p, x, v, act1, s)
+    return Tensor4(x.data * s), SeCtx(p, v, act1, s)
 
 
-def se_block_backward(ctx: SeCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
-    p, x = ctx.p, ctx.x
+def se_block_backward(ctx: SeCtx, x: Tensor4, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
+    """Gradient of the SE input `x` (the forward's input, from the caller)."""
+    p = ctx.p
     dt = x.data.dtype
-    grad_x = grad_out * ctx.s
     ds = np.sum(grad_out * x.data, axis=(2, 3), keepdims=True, dtype=np.float64).astype(dt)
     dh2 = activate_backward(ctx.s, "sigmoid", ds).reshape(x.n, -1)
     da1 = dh2 @ p.fc2.weight.T
     dh1 = activate_backward(ctx.act1, "swish", da1[:, :, None, None]).reshape(x.n, -1)
     # each pixel's share of its channel mean
     dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.h * x.w), dtype=dt)
-    grad_x = grad_x + dx_mean.astype(dt, copy=False)[:, :, None, None]
+    grad_x = grad_out * ctx.s
+    grad_x += dx_mean.astype(dt, copy=False)[:, :, None, None]
     grads[id(p.fc1.weight)] = (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False)
     grads[id(p.fc1.bias)] = dh1.sum(axis=0)
     grads[id(p.fc2.weight)] = (ctx.act1[1].reshape(x.n, -1).T @ dh2).astype(
@@ -325,11 +363,12 @@ def se_block_backward(ctx: SeCtx, grad_out: np.ndarray, grads: GradDict) -> np.n
 @dataclass
 class MbConvCtx:
     p: MbConvParams
-    # the conv units' backwards; None in infer mode, expand also without expansion
-    expand: Step | None
-    dw: Step | None
+    x: Tensor4  # block input, read by the expand (or, without one, depthwise) unit
+    # the conv units; None in infer mode, expand also without expansion
+    expand: ConvUnit | None
+    dw: ConvUnit | None
     se_ctx: SeCtx
-    proj: Step | None
+    proj: ConvUnit | None
     # per-sample drop-connect factor, 0 or 1/survive_p; None when nothing was drawn
     scale: np.ndarray | None
 
@@ -355,18 +394,27 @@ def mbconv_forward(
             scale = ((rng.random(x.n) < p.survive_p) / p.survive_p).astype(y.data.dtype)
             y = Tensor4(y.data * scale[:, None, None, None])
         y = Tensor4(x.data + y.data)
-    return y, MbConvCtx(p, expand, dw, se_ctx, proj, scale)
+    return y, MbConvCtx(p, x, expand, dw, se_ctx, proj, scale)
 
 
 def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
+    """Recomputes the depthwise output h, then the SE product h*s (the
+    projection's input), then the expand output (the depthwise input), each
+    from its unit's saved values and dropped after its last use."""
     g = grad_out
     if ctx.scale is not None:
         g = g * ctx.scale[:, None, None, None]
-    g = ctx.proj(g, grads)
-    g = se_block_backward(ctx.se_ctx, g, grads)
-    g = ctx.dw(g, grads)
-    if ctx.expand is not None:
-        g = ctx.expand(g, grads)
+    h, act = ctx.dw.output()
+    g = ctx.proj.backward(Tensor4(h.data * ctx.se_ctx.s), g, grads)
+    g = se_block_backward(ctx.se_ctx, h, g, grads)
+    g = ctx.dw.bn_backward(g, grads, act)
+    del h, act
+    if ctx.expand is None:
+        g = ctx.dw.conv_backward(ctx.x, g, grads)
+    else:
+        h, act = ctx.expand.output()
+        g = ctx.dw.conv_backward(h, g, grads)
+        g = ctx.expand.backward(ctx.x, g, grads, act)
     return grad_out + g if ctx.p.has_shortcut else g
 
 
@@ -378,7 +426,6 @@ def mbconv_backward(ctx: MbConvCtx, grad_out: np.ndarray, grads: GradDict) -> np
 class GateCtx:
     p: AttentionGateParams
     x: Tensor4
-    g: Tensor4
     relu_out: Tensor4
     alpha: np.ndarray
 
@@ -400,12 +447,14 @@ def attention_gate_forward(
     relu_out = activate(Tensor4(xa.data + ga.data), "relu")[0]
     alpha = _sigmoid(conv2d(relu_out, p.psi).data)  # (n, 1, hx, wx)
     y = Tensor4(x.data * alpha)
-    return y, GateCtx(p, x, g, relu_out, alpha)
+    return y, GateCtx(p, x, relu_out, alpha)
 
 
 def attention_gate_backward(
-    ctx: GateCtx, grad_out: np.ndarray, grads: GradDict
+    ctx: GateCtx, g: Tensor4, grad_out: np.ndarray, grads: GradDict
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the skip x and of the decoder features `g` (the
+    forward's, from the caller)."""
     p, x = ctx.p, ctx.x
     grad_x = grad_out * ctx.alpha
     dalpha = np.sum(grad_out * x.data, axis=1, keepdims=True, dtype=np.float64).astype(
@@ -417,7 +466,7 @@ def attention_gate_backward(
     )
     dsum = activate_backward(ctx.relu_out.data, "relu", drelu)
     dx2, grads[id(p.wx.weight)], _ = conv2d_backward(x, p.wx, dsum)
-    dg, grads[id(p.wg.weight)], _ = conv2d_backward(ctx.g, p.wg, dsum)
+    dg, grads[id(p.wg.weight)], _ = conv2d_backward(g, p.wg, dsum)
     return grad_x + dx2, dg
 
 
@@ -428,9 +477,8 @@ def attention_gate_backward(
 @dataclass
 class ResCtx:
     p: ResBlockParams
-    x: Tensor4  # block input, read by the shortcut's backward
-    unit1: Step | None  # the conv units' backwards; None in infer mode
-    unit2: Step | None
+    unit1: ConvUnit | None  # None in infer mode
+    unit2: ConvUnit | None
 
 
 def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Tensor4, ResCtx]:
@@ -439,12 +487,20 @@ def residual_block_forward(x: Tensor4, p: ResBlockParams, mode: str) -> tuple[Te
     r1, unit1 = conv_bn_act(x, p.conv1, p.bn1, mode, "relu")
     r2, unit2 = conv_bn_act(r1, p.conv2, p.bn2, mode, "relu")
     y = Tensor4(r2.data + conv2d(x, p.shortcut_proj).data)
-    return y, ResCtx(p, x, unit1, unit2)
+    return y, ResCtx(p, unit1, unit2)
 
 
-def residual_block_backward(ctx: ResCtx, grad_out: np.ndarray, grads: GradDict) -> np.ndarray:
+def residual_block_backward(
+    ctx: ResCtx, x: Tensor4, grad_out: np.ndarray, grads: GradDict
+) -> np.ndarray:
+    """Gradient of the block input `x` (the forward's, from the caller);
+    recomputes the first unit's output, the second unit's input."""
     p = ctx.p
-    g = ctx.unit2(grad_out, grads)
-    g = ctx.unit1(g, grads)
-    gsc, grads[id(p.shortcut_proj.weight)], _ = conv2d_backward(ctx.x, p.shortcut_proj, grad_out)
-    return g + gsc
+    r1, act = ctx.unit1.output()
+    g = ctx.unit2.backward(r1, grad_out, grads)
+    g = ctx.unit1.bn_backward(g, grads, act)
+    del r1, act
+    g = ctx.unit1.conv_backward(x, g, grads)
+    gsc, grads[id(p.shortcut_proj.weight)], _ = conv2d_backward(x, p.shortcut_proj, grad_out)
+    g += gsc
+    return g

@@ -7,6 +7,13 @@ Skips tap the outputs of stages 1, 3, 4, 5 and 7 - the last features at
 each resolution above the bottleneck.  Each decoder level upsamples 2x,
 gates the matching skip, concatenates and applies a residual block; the
 head is a 1x1 convolution to one channel followed by a sigmoid.
+
+Training keeps a lean tape: each conv unit keeps BN's normalized input,
+and backward recomputes the activations, the SE products and each decoder
+level's upsample and concat from it (``blocks.ConvUnit``).  Only
+elementwise work and the 2x upsample run again, so the gradients are those
+of the stored values bit for bit, as long as the parameters do not change
+between a forward and its backward.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -245,14 +252,16 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 # order; ``backward_from_context`` runs them in reverse.  A step maps the
 # layer's output gradient to its input gradient and writes the gradient of
 # each parameter array it read into the shared grads, keyed by the array's
-# id; a gate step also leaves its skip's gradient there for the tap step
-# of the skip's encoder stage.  Block steps bind their ``B.*_backward``
-# when the forward records them, so a tracer that patches ``blocks`` sees
-# them only if it is installed before the forward runs.  The stem and
-# stage-9 steps are the conv units' backward closures (``B.conv_bn_act``),
-# which, like the blocks' backwards, look their kernels up in ``blocks``
-# when they run.
-Tape = list[B.Step]
+# id; a decoder level's step also leaves its skip's gradient there for the
+# tap step of the skip's encoder stage.  Besides its contexts a step holds
+# only its layer's input: the stem and stage-9 steps their conv unit's, a
+# decoder level's step the features it upsamples.  MBConv steps bind
+# ``B.mbconv_backward`` when the forward records them, so a tracer that
+# patches ``blocks`` sees them only if it is installed before the forward
+# runs; the other steps, and the conv units (``B.ConvUnit``), look the
+# block backwards and kernels up in ``blocks`` when they run.
+Step = Callable[[np.ndarray, B.GradDict], np.ndarray]  # (grad_out, grads) -> input gradient
+Tape = list[Step]
 
 
 def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
@@ -266,12 +275,22 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
         raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
 
 
-def _gate_step(ctx: B.GateCtx, up_in: Tensor4, g: np.ndarray, grads: B.GradDict) -> np.ndarray:
-    """Backward of upsample -> gate -> concat; the skip's gradient waits in
-    grads, under its array's id, for the tap step of its encoder stage."""
-    gated_c = ctx.x.c
-    grads[id(ctx.x.data)], g_up_gate = B.attention_gate_backward(ctx, g[:, :gated_c], grads)
-    return upsample_bilinear_2x_backward(up_in, g[:, gated_c:] + g_up_gate)
+def _level_step(
+    gate_ctx: B.GateCtx, res_ctx: B.ResCtx, feats: Tensor4, g: np.ndarray, grads: B.GradDict
+) -> np.ndarray:
+    """Backward of a decoder level, upsample -> gate -> concat -> residual
+    block, from its input features: it recomputes the upsample and the
+    concat.  The skip's gradient waits in grads, under its array's id, for
+    the tap step of its encoder stage."""
+    up = upsample_bilinear_2x(feats)
+    skip = gate_ctx.x
+    cat = Tensor4(np.concatenate([skip.data * gate_ctx.alpha, up.data], axis=1))
+    g = B.residual_block_backward(res_ctx, cat, g, grads)
+    del cat
+    grads[id(skip.data)], g_up = B.attention_gate_backward(gate_ctx, up, g[:, :skip.c], grads)
+    del up
+    g_up += g[:, skip.c:]
+    return upsample_bilinear_2x_backward(feats, g_up)
 
 
 def _tap_step(skip: np.ndarray, g: np.ndarray, grads: B.GradDict) -> np.ndarray:
@@ -286,13 +305,11 @@ def _head_step(
     return g
 
 
-def _record(tape: Tape | None, result: tuple, step=None, *saved) -> Tensor4:
-    """A layer's output; a train-mode tape also records its backward: `step`
-    bound to the layer's context, or with no `step` the context itself, a
-    conv unit's closure.  Without a tape the context is dropped."""
-    out, ctx = result
+def _unit(tape: Tape | None, x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str) -> Tensor4:
+    """A swish conv unit as its own layer; its tape step holds its input."""
+    out, unit = B.conv_bn_act(x, conv, bn, mode, "swish")
     if tape is not None:
-        tape.append(ctx if step is None else partial(step, ctx, *saved))
+        tape.append(partial(unit.backward, x))
     return out
 
 
@@ -305,9 +322,13 @@ def _decoder_level(
     mode: str,
 ) -> Tensor4:
     up = upsample_bilinear_2x(feats)
-    gated = _record(tape, B.attention_gate_forward(skip, up, gate), _gate_step, feats)
+    gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
     cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
-    return _record(tape, B.residual_block_forward(cat, res, mode), B.residual_block_backward)
+    del up, gated
+    out, res_ctx = B.residual_block_forward(cat, res, mode)
+    if tape is not None:
+        tape.append(partial(_level_step, gate_ctx, res_ctx, feats))
+    return out
 
 
 def _run_forward(
@@ -340,14 +361,16 @@ def _run_forward(
             if tape is not None:
                 tape.append(partial(_tap_step, feats.data))
 
-    feats = _record(tape, B.conv_bn_act(x, params.stem_conv, params.stem_bn, mode, "swish"))
+    feats = _unit(tape, x, params.stem_conv, params.stem_bn, mode)
     tap(1, feats)
     for si, stage in enumerate(params.stages, start=2):
         for blk in stage:
-            feats = _record(tape, B.mbconv_forward(feats, blk, mode, rng), B.mbconv_backward)
+            feats, ctx = B.mbconv_forward(feats, blk, mode, rng)
+            if tape is not None:
+                tape.append(partial(B.mbconv_backward, ctx))
         tap(si, feats)
 
-    feats = _record(tape, B.conv_bn_act(feats, params.head_conv9, params.head_bn9, mode, "swish"))
+    feats = _unit(tape, feats, params.head_conv9, params.head_bn9, mode)
     for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
         si = SKIP_STAGES[-li]
         feats = _decoder_level(tape, feats, skips.pop(si), gate, res, mode)

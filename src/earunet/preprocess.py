@@ -56,7 +56,8 @@ def hu_window(v: CtVolume) -> CtVolume:
     # one slice at a time: the float64 arithmetic stays slice-sized
     out = np.empty(v.voxels.shape, dtype=np.float32)
     for k, plane in enumerate(v.voxels):
-        out[k] = (np.clip(plane, lo, hi).astype(np.float64) - lo) / (hi - lo)
+        # clip with float bounds already returns float64 for integer planes
+        out[k] = (np.clip(plane, lo, hi).astype(np.float64, copy=False) - lo) / (hi - lo)
     return CtVolume(out, v.spacing)
 
 
@@ -229,7 +230,9 @@ def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     weights of the full plane.  This is exact because windowing,
     equalization and z-resampling act on each pixel on its own, so they
     commute with a pixel gather.  Memory is O(input + tapped grid): the
-    grid is about (2*size/h)**2 of a plane per z-resampled slice.
+    grid is about (2*size/h)**2 of a plane per z-resampled slice.  The
+    float64 combine runs over chunks of z-resampled slices of about 2**18
+    grid pixels, each written into the float32 output.
     """
     d, h, w = image.dims
     y0, y1, fy = bilinear_taps(h, size)
@@ -242,9 +245,14 @@ def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     slabs = (hu_window(CtVolume(vox[k : k + step], spacing)) for k in range(0, d, step))
     grid = _stage("hist_equalize", hist_equalize, grid, of=slabs)
     z = _stage("resample_z", resample_z, grid)
+    del grid
     _stage("resize_slices", _check_plane, h, w)
-    out = _bilinear_combine(z.voxels, ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)
-    return CtVolume(out.astype(np.float32), _resized_spacing(z.spacing, h, w, size))
+    out = np.empty((z.dims[0], size, size), dtype=np.float32)
+    step = max(1, (1 << 18) // (rows.size * cols.size))
+    for k in range(0, z.dims[0], step):
+        out[k : k + step] = _bilinear_combine(
+            z.voxels[k : k + step], ry[:size], ry[size:], fy, cx[:size], cx[size:], fx)
+    return CtVolume(out, _resized_spacing(z.spacing, h, w, size))
 
 
 def preprocess_case(

@@ -214,6 +214,7 @@ def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool,
     out = np.empty((xp.shape[0], oc, oh, ow), dtype=xp.dtype)
     for s, cols in _patch_chunks(xp, kh, kw, stride, oh, ow, depthwise):
         np.matmul(w2, cols, out=out[s].reshape(-1, *out_rows, oh * ow))
+        del cols  # before the next chunk is gathered: one chunk is held at a time
     return out
 
 
@@ -259,20 +260,27 @@ def conv2d_backward(
     gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
     for s, cols in _patch_chunks(_pad_input(x.data, pad), kh, kw, st, oh, ow, dw):
         gw += (np.matmul(cols, go[s]) if dw else np.matmul(go[s], cols.transpose(0, 2, 1))).sum(axis=0)
+        del cols  # one chunk held at a time
 
     buf = np.zeros((n, oc, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=grad_out.dtype)
     buf[:, :, kh - 1 : kh - 1 + st * oh : st, kw - 1 : kw - 1 + st * ow : st] = grad_out
     flipped = p.weight[:, :, ::-1, ::-1] if dw else p.weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     # output rows ry + st*q, from the crop offset on, meet nonzero buffer rows only
-    # at taps u0 + st*m: each phase is a stride-1 correlation over every st-th row
-    grad_x = np.zeros((n, c, h, w), dtype=grad_out.dtype)
+    # at taps u0 + st*m: each phase is a stride-1 correlation over every st-th row.
+    # At stride 1 the one phase is the whole gradient, so no zeroed frame is
+    # made for it (an empty input has no phase)
+    grad_x = None if st == 1 and h * w else np.zeros((n, c, h, w), dtype=grad_out.dtype)
     for ry in range(min(st, h)):
         for rx in range(min(st, w)):
             u0, v0 = (kh - 1 - pad - ry) % st, (kw - 1 - pad - rx) % st
             if u0 < kh and v0 < kw:
                 ph, pw = len(range(ry, h, st)), len(range(rx, w, st))
                 sub = buf[:, :, pad + ry + u0 :: st, pad + rx + v0 :: st]
-                grad_x[:, :, ry::st, rx::st] = _correlate(sub, flipped[:, :, u0::st, v0::st], 1, dw, ph, pw)
+                part = _correlate(sub, flipped[:, :, u0::st, v0::st], 1, dw, ph, pw)
+                if grad_x is None:
+                    grad_x = part
+                else:
+                    grad_x[:, :, ry::st, rx::st] = part
     return grad_x, gw.reshape(p.weight.shape), grad_bias
 
 
@@ -311,8 +319,17 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
     var = var64.astype(dt)
     inv = (1.0 / np.sqrt(var.astype(np.float64) + BN_EPS)).astype(dt)
     xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = xh * s.gamma.astype(dt)[None, :, None, None] + s.beta.astype(dt)[None, :, None, None]
-    return Tensor4(out), (xh, inv)
+    return Tensor4(bn_affine(xh, s)), (xh, inv)
+
+
+def bn_affine(xh: np.ndarray, s: BatchNormState) -> np.ndarray:
+    """xh*gamma + beta per channel, in xh's dtype: ``batchnorm2d``'s output
+    from its saved normalized input, so a recompute from ``xh`` gives the
+    forward's bytes while gamma and beta are unchanged."""
+    dt = xh.dtype
+    out = xh * s.gamma.astype(dt)[None, :, None, None]
+    out += s.beta.astype(dt)[None, :, None, None]
+    return out
 
 
 def batchnorm2d_backward(
@@ -327,16 +344,18 @@ def batchnorm2d_backward(
     if grad_out.shape != xh.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {xh.shape}")
     dt = xh.dtype
-    grad_gamma = np.sum(grad_out * xh, axis=(0, 2, 3), dtype=np.float64).astype(s.gamma.dtype)
+    t = grad_out * xh  # one scratch array for the three products with xh
+    grad_gamma = np.sum(t, axis=(0, 2, 3), dtype=np.float64).astype(s.gamma.dtype)
     grad_beta = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(s.beta.dtype)
 
     g = grad_out * s.gamma.astype(dt)[None, :, None, None]
     mean_g = np.mean(g, axis=(0, 2, 3), dtype=np.float64).astype(dt)
-    mean_gxh = np.mean(g * xh, axis=(0, 2, 3), dtype=np.float64).astype(dt)
-    grad_x = inv[None, :, None, None] * (
-        g - mean_g[None, :, None, None] - xh * mean_gxh[None, :, None, None]
-    )
-    return grad_x.astype(dt, copy=False), grad_gamma, grad_beta
+    mean_gxh = np.mean(np.multiply(g, xh, out=t), axis=(0, 2, 3), dtype=np.float64).astype(dt)
+    # inv * (g - mean_g - xh*mean_gxh), in place in g
+    g -= mean_g[None, :, None, None]
+    g -= np.multiply(xh, mean_gxh[None, :, None, None], out=t)
+    g *= inv[None, :, None, None]
+    return g.astype(dt, copy=False), grad_gamma, grad_beta
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +398,25 @@ def activate(x: Tensor4, kind: str) -> tuple[Tensor4, ActSaved]:
 def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.ndarray:
     """Input gradient of ``activate`` from its saved values, with no exp:
     relu' = [y > 0], sigmoid' = y*(1-y), swish' = s + y*(1-s), where y is
-    the output and s = sigmoid(t)."""
-    if kind == "relu":
-        d = (saved > 0).astype(saved.dtype)
-    elif kind == "swish":
-        s, y = saved
-        d = s + y * (1 - s)
-    elif kind == "sigmoid":
-        d = saved * (1 - saved)
-    else:
+    the output and s = sigmoid(t).  The derivative and the product are
+    computed in place in one new array."""
+    if kind not in ("relu", "swish", "sigmoid"):
         raise ParameterError(f"unknown activation kind {kind!r}")
-    if grad_out.shape != d.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {d.shape}")
-    return (grad_out * d).astype(d.dtype, copy=False)
+    y = saved[1] if kind == "swish" else saved
+    if grad_out.shape != y.shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match output {y.shape}")
+    if kind == "relu":
+        d = (y > 0).astype(y.dtype)
+    elif kind == "swish":
+        s = saved[0]
+        d = np.subtract(1, s)
+        d *= y
+        d += s
+    else:
+        d = np.subtract(1, y)
+        d *= y
+    d *= grad_out
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ class TestSeBlock:
 
         out, ctx = B.se_block_forward(t4(x0), p)
         grads = {}
-        gx = B.se_block_backward(ctx, go, grads)
+        gx = B.se_block_backward(ctx, t4(x0), go, grads)
 
         def loss():
             return float(np.sum(go * B.se_block_forward(t4(x0), p)[0].data))
@@ -240,7 +240,7 @@ class TestAttentionGate:
         out, ctx = B.attention_gate_forward(x, g, p)
         go = rng.standard_normal(out.dims).astype(np.float32)
         grads = {}
-        gx, gg = B.attention_gate_backward(ctx, go, grads)
+        gx, gg = B.attention_gate_backward(ctx, g, go, grads)
         tiny = np.finfo(np.float32).tiny
         assert np.all(ctx.alpha == 0)
         for arr in (out.data, gx):
@@ -282,7 +282,7 @@ class TestAttentionGate:
         out, ctx = B.attention_gate_forward(t4(x0), t4(g0), p)
         go = rng.standard_normal(out.dims)
         grads = {}
-        gx, gg = B.attention_gate_backward(ctx, go, grads)
+        gx, gg = B.attention_gate_backward(ctx, t4(g0), go, grads)
 
         def run(x, g):
             return float(np.sum(go * B.attention_gate_forward(t4(x), t4(g), p)[0].data))
@@ -351,7 +351,7 @@ class TestResidualBlock:
         out, ctx = B.residual_block_forward(t4(x0), p, T.TRAIN)
         go = rng.standard_normal(out.dims)
         grads = {}
-        gx = B.residual_block_backward(ctx, go, grads)
+        gx = B.residual_block_backward(ctx, t4(x0), go, grads)
 
         def run(x):
             return float(np.sum(go * B.residual_block_forward(t4(x), p, T.TRAIN)[0].data))
@@ -383,13 +383,30 @@ class TestResidualBlock:
 
         go = rng.standard_normal(out.dims)
         grads, want_grads = {}, {}
-        gx = B.residual_block_backward(ctx, go, grads)
+        gx = B.residual_block_backward(ctx, x, go, grads)
         want_out, want_ctx = B.residual_block_forward(x, fresh, T.TRAIN)
-        want_gx = B.residual_block_backward(want_ctx, go, want_grads)
+        want_gx = B.residual_block_backward(want_ctx, x, go, want_grads)
         assert np.array_equal(out.data, want_out.data) and np.array_equal(gx, want_gx)
         got, want = named_grads(p, grads), named_grads(fresh, want_grads)
         for k in want:
             assert np.array_equal(got[k], want[k]), k
+
+
+class TestTrainUnit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["relu", "swish", None])
+    def test_recomputed_output_is_the_forward_output(self, kind, dtype):
+        rng = np.random.default_rng(31)
+        conv = B.init_conv(rng, 3, 5, 3, dtype=dtype)
+        bn = B.init_bn(5, dtype)
+        bn.gamma[:] = rng.normal(1.0, 0.5, 5)
+        bn.beta[:] = rng.normal(0.0, 0.5, 5)
+        x = T.Tensor4(rng.standard_normal((2, 3, 7, 7)).astype(dtype))
+        out, unit = B.conv_bn_act(x, conv, bn, T.TRAIN, kind)
+        again, act = unit.output()
+        assert again.data.dtype == out.data.dtype == dtype
+        assert again.data.tobytes() == out.data.tobytes()
+        assert (act is None) == (kind is None)
 
 
 # float32 tolerance of the fused infer unit against the unfused chain
@@ -461,10 +478,11 @@ class TestFusedInferUnit:
         assert B.conv_bn_act(x, conv, bn, T.INFER, kind)[1] is None
 
     def test_train_backward_reaches_kernels_through_blocks(self, monkeypatch):
-        # the closure looks its kernels up in ``blocks`` when it runs, so
-        # wrappers patched in after the forward still see every call
+        # the unit looks its kernels up in ``blocks`` when it runs, so
+        # wrappers patched in after the forward still see every call; the
+        # unit's input comes from the caller
         x, conv, bn, kind = self.unit("dense", np.float64)
-        out, backward = B.conv_bn_act(x, conv, bn, T.TRAIN, kind)
+        out, unit = B.conv_bn_act(x, conv, bn, T.TRAIN, kind)
         calls = []
         for name in ("activate_backward", "batchnorm2d_backward", "conv2d_backward"):
             def recording(*args, _name=name, _fn=getattr(B, name)):
@@ -473,6 +491,6 @@ class TestFusedInferUnit:
 
             monkeypatch.setattr(B, name, recording)
         grads = {}
-        g = backward(np.ones(out.dims), grads)
+        g = unit.backward(x, np.ones(out.dims), grads)
         assert calls == ["activate_backward", "batchnorm2d_backward", "conv2d_backward"]
         assert g.shape == x.dims and set(grads) == {id(conv.weight), id(bn.gamma), id(bn.beta)}

@@ -1,7 +1,12 @@
 """Model assembly tests: config, shapes, determinism, checkpoints."""
 
+import collections
+import dataclasses
+import functools
+import inspect
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +361,103 @@ class TestBackward:
         cfg, _ = micro64
         report = check_model(cfg, tensors=10, entries_per_tensor=2)
         assert report.max_rel_err < 1e-3, report.worst
+
+
+def reachable_arrays(obj) -> list[np.ndarray]:
+    """Every ndarray reachable from obj through the attributes of
+    dataclass instances, tuples, lists, dicts, partials, bound methods and
+    closures, and the base of every view among them."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+            todo.append(o.base)
+        elif dataclasses.is_dataclass(o) and not isinstance(o, type):
+            todo.extend(vars(o).values())
+        elif isinstance(o, (tuple, list)):
+            todo.extend(o)
+        elif isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, functools.partial):
+            todo.extend((o.func, *o.args, *o.keywords.values()))
+        elif inspect.ismethod(o):
+            todo.append(o.__self__)
+        elif inspect.isfunction(o) and o.__closure__:
+            todo.extend(c.cell_contents for c in o.__closure__)
+    return found
+
+
+class TestLeanTape:
+    """A train tape keeps BN's normalized input of each conv unit and
+    recomputes activations, SE products and decoder concats in backward."""
+
+    def test_mbconv_step_holds_no_expanded_activation_but_xh(self):
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32), dtype=np.float32))
+        _, tape = M.forward_training(params, cfg, x, np.random.default_rng(2))
+        steps = [s for s in tape if getattr(s, "func", None) is B.mbconv_backward]
+        checked = 0
+        for step in steps:
+            ctx = step.args[0]
+            hidden, dw_xh = ctx.p.dw_conv.out_channels, ctx.dw.saved[0]
+            if (ctx.expand is None or hidden == ctx.p.project_conv.out_channels
+                    or dw_xh.shape[2] * dw_xh.shape[3] == 1):
+                continue
+            # activations of the expanded width: not parameters, `hidden` channels,
+            # at least the depthwise output's size (the SE gate is 1x1 per channel)
+            own = {id(a) for _, a, _ in B.named_arrays(ctx.p)}
+            wide = [a for a in reachable_arrays(step) if id(a) not in own
+                    and a.ndim == 4 and a.shape[1] == hidden and a.size >= dw_xh.size]
+            xh = {id(ctx.expand.saved[0]), id(dw_xh)}
+            assert {id(a) for a in wide} == xh
+            checked += 1
+        assert checked >= 5
+
+    def test_train_step_updates_each_running_stat_once(self, monkeypatch):
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0), dtype=np.float64)
+        calls = collections.Counter()
+        batchnorm2d = B.batchnorm2d
+
+        def counting(x, s):
+            calls[id(s.running_mean)] += 1
+            return batchnorm2d(x, s)
+
+        monkeypatch.setattr(B, "batchnorm2d", counting)
+        x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32)))
+        _, tape = M.forward_training(params, cfg, x, np.random.default_rng(2))
+        after_forward = {k: v.copy() for k, v in M.named_state(params).items()}
+        M.backward_from_context(params, tape, np.ones((2, 1, 32, 32)))
+        running = [a for name, a, _ in M.iter_params(params) if name.endswith(".running_mean")]
+        assert calls == {id(a): 1 for a in running}
+        for k, v in M.named_state(params).items():
+            assert np.array_equal(v, after_forward[k]), k
+
+    def test_desk_tape_and_backward_peak(self, desk):
+        # desk n=8 float32; the tape of (xh, s, y) per swish unit held
+        # 53.3 MiB and the backward peaked at 72.7 MiB
+        cfg, params = desk
+        rng = np.random.default_rng(3)
+        x = Tensor4(rng.random((8, 1, 64, 64), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y, tape = M.forward_training(params, cfg, x, rng)
+            tape_bytes = tracemalloc.get_traced_memory()[0] - base - y.data.nbytes
+            grad = np.full(y.dims, 1.0 / y.data.size, dtype=np.float32)
+            tracemalloc.reset_peak()
+            M.backward_from_context(params, tape, grad)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        mib = 1 << 20
+        assert tape_bytes <= 24 * mib, f"tape holds {tape_bytes / mib:.1f} MiB"
+        assert peak <= 45 * mib, f"backward peaks at {peak / mib:.1f} MiB"
 
 
 class TestCheckpoint:

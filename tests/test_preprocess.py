@@ -118,6 +118,46 @@ def test_preprocess_volume_holds_less_than_its_input():
     assert peak < hu.nbytes, f"peak {peak} bytes for a {hu.nbytes}-byte input"
 
 
+def test_preprocess_volume_upsampled_in_z_holds_about_its_input():
+    # 40x384^2 at 2.5 mm resamples to 98 slices, so the z-resampled tap grid
+    # outgrows the input; a float64 combine over all of it at once peaks at
+    # 2.3x the input, a combine in chunks of slices into the float32 output
+    # does not
+    hu = np.random.default_rng(10).integers(-1000, 1000, (40, 384, 384)).astype(np.int16)
+    image = CtVolume(hu, (2.5, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        got = preprocess_volume(image, size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dims == (98, 64, 64)
+    assert peak <= 1.1 * hu.nbytes, f"peak {peak / hu.nbytes:.2f}x the input"
+
+
+def test_preprocess_volume_combines_z_chunks_bit_for_bit():
+    # 21 slices at 2.5 mm resample to 51; a 160x160 plane's 64x64 taps make
+    # a 128x128 grid, combined 16 slices at a time: 3 whole chunks and a partial one
+    image = CtVolume(_phantom_hu((21, 160, 160), np.int16), (2.5, 0.9, 0.7))
+    want = resize_slices(resample_z(hist_equalize(hu_window(image))), 64)
+    got = preprocess_volume(image, size=64)
+    assert got.dims == (51, 64, 64)
+    assert np.array_equal(got.voxels, want.voxels)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32, np.float64])
+def test_hu_window_matches_float64_oracle(dtype):
+    # both window edges, values just inside and beyond them, the int16 extremes
+    vals = [-32768, -1024, -201, -200, -199, 0, 57, 199, 200, 201, 3071, 32767]
+    if dtype != np.int16:
+        vals += [-1e6, -200.5, -199.75, 199.75, 200.25, 1e6]
+    vox = np.array(vals, dtype=dtype).reshape(2, 1, -1)
+    want = ((np.clip(vox.astype(np.float64), -200.0, 200.0) + 200.0) / 400.0).astype(np.float32)
+    got = hu_window(CtVolume(vox, (1.0, 1.0, 1.0))).voxels
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape,out", [((5, 7), (12, 9)), ((9, 6), (4, 3)), ((60, 52), (8, 8))])
 def test_resize_plane_nearest_matches_naive(shape, out):
     img = np.random.default_rng(5).integers(0, 1000, shape).astype(np.int16)

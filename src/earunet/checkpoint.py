@@ -1,28 +1,17 @@
-"""Checkpoint file format.
+"""Checkpoint file format (integers little-endian):
 
-Layout (all integers little-endian):
+    b"EARU" | u32 version (4) | payload | u32 CRC32 of payload
+    payload = u32 n | n bytes of UTF-8 JSON header | raw array bytes
 
-    magic  b"EARU"
-    u32    format version (currently 3)
-    payload:
-        u32 + bytes      model config JSON: exactly the keys input_size
-                         (one int, the side of the square slice),
-                         width_mult and depth_mult
-        u32              parameter record count
-        records          name (u16 len + utf8), dtype code u8,
-                         ndim u8, u32 dims..., raw little-endian data
-        u8               has optimizer moments
-        [u64 step count + u32 + moment records]   when present
-        u32 + bytes      RNG state JSON
-        u32              epoch counter, the last payload bytes
-    u32    CRC32 of payload
+The header is one object: `config` (the ModelConfig JSON dict), `epoch`
+(an int >= 0), `rng_state` (a dict or null), `adam_t` (the Adam step, or
+null for no optimizer moments) and three lists `arrays`, `m` and `v` of
+`[name, dtype, shape]`, dtype "float32" or "float64". The little-endian
+bytes of every array follow in header order. Names are unique within a
+list; m and v name the same arrays, and are empty when adam_t is null.
 
-Record names are unique within their list, and moment record names
-start with "m." or "v.".
-
-Writes are atomic (temp file + rename); loads parse the whole file into
-fresh objects before anything is returned, so a truncated or corrupt file
-never yields partial state.
+Writes are atomic (temp file + rename); a load parses the whole file
+before it returns, so a corrupt file never yields partial state.
 """
 
 from __future__ import annotations
@@ -41,10 +30,10 @@ from .model import ModelConfig
 from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
-VERSION = 3
+VERSION = 4
 
-_DTYPE_CODES = {"float32": 0, "float64": 1}
-_CODE_DTYPES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
+_DTYPES = ("float32", "float64")
+_HEADER_KEYS = {"config", "epoch", "rng_state", "adam_t", "arrays", "m", "v"}
 
 
 @dataclass
@@ -65,129 +54,60 @@ class Checkpoint:
     epoch: int = 0
 
 
-def _pack(fmt: str, what: str, *values) -> bytes:
-    """struct.pack; a value its field cannot hold raises FormatError naming it."""
-    try:
-        return struct.pack(fmt, *values)
-    except struct.error as e:
-        raise FormatError(f"checkpoint {what} does not fit its {fmt!r} field: {e}") from e
+def _check_fields(head: dict) -> None:
+    """ValueError naming the first scalar or m/v header field the format cannot hold."""
+    t, rng = head["adam_t"], head["rng_state"]
+    for key, value in (("epoch", head["epoch"]), ("adam_t", 0 if t is None else t)):
+        if type(value) is not int or value < 0:  # type(), not isinstance: True is no count
+            raise ValueError(f"{key} must be an int >= 0, got {value!r}")
+    if rng is not None and not isinstance(rng, dict):
+        raise ValueError(f"rng_state must be a dict or null, got {type(rng).__name__}")
+    if t is None and (head["m"] or head["v"]):
+        raise ValueError("m and v must be empty when adam_t is null")
+    if {e[0] for e in head["m"]} != {e[0] for e in head["v"]}:
+        raise ValueError("m and v name different arrays")
 
 
-def _pack_array_records(arrays: dict[str, np.ndarray]) -> list:
-    """The records as bytes-like parts; each array is its own buffer, copied
-    only if it is not little-endian and contiguous."""
-    out: list = [struct.pack("<I", len(arrays))]
-    for name, arr in arrays.items():
-        nb = name.encode("utf-8")
-        if arr.dtype.name not in _DTYPE_CODES:
-            raise FormatError(f"unsupported checkpoint dtype {arr.dtype} for {name!r}")
-        out.append(_pack("<H", f"record name length of {name[:20]!r}...", len(nb)))
-        out.append(nb)
-        out.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype.name], arr.ndim))
-        out.append(_pack(f"<{arr.ndim}I", f"shape of {name!r}", *arr.shape))
-        out.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<"), copy=False))
-    return out
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(
-                f"checkpoint truncated: needed {self.pos + n} bytes, have {len(self.buf)}"
-            )
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def blob(self) -> bytes:
-        return self.take(self.u32())
-
-
-def _unpack_array_records(r: _Reader) -> dict[str, np.ndarray]:
-    count = r.u32()
+def _read_arrays(entries, payload: memoryview, pos: int) -> tuple[dict[str, np.ndarray], int]:
+    """The arrays that [name, dtype, shape] entries lay out from payload[pos:],
+    as writable native-order copies, and the offset after the last one."""
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        raw = r.take(r.u16())
-        try:
-            name = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise FormatError(f"checkpoint record name {raw!r} is not UTF-8") from e
-        if name in arrays:
-            raise FormatError(f"checkpoint holds {name!r} twice")
-        code = r.u8()
-        if code not in _CODE_DTYPES:
-            raise FormatError(f"unknown dtype code {code} for {name!r}")
-        dt = _CODE_DTYPES[code]
-        ndim = r.u8()
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-        nbytes = math.prod(shape) * dt.itemsize  # Python ints: no overflow
-        if r.pos + nbytes > len(r.buf):
-            raise FormatError(
-                f"checkpoint truncated inside {name!r}: needed {nbytes} more bytes"
-            )
-        data = np.frombuffer(r.take(nbytes), dtype=dt.newbyteorder("<"))
-        arrays[name] = data.astype(dt).reshape(shape)  # one writable native-order copy
-    return arrays
-
-
-def _json_bytes(obj, what: str) -> bytes:
-    """A JSON object blob; anything else raises FormatError naming it."""
-    if not isinstance(obj, dict):
-        raise FormatError(f"checkpoint {what} must be a dict, got {type(obj).__name__}")
-    try:
-        return json.dumps(obj, sort_keys=True).encode("utf-8")
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"checkpoint {what} is not JSON-encodable: {e}") from e
-
-
-def _parse_json_blob(raw: bytes, what: str, build):
-    """build(obj) of a blob holding one JSON object; bad UTF-8, JSON, keys,
-    types or config values raise FormatError naming the blob."""
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-        if isinstance(obj, dict):
-            return build(obj)
-    except (ValueError, TypeError, KeyError, ConfigError) as e:
-        raise FormatError(f"checkpoint {what} blob is malformed: {e!r}") from e
-    raise FormatError(f"checkpoint {what} blob is not a JSON object")
+    for name, dtype, shape in entries:
+        if not isinstance(name, str) or name in arrays:
+            raise ValueError(f"array name {name!r} is not a str or repeats")
+        dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+        if dtype not in _DTYPES or not dims_ok:
+            raise ValueError(f"array {name!r} has unknown dtype {dtype!r} or bad shape {shape!r}")
+        dt = np.dtype(dtype)
+        end = pos + math.prod(shape) * dt.itemsize  # Python ints: no overflow
+        if end > len(payload):
+            raise FormatError(f"checkpoint truncated inside {name!r}: needs {end} payload bytes")
+        arrays[name] = np.frombuffer(payload[pos:end], dt.newbyteorder("<")).astype(dt).reshape(shape)
+        pos = end
+    return arrays, pos
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     """Serialize and atomically replace `path`.  A field the format cannot
     hold raises FormatError before anything is written."""
+    m = ckpt.moments
+    head = {"config": ckpt.config.to_json_dict(), "epoch": ckpt.epoch, "rng_state": ckpt.rng_state,
+            "adam_t": None if m is None else m.t}
     parts = []
-    cfg = _json_bytes(ckpt.config.to_json_dict(), "config")
-    parts.append(struct.pack("<I", len(cfg)))
-    parts.append(cfg)
-    parts += _pack_array_records(ckpt.arrays)
-    if ckpt.moments is None:
-        parts.append(b"\x00")
-    else:
-        parts.append(b"\x01")
-        parts.append(_pack("<Q", "moments.t", ckpt.moments.t))
-        moment_arrays = {f"m.{k}": v for k, v in ckpt.moments.m.items()}
-        moment_arrays.update({f"v.{k}": v for k, v in ckpt.moments.v.items()})
-        parts += _pack_array_records(moment_arrays)
-    rng = _json_bytes(ckpt.rng_state, "rng_state") if ckpt.rng_state is not None else b""
-    parts.append(struct.pack("<I", len(rng)))
-    parts.append(rng)
-    parts.append(_pack("<I", "epoch", ckpt.epoch))
+    for key, group in (("arrays", ckpt.arrays), ("m", m.m if m else {}), ("v", m.v if m else {})):
+        head[key] = []
+        for name, a in group.items():
+            if not isinstance(name, str) or a.dtype.name not in _DTYPES:
+                raise FormatError(f"checkpoint cannot hold array {name!r} of dtype {a.dtype}")
+            head[key].append([name, a.dtype.name, list(a.shape)])
+            # its own buffer, copied only if it is not little-endian and contiguous
+            parts.append(np.ascontiguousarray(a).astype(a.dtype.newbyteorder("<"), copy=False))
+    try:
+        _check_fields(head)
+        raw = json.dumps(head, sort_keys=True).encode("utf-8")  # only rng_state can fail it
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"checkpoint cannot hold this: {e}") from e
+    parts = [struct.pack("<I", len(raw)), raw, *parts]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -198,36 +118,33 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     """Parse and validate a checkpoint; bit-exact inverse of save."""
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 12:
+    if len(blob) < 16:
         raise FormatError(f"checkpoint too short ({len(blob)} bytes)")
     if blob[:4] != MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {MAGIC!r}")
     version = struct.unpack("<I", blob[4:8])[0]
     if version != VERSION:
         raise VersionError(f"unsupported checkpoint version {version}, expected {VERSION}")
-    payload, crc_bytes = blob[8:-4], blob[-4:]
-    crc = struct.unpack("<I", crc_bytes)[0]
-    actual = zlib.crc32(payload)
+    payload = memoryview(blob)[8:-4]
+    crc, actual = struct.unpack("<I", blob[-4:])[0], zlib.crc32(payload)
     if crc != actual:
         raise FormatError(f"checkpoint CRC mismatch: header {crc:#010x}, payload {actual:#010x}")
-
-    r = _Reader(payload)
-    config = _parse_json_blob(r.blob(), "config", ModelConfig.from_json_dict)
-    arrays = _unpack_array_records(r)
-    moments = None
-    if r.u8():
-        t = r.u64()
-        moments = AdamMoments(t=t)
-        for k, arr in _unpack_array_records(r).items():
-            if k[:2] not in ("m.", "v."):
-                raise FormatError(f"checkpoint moment record {k!r} is neither m.* nor v.*")
-            (moments.m if k[0] == "m" else moments.v)[k[2:]] = arr
-    rng_blob = r.blob()
-    rng_state = _parse_json_blob(rng_blob, "rng state", dict) if rng_blob else None
-    epoch = r.u32()
-    if r.pos != len(payload):
-        raise FormatError(f"checkpoint has {len(payload) - r.pos} bytes after the epoch")
-    return Checkpoint(config=config, arrays=arrays, moments=moments, rng_state=rng_state, epoch=epoch)
+    n = 4 + struct.unpack_from("<I", payload)[0]  # where the arrays start
+    try:
+        head = json.loads(bytes(payload[4:n]).decode("utf-8"))
+        if not isinstance(head, dict) or head.keys() != _HEADER_KEYS:
+            raise ValueError(f"the header is not an object with keys {sorted(_HEADER_KEYS)}")
+        config = ModelConfig.from_json_dict(head["config"])
+        arrays, pos = _read_arrays(head["arrays"], payload, n)
+        m, pos = _read_arrays(head["m"], payload, pos)
+        v, pos = _read_arrays(head["v"], payload, pos)
+        _check_fields(head)  # the entries are well-formed now
+    except (AttributeError, ConfigError, RecursionError, TypeError, ValueError) as e:
+        raise FormatError(f"checkpoint header is malformed: {type(e).__name__}: {e}") from e
+    if pos != len(payload):
+        raise FormatError(f"checkpoint arrays end at payload byte {pos}, the payload has {len(payload)}")
+    moments = None if head["adam_t"] is None else AdamMoments(head["adam_t"], m, v)
+    return Checkpoint(config, arrays, moments, head["rng_state"], head["epoch"])
 
 
 def restore_params(params_arrays: dict[str, np.ndarray], ckpt: Checkpoint) -> None:

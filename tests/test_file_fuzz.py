@@ -64,62 +64,88 @@ def test_checkpoint_with_any_byte_flipped(tmp_path, checkpoint_blob):
             _load(tmp_path, f"flip{i}", bytes(blob))
 
 
-def _with_blobs(blob, config=None, rng=None):
-    """The checkpoint blob with its config and/or rng-state JSON bytes
-    replaced and its CRC recomputed, so only the JSON checks can catch them."""
-    payload = blob[8:-4]
-    if config is not None:
-        (n,) = struct.unpack_from("<I", payload, 0)
-        payload = struct.pack("<I", len(config)) + config + payload[4 + n :]
-    if rng is not None:
-        # the payload ends with u32 length + rng-state JSON + u32 epoch
-        old = json.dumps(_tiny_checkpoint().rng_state, sort_keys=True).encode()
-        payload = payload[: -(8 + len(old))] + struct.pack("<I", len(rng)) + rng + payload[-4:]
-    return _with_payload(blob, payload)
-
-
 def _with_payload(blob, payload):
     """The checkpoint blob around another payload, with its CRC recomputed."""
     return blob[:8] + payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def _config_json(edit):
-    d = M.preset_config("micro").to_json_dict()
-    edit(d)
-    return json.dumps(d).encode()
+def _with_header(edit):
+    """blob -> the checkpoint blob with edit(header JSON bytes) as its header
+    and its CRC recomputed, so only the header checks can catch the edit."""
+
+    def apply(blob):
+        payload = blob[8:-4]
+        n = 4 + struct.unpack_from("<I", payload)[0]
+        raw = edit(payload[4:n])
+        return _with_payload(blob, struct.pack("<I", len(raw)) + raw + payload[n:])
+
+    return apply
+
+
+def _with_fields(edit):
+    """blob -> the checkpoint blob after edit(header dict), CRC recomputed."""
+
+    def apply(raw):
+        head = json.loads(raw)
+        edit(head)
+        return json.dumps(head).encode()
+
+    return _with_header(apply)
 
 
 def _set(key, value):
     return lambda d: d.__setitem__(key, value)
 
 
+def _config(edit):
+    return _with_fields(lambda head: edit(head["config"]))
+
+
+# each edit breaks one rule of the header's fields
 @pytest.mark.parametrize(
-    "what,config,rng",
+    "edit,match",
     [
-        ("config", _config_json(_set("width_mult", "0.05")), None),
-        ("config", _config_json(_set("depth_mult", float("nan"))), None),
-        ("config", _config_json(_set("input_size", [32])), None),
-        ("config", _config_json(_set("input_size", 33)), None),
-        ("config", _config_json(_set("input_size", [32, 32])), None),
-        ("config", _config_json(lambda d: d.pop("input_size")), None),
-        ("config", _config_json(_set("stage_specs", [["conv", 3, 1, 8, 1, 0]])), None),
-        ("rng state", None, b"not json"),
-        ("rng state", None, b"[1, 2]"),
+        (_config(_set("width_mult", "0.05")), "width_mult"),
+        (_config(_set("depth_mult", float("nan"))), "depth_mult"),
+        (_config(_set("input_size", [32])), "input size"),
+        (_config(_set("input_size", 33)), "input size"),
+        (_config(_set("input_size", [32, 32])), "input size"),
+        (_config(lambda d: d.pop("input_size")), "config keys"),
+        (_config(_set("stage_specs", [["conv", 3, 1, 8, 1, 0]])), "config keys"),
+        (_with_header(lambda raw: raw.replace(b'"rng_state": {', b'"rng_state": not json, "x": {')),
+         "JSONDecodeError"),
+        (_with_fields(_set("rng_state", [1, 2])), "rng_state"),
+        (_with_fields(_set("rng_state", "seed")), "rng_state"),
+        (_with_fields(_set("epoch", -1)), "epoch"),
+        (_with_fields(_set("epoch", True)), "epoch"),
+        (_with_fields(_set("epoch", 5.0)), "epoch"),
+        (_with_fields(_set("adam_t", -1)), "adam_t"),
+        (_with_fields(_set("adam_t", False)), "adam_t"),
+        (_with_fields(_set("adam_t", "2")), "adam_t"),
+        (_with_fields(_set("adam_t", None)), "empty when adam_t is null"),
+        (_with_fields(lambda head: head.pop("epoch")), "keys"),
+        (_with_fields(_set("step", 1)), "keys"),
+        (_with_header(lambda raw: b"[" + raw + b"]"), "keys"),
+        (_with_header(lambda raw: b"[" * 100_000 + b"]" * 100_000), "RecursionError"),
     ],
     ids=["config-string-width", "config-nan-depth", "config-size-one-entry",
          "config-size-not-multiple-of-32", "config-size-pair", "config-missing-input-size",
-         "config-leftover-stage-specs", "rng-not-json", "rng-not-object"],
+         "config-leftover-stage-specs", "rng-not-json", "rng-not-object", "rng-state-string",
+         "epoch-negative", "epoch-bool", "epoch-float", "adam-t-negative", "adam-t-bool",
+         "adam-t-string", "moments-without-adam-t", "key-missing", "key-unknown",
+         "header-not-object", "header-nested-too-deep"],
 )
-def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, what, config, rng):
-    with pytest.raises(FormatError, match=f"checkpoint {what} blob"):
-        _load(tmp_path, "bad", _with_blobs(checkpoint_blob, config, rng))
+def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, edit, match):
+    with pytest.raises(FormatError, match=f"checkpoint header is malformed.*{match}"):
+        _load(tmp_path, "bad", edit(checkpoint_blob))
 
 
-def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob):
-    # format 2 stored input_size as an (h, w) pair
-    blob = checkpoint_blob[:4] + struct.pack("<I", 2) + checkpoint_blob[8:]
-    with pytest.raises(VersionError, match="version 2"):
-        _load(tmp_path, "v2", blob)
+@pytest.mark.parametrize("version", [2, 3])
+def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob, version):
+    # format 2 stored input_size as an (h, w) pair; format 3 packed binary records
+    blob = checkpoint_blob[:4] + struct.pack("<I", version) + checkpoint_blob[8:]
+    with pytest.raises(VersionError, match=f"version {version}"):
+        _load(tmp_path, f"v{version}", blob)
 
 
 # each set of fields gives a checkpoint that its format cannot hold
@@ -127,15 +153,14 @@ def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob):
     "fields,match",
     [
         ({"epoch": -1}, "epoch"),
-        ({"epoch": 2**32}, "epoch"),
-        ({"moments": AdamMoments(t=-1)}, "moments.t"),
-        ({"arrays": {"a" * 70_000: np.zeros(1, np.float32)}}, "record name length"),
-        ({"arrays": {"wide": np.zeros((0, 2**32), np.float32)}}, "shape of 'wide'"),
-        ({"rng_state": {"seed": np.uint64(5)}}, "rng_state is not JSON"),
+        ({"moments": AdamMoments(t=-1)}, "adam_t"),
+        ({"moments": AdamMoments(t=1, m={"a": np.zeros(1)})}, "m and v name different arrays"),
+        ({"arrays": {"ints": np.zeros(1, np.int32)}}, "array 'ints' of dtype int32"),
+        ({"rng_state": {"seed": np.uint64(5)}}, "not JSON serializable"),
         ({"rng_state": [1, 2]}, "rng_state must be a dict"),
     ],
-    ids=["epoch-negative", "epoch-over-u32", "moment-step-negative", "name-over-u16",
-         "dim-over-u32", "rng-state-not-json", "rng-state-not-dict"],
+    ids=["epoch-negative", "moment-step-negative", "moment-without-v", "dtype-int32",
+         "rng-state-not-json", "rng-state-not-dict"],
 )
 def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
     path = tmp_path / "old.ckpt"
@@ -146,37 +171,56 @@ def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.ckpt"]
 
 
-def _name(text):
-    return struct.pack("<H", len(text)) + text
-
-
-_WEIGHT_RECORD = _name(b"a.weight") + b"\x00\x02" + struct.pack("<2I", 2, 3)
-
-
-# (payload bytes, their replacement or None to append): each edit leaves a
-# CRC-valid payload that breaks one rule of the record layout
+# values that format 3's u32 epoch, u16 name lengths and u32 dims could not
+# hold, and arrays that are neither little-endian nor contiguous
 @pytest.mark.parametrize(
-    "old,new,match",
+    "fields",
     [
-        (_WEIGHT_RECORD, _name(b"a.weight") + b"\x00\x04" + struct.pack("<4I", *[2**32 - 1] * 4),
-         "truncated inside"),
-        (_name(b"a.weight"), _name(b"a.weig\xff\xfe"), "not UTF-8"),
-        (_name(b"a.bias"), _name(b"a.weight"), "twice"),
-        (_name(b"m.a.weight"), _name(b"x.a.weight"), "neither m"),
-        (None, b"\x00", "after the epoch"),
+        {"epoch": 2**32},
+        {"arrays": {"a" * 70_000: np.ones(3, np.float32)}},
+        {"arrays": {"wide": np.zeros((0, 2**32), np.float32)}},
+        {"arrays": {"big_endian": np.random.default_rng(3).standard_normal((3, 4)).astype(">f4"),
+                    "transposed": np.random.default_rng(4).standard_normal((5, 3)).T}},
     ],
-    ids=["record-size-overflows-int64", "record-name-not-utf8", "record-name-twice",
-         "moment-record-unknown-prefix", "byte-after-epoch"],
+    ids=["epoch-over-u32", "name-over-u16", "dim-over-u32", "byte-order-and-strides"],
 )
-def test_checkpoint_malformed_records(tmp_path, checkpoint_blob, old, new, match):
-    payload = checkpoint_blob[8:-4]
-    if old is None:
-        payload += new
-    else:
-        assert payload.count(old) == 1
-        payload = payload.replace(old, new)
+def test_round_trip_bit_exact(tmp_path, fields):
+    ckpt = replace(_tiny_checkpoint(), **fields)
+    save_checkpoint(ckpt, tmp_path / "round.ckpt")
+    loaded = load_checkpoint(tmp_path / "round.ckpt")
+    assert loaded.epoch == ckpt.epoch and loaded.arrays.keys() == ckpt.arrays.keys()
+    for name, want in ckpt.arrays.items():
+        got, native = loaded.arrays[name], want.astype(want.dtype.newbyteorder("="))
+        assert got.dtype.isnative and got.flags.writeable, name
+        assert (got.dtype, got.shape) == (native.dtype, native.shape), name
+        assert got.tobytes() == native.tobytes(), name
+
+
+def _entry(group, i, field, value):
+    """A header edit setting field (0 name, 1 dtype, 2 shape) of entry i of group."""
+    return _with_fields(lambda head: head[group][i].__setitem__(field, value))
+
+
+# each edit leaves a CRC-valid file that breaks one rule of the array entries
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (_entry("arrays", 0, 2, [2**32 - 1] * 4), "truncated inside"),
+        (_entry("arrays", 0, 2, [0, 2**63]), "header is malformed"),
+        (_with_header(lambda raw: raw.replace(b'"a.bias"', b'"a.bi\xff\xfe"')), "header is malformed"),
+        (_entry("arrays", 1, 0, "a.weight"), "repeats"),
+        (_entry("arrays", 0, 1, "int32"), "unknown dtype"),
+        (_entry("v", 0, 0, "a.bias"), "m and v name different arrays"),
+        (_with_fields(_set("v", [])), "m and v name different arrays"),
+        (lambda blob: _with_payload(blob, blob[8:-4] + b"\x00"), "arrays end at payload byte"),
+    ],
+    ids=["record-size-overflows-int64", "record-dim-over-int64", "record-name-not-utf8",
+         "record-name-twice", "record-dtype-unknown", "moment-names-differ", "moment-without-v",
+         "byte-after-arrays"],
+)
+def test_checkpoint_malformed_records(tmp_path, checkpoint_blob, edit, match):
     with pytest.raises(FormatError, match=match):
-        _load(tmp_path, "bad", _with_payload(checkpoint_blob, payload))
+        _load(tmp_path, "bad", edit(checkpoint_blob))
 
 
 def _tiny_volume(dtype):

@@ -104,6 +104,21 @@ def hist_equalize(v: CtVolume, of=None) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
+def _resampled_z(d: int, spacing) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """Source coordinate, in slices, of each z-resampled slice, and the new spacing."""
+    if d < 2:
+        raise InputError(f"z-resampling needs at least 2 slices, got {d}")
+    sz, sy, sx = spacing
+    target = TARGET_SLICE_SPACING_MM
+    pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
+    return pos, (target, sy, sx)
+
+
+def _nearest_slice(pos: np.ndarray, d: int) -> np.ndarray:
+    """Source slice nearest each coordinate; ties round up."""
+    return np.minimum(np.floor(pos + 0.5).astype(np.intp), d - 1)
+
+
 def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
     """Resample the slice axis to target = TARGET_SLICE_SPACING_MM.
 
@@ -112,17 +127,11 @@ def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
     masks take the nearest slice (ties round up).
     """
     d = v.dims[0]
-    if d < 2:
-        raise InputError(f"z-resampling needs at least 2 slices, got {d}")
+    pos, spacing = _resampled_z(d, v.spacing)
     if kind not in ("linear", "nearest"):
         raise ParameterError(f"kind must be linear or nearest, got {kind!r}")
-    sz, sy, sx = v.spacing
-    target = TARGET_SLICE_SPACING_MM
-    pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
-    spacing = (target, sy, sx)
     if kind == "nearest":
-        idx = np.minimum(np.floor(pos + 0.5).astype(np.intp), d - 1)
-        return type(v)(v.voxels[idx], spacing)
+        return type(v)(v.voxels[_nearest_slice(pos, d)], spacing)
     i0 = np.floor(pos).astype(np.intp)
     i1 = np.minimum(i0 + 1, d - 1)
     w = pos - i0
@@ -180,13 +189,17 @@ def resize_plane_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray
     return _bilinear_combine(img, *bilinear_taps(h, out_h), *bilinear_taps(w, out_w))
 
 
+def _nearest_taps(src: int, dst: int) -> np.ndarray:
+    """The nearer of each destination index's two bilinear taps, the upper one on a tie."""
+    i0, i1, f = bilinear_taps(src, dst)
+    return np.where(f < 0.5, i0, i1)
+
+
 def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Nearest-neighbor resize: each output pixel takes the nearer of its
     two bilinear taps, the upper one on a tie."""
     h, w = img.shape[-2], img.shape[-1]
-    y0, y1, fy = bilinear_taps(h, out_h)
-    x0, x1, fx = bilinear_taps(w, out_w)
-    return img[..., np.where(fy < 0.5, y0, y1)[:, None], np.where(fx < 0.5, x0, x1)[None, :]]
+    return img[..., _nearest_taps(h, out_h)[:, None], _nearest_taps(w, out_w)[None, :]]
 
 
 def _check_plane(h: int, w: int) -> None:
@@ -266,20 +279,28 @@ def preprocess_case(
     labeled organ range (plus margin), resize, emit one pair per slice.
 
     The image takes ``preprocess_volume``'s chain and is cropped after its
-    resize; the organ range is read from the full-resolution mask.
+    resize.  The organ range is read from one foreground flag per source
+    slice, gathered by resample_z's nearest-slice index, so it is the
+    range of the z-resampled full-resolution mask.  The mask is gathered
+    once, at the kept slices' nearest source slices, rows and columns:
+    no array of the mask's size is made.
     """
     if image.dims != mask.dims:
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
     v = preprocess_volume(image, size)
-    m = _stage("resample_z", resample_z, mask, kind="nearest")
-    v, m, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, m)
-    m = _stage("resize_slices", resize_slices, m, size)
+    d, h, w = mask.dims
+    pos, spacing = _stage("resample_z", _resampled_z, d, mask.spacing)
+    zi = _nearest_slice(pos, d)
+    flags = LabelVolume(np.array([plane.any() for plane in mask.voxels])[zi, None, None], spacing)
+    v, _, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, flags)
+    m = mask.voxels[zi[lo : lo + v.dims[0], None, None], _nearest_taps(h, size)[:, None],
+                    _nearest_taps(w, size)]
     return [
         SlicePair(
             image=v.voxels[i],
-            mask=m.voxels[i],
+            mask=m[i],
             case_id=case_id,
             slice_index=lo + i,
         )

@@ -4,7 +4,11 @@ Everything here operates on (batch, channel, height, width) arrays in
 float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding; its
 input gradient is the same chunked correlation, run over the stride-dilated
-output gradient with the flipped kernel.
+output gradient with the flipped kernel.  A stride-1 correlation over rows
+of unit stride gathers its patches as wide rows: each kernel tap is one
+contiguous run of the input's rows, W (the row pitch) apart, and the matmul
+computes W columns per output row, of which the first ow are kept.
+Strided correlations and the weight gradient gather (oh, ow) patches.
 Batch statistics accumulate in float64.
 
 Ops are pure: given the same inputs they return bit-identical results;
@@ -142,8 +146,9 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
-# cache-sized working set: the patch matrix per chunk of images, gathered by
-# conv2d's forward and by conv2d_backward for both the input and the weight gradient
+# cache-sized working set: the patch matrix per chunk of images (or of one
+# depthwise image's channels), gathered by conv2d's forward and by
+# conv2d_backward for both the input and the weight gradient
 _BLOCK_BYTES = 1 << 20
 
 
@@ -207,14 +212,54 @@ def _patch_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: in
 
 
 def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool, oh: int, ow: int) -> np.ndarray:
-    """Pad-free cross-correlation of xp with weight, one matmul per chunk of images."""
+    """Pad-free cross-correlation of xp with weight, one matmul per chunk.
+
+    At stride 1, when xp's rows are unit-stride runs W >= its width apart
+    (W, the row pitch, is wider than the width in a view such as
+    conv2d_backward's crop of its framed buffer), taps are gathered as wide
+    rows: output pixel (r, q) of tap (i, j) is element (i+r)*W + j+q of
+    the plane, so each tap is the one contiguous run of L = (oh-1)*W + ow
+    elements that starts at i*W + j.  A chunk's matmul then yields oh
+    rows of W columns, of which the first ow are the output and the rest
+    straddle a row end; they are computed and dropped.  Chunks fit the
+    (c*kh*kw, L) patch matrices to ``_BLOCK_BYTES``, whole images at a
+    time, or for a depthwise image larger than that, runs of its
+    channels.  Other inputs gather (oh, ow) patches through
+    ``_patch_chunks``.
+    """
     oc, icpg, kh, kw = weight.shape
     w2 = weight.reshape(oc, 1, kh * kw) if depthwise else weight.reshape(oc, icpg * kh * kw)
     out_rows = (oc, 1) if depthwise else (oc,)
-    out = np.empty((xp.shape[0], oc, oh, ow), dtype=xp.dtype)
-    for s, cols in _patch_chunks(xp, kh, kw, stride, oh, ow, depthwise):
-        np.matmul(w2, cols, out=out[s].reshape(-1, *out_rows, oh * ow))
-        del cols  # before the next chunk is gathered: one chunk is held at a time
+    n, c, _, width = xp.shape
+    out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
+    sn, sc, sh, sw = xp.strides
+    pitch = sh // xp.itemsize
+    if stride != 1 or sw != xp.itemsize or sh != pitch * xp.itemsize or pitch < width:
+        for s, cols in _patch_chunks(xp, kh, kw, stride, oh, ow, depthwise):
+            np.matmul(w2, cols, out=out[s].reshape(-1, *out_rows, oh * ow))
+            del cols  # before the next chunk is gathered: one chunk is held at a time
+        return out
+    span = (oh - 1) * pitch + ow
+    kk = kh * kw
+    taps = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c, kh, kw, span), strides=(sn, sc, sh, sw, sw), writeable=False)
+    nb = max(1, _BLOCK_BYTES // (c * kk * span * xp.itemsize))
+    # depthwise channels are independent: a chunk may hold some of one image's channels
+    cb = max(1, _BLOCK_BYTES // (kk * span * xp.itemsize)) if depthwise and nb == 1 else c
+    # a chunk's rows of W columns; when W == ow they are the output's own rows
+    wide = None if pitch == ow else np.empty(
+        (min(nb, n), min(cb, oc) if depthwise else oc, oh, pitch), dtype=xp.dtype)
+    for i in range(0, n, nb):
+        for j in range(0, c, cb):
+            cols = taps[i : i + nb, j : j + cb]
+            m, cj = cols.shape[:2]
+            cols = cols.reshape(m, cj, kk, span) if depthwise else cols.reshape(m, cj * kk, span)
+            och = slice(j, j + cj) if depthwise else slice(None)
+            dst = out[i : i + m, och] if wide is None else wide[:m, : cj if depthwise else oc]
+            np.matmul(w2[och], cols, out=dst.reshape(*dst.shape[:2], *out_rows[1:], -1)[..., :span])
+            del cols  # one chunk held at a time
+            if wide is not None:
+                out[i : i + m, och] = dst[..., :ow]
     return out
 
 
@@ -222,8 +267,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """2-D cross-correlation with zero padding.
 
     Output dims: (n, out_c, (h+2*pad-kh)//stride + 1, (w+2*pad-kw)//stride + 1).
-    Patches are gathered in chunks of images whose patch matrix fits
-    ``_BLOCK_BYTES``, each multiplied by the weight in one matmul.
+    Patches are gathered in chunks whose patch matrix fits ``_BLOCK_BYTES``,
+    each multiplied by the weight in one matmul.  At stride 1 a tap's
+    patch is one run of (oh-1)*W + ow elements of the padded input's rows
+    of pitch W, and each output row keeps ow of the W columns computed
+    (see ``_correlate``); at larger strides it is an (oh, ow) grid.
     """
     oh, ow = _conv_out_dims(x, p)
     out = _correlate(_pad_input(x.data, p.padding), p.weight, p.stride, _is_depthwise(p), oh, ow)

@@ -440,7 +440,9 @@ class TestLeanTape:
 
     def test_desk_tape_and_backward_peak(self, desk):
         # desk n=8 float32; the tape of (xh, s, y) per swish unit held
-        # 53.3 MiB and the backward peaked at 72.7 MiB
+        # 53.3 MiB and the backward peaked at 72.7 MiB. The lean tape peaked
+        # at 36.7 MiB and peaks at 36.3 MiB with the wide-row gather; a
+        # gather that copies the crop of its framed buffer peaks at 37.9 MiB
         cfg, params = desk
         rng = np.random.default_rng(3)
         x = Tensor4(rng.random((8, 1, 64, 64), dtype=np.float32))
@@ -457,7 +459,7 @@ class TestLeanTape:
             tracemalloc.stop()
         mib = 1 << 20
         assert tape_bytes <= 24 * mib, f"tape holds {tape_bytes / mib:.1f} MiB"
-        assert peak <= 45 * mib, f"backward peaks at {peak / mib:.1f} MiB"
+        assert peak <= 37 * mib, f"backward peaks at {peak / mib:.1f} MiB"
 
 
 class TestCheckpoint:

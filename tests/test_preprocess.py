@@ -249,3 +249,44 @@ def test_preprocess_case_is_the_stage_chain():
     # margin and that slice are empty once resized, so the range came from
     # the full-size mask
     assert not m.voxels[: CROP_MARGIN_SLICES + 1].any()
+
+
+def test_preprocess_case_range_is_the_resampled_masks():
+    # 0.5 mm slices resample to 1 mm by taking every other slice: the lone
+    # voxel on odd slice 5 is skipped, so it must not widen the organ range
+    spacing = (0.5, 0.9, 0.8)
+    image = CtVolume(_phantom_hu((120, 12, 10), np.int16), spacing)
+    mask = np.zeros(image.dims, dtype=np.uint8)
+    mask[70:80, 3:9, 2:8] = 1
+    mask[5, 0, 0] = 1
+    labels = LabelVolume(mask, spacing)
+
+    v = resample_z(hist_equalize(hu_window(image)))
+    m = resample_z(labels, kind="nearest")
+    v, m, (lo, hi) = crop_liver_range(v, m)
+    pairs = preprocess_case(image, labels, size=8)
+
+    assert (lo, hi) == (35 - CROP_MARGIN_SLICES, 39 + CROP_MARGIN_SLICES)
+    assert [p.slice_index for p in pairs] == list(range(lo, hi + 1))
+    assert np.array_equal(np.stack([p.image for p in pairs]), resize_slices(v, 8).voxels)
+    assert np.array_equal(np.stack([p.mask for p in pairs]), resize_slices(m, 8).voxels)
+
+
+def test_preprocess_case_upsampled_in_z_holds_about_its_input():
+    # train_desk's geometry: 40x384^2 at 2.5 mm resamples to 98 slices. A
+    # z-resampled full-resolution mask alone is 1.3x the CT's bytes; reading
+    # one flag per slice and gathering only the kept mask pixels is not
+    hu = np.random.default_rng(11).integers(-1000, 1000, (40, 384, 384)).astype(np.int16)
+    mask = np.zeros(hu.shape, dtype=np.uint8)
+    mask[18:24, 100:300, 120:260] = 1
+    spacing = (2.5, 1.0, 1.0)
+    image, labels = CtVolume(hu, spacing), LabelVolume(mask, spacing)
+    tracemalloc.start()
+    try:
+        pairs = preprocess_case(image, labels, size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the organ's source slices 18..23 are the nearest of resampled slices 44..58
+    assert [p.slice_index for p in pairs] == list(range(44 - CROP_MARGIN_SLICES, 59 + CROP_MARGIN_SLICES))
+    assert peak <= 1.1 * hu.nbytes, f"peak {peak / hu.nbytes:.2f}x the input"

@@ -111,7 +111,9 @@ class TestConv2d:
     @staticmethod
     def chunked_case(dtype, stride, depthwise):
         """n=7 images whose (c*3*3, 32*32) patch matrices are each about a
-        third of the block, so conv2d gathers them in chunks of 3 + 3 + 1."""
+        third of the block, so conv2d gathers them in chunks of 3 + 3 + 1 at
+        stride 2; at stride 1 the wide rows of 31*34 + 32 columns make the
+        float32 chunks 2 + 2 + 2 + 1."""
         itemsize, k, n, oh = np.dtype(dtype).itemsize, 3, 7, 32
         c = T._BLOCK_BYTES // (3 * k * k * oh * oh * itemsize)
         assert T._BLOCK_BYTES // (c * k * k * oh * oh * itemsize) == 3
@@ -275,6 +277,116 @@ class TestConv2dBackward:
         p = T.ConvParams(weight=np.zeros((1, 1, 3, 3)))
         with pytest.raises(ShapeError):
             T.conv2d_backward(x, p, np.zeros((1, 1, 4, 4)))
+
+
+class TestWideRows:
+    """Stride-1 correlations over unit-stride rows gather each tap as one
+    run of L = (oh-1)*W + ow elements of the input's rows, W its row pitch,
+    and keep the first ow of every W columns the matmul yields."""
+
+    @staticmethod
+    def check(x, p, rng, tol):
+        """conv2d (with a bias) and conv2d_backward against the naive loops,
+        for a standard-normal grad_out."""
+        dt = x.dtype
+        p.bias = rng.standard_normal(p.out_channels).astype(dt)
+        got = T.conv2d(T.Tensor4(x), p).data
+        want = conv2d_naive(x, p.weight, p.bias, 1, p.padding, p.groups)
+        assert got.dtype == dt and np.allclose(got, want, rtol=tol, atol=tol)
+        go = rng.standard_normal(got.shape).astype(dt)
+        gx, gw, _ = T.conv2d_backward(T.Tensor4(x), p, go)
+        want_gx, want_gw = conv2d_backward_naive(x, p.weight, go, 1, p.padding, p.groups)
+        assert gx.dtype == dt and np.allclose(gx, want_gx, rtol=tol, atol=tol)
+        assert np.allclose(gw, want_gw, rtol=tol, atol=tol * np.abs(want_gw).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n,c,oc,h,w,kh,kw,padding,depthwise",
+        [
+            (2, 3, 4, 7, 5, 3, 3, 1, False),  # odd plane
+            (1, 2, 3, 6, 9, 5, 5, 2, False),  # non-square plane
+            (2, 3, 2, 5, 7, 3, 5, 0, False),  # non-square kernel, no padding
+            (1, 2, 2, 3, 4, 2, 3, 3, False),  # padding over the kernel
+            (3, 2, 3, 4, 1, 3, 3, 1, False),  # ow = 1
+            (2, 4, 4, 5, 3, 3, 3, 0, True),  # ow = 1
+            (1, 3, 3, 4, 7, 5, 5, 3, True),
+            (2, 3, 3, 9, 6, 5, 3, 1, True),  # non-square kernel and plane
+            (1, 2, 2, 5, 5, 3, 3, 3, True),  # padding at the kernel
+        ],
+    )
+    def test_against_naive_oracle(self, n, c, oc, h, w, kh, kw, padding, depthwise, dtype):
+        rng = np.random.default_rng(70 + h * w + padding)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        weight = rng.standard_normal((oc, 1 if depthwise else c, kh, kw)).astype(dtype)
+        p = T.ConvParams(weight=weight, padding=padding, groups=c if depthwise else 1)
+        self.check(x, p, rng, 1e-5 if dtype == np.float32 else 1e-12)
+
+    @pytest.mark.parametrize(
+        "n,c,oc,depthwise,pitch",
+        [
+            pytest.param(7, 62, 1, False, 10, id="dense-forward-3+3+1-images"),
+            pytest.param(7, 1, 52, False, 12, id="dense-input-gradient-3+3+1-images"),
+            pytest.param(2, 400, 400, True, 10, id="depthwise-forward-186+186+28-channels"),
+            pytest.param(2, 400, 400, True, 12, id="depthwise-input-gradient-158+158+84-channels"),
+        ],
+    )
+    def test_chunks_match_naive(self, n, c, oc, depthwise, pitch):
+        # 8x8 float64 planes, 3x3 kernel, padding 1: the forward reads rows of
+        # pitch 10, the input gradient rows of pitch 12 in its framed buffer.
+        # Dense chunks group whole images; a depthwise image over the block
+        # splits into chunks of channels, the last one partial
+        oh, k = 8, 3
+        # the input gradient correlates the oc channels of grad_out
+        span, rows = (oh - 1) * pitch + oh, oc if pitch == 12 else c
+        per_image = rows * k * k * span * 8
+        if depthwise:
+            cb = T._BLOCK_BYTES // (k * k * span * 8)
+            assert per_image > T._BLOCK_BYTES and c // cb == 2 and c % cb
+        else:
+            assert T._BLOCK_BYTES // per_image == 3
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((n, c, oh, oh))
+        weight = rng.standard_normal((oc, 1 if depthwise else c, k, k))
+        self.check(x, T.ConvParams(weight=weight, padding=1, groups=c if depthwise else 1), rng, 1e-12)
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    def test_input_rows_wider_than_the_plane(self, depthwise):
+        # a column crop of a wider array: rows 11 apart, 6 wide, read as they stand
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((2, 3, 5, 11))[..., 2:8]
+        assert not x.flags.c_contiguous and x.strides[2] == 11 * x.itemsize
+        weight = rng.standard_normal((3, 1 if depthwise else 3, 3, 2))
+        self.check(x, T.ConvParams(weight=weight, groups=3 if depthwise else 1), rng, 1e-12)
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    def test_gathers_no_patch_grid_at_stride_1(self, monkeypatch, depthwise):
+        # the forward and the input gradient take the wide rows, the input
+        # gradient straight from its framed buffer: no copy of the crop
+        # (the weight gradient alone gathers (oh, ow) patches)
+        rng = np.random.default_rng(27)
+        x = t4(rng.standard_normal((2, 4, 6, 5)))
+        p = T.ConvParams(weight=rng.standard_normal((4, 1 if depthwise else 4, 3, 3)), padding=1,
+                         groups=4 if depthwise else 1)
+        patch_chunks, correlate = T._patch_chunks, T._correlate
+        grids, inputs = [], []
+
+        def counting(*args):
+            grids.append(args[0].shape)
+            return patch_chunks(*args)
+
+        def recording(xp, *args):
+            inputs.append(xp)
+            return correlate(xp, *args)
+
+        monkeypatch.setattr(T, "_patch_chunks", counting)
+        monkeypatch.setattr(T, "_correlate", recording)
+        go = rng.standard_normal(T.conv2d(x, p).dims)
+        assert grids == []
+        T.conv2d_backward(x, p, go)
+        assert grids == [(2, 4, 8, 7)]  # the padded input, for the weight gradient
+        framed = inputs[-1]
+        assert framed.shape == (2, 4, 9, 8) and framed.strides[2] == 9 * framed.itemsize
+        assert not framed.flags.c_contiguous and framed.base is not None
 
 
 def fresh_bn(c, gamma=None, beta=None, dtype=np.float64):

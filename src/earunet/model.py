@@ -268,6 +268,8 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
     s = cfg.input_size
     if x.c != 1 or x.h != s or x.w != s:
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
+    if not x.n:  # train-mode BN has no batch statistics, and the SE gate no mean
+        raise InputError(f"input {x.dims} has no images")
     if x.data.dtype != dtype:  # the kernels compute in the input's dtype
         raise InputError(f"input dtype {x.data.dtype} does not match the parameters' dtype {dtype}")
     bad = x.data.size - np.count_nonzero(np.isfinite(x.data))

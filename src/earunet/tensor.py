@@ -4,11 +4,11 @@ Everything here operates on (batch, channel, height, width) arrays in
 float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding; its
 input gradient is the same chunked correlation, run over the stride-dilated
-output gradient with the flipped kernel.  A stride-1 correlation over rows
-of unit stride gathers its patches as wide rows: each kernel tap is one
-contiguous run of the input's rows, W (the row pitch) apart, and the matmul
-computes W columns per output row, of which the first ow are kept.
-Strided correlations and the weight gradient gather (oh, ow) patches.
+output gradient with the flipped kernel, and its weight gradient reads the
+forward's chunks.  At stride 1 all three gather wide rows: each kernel tap
+is one contiguous run of the input's rows, W (the row pitch) apart, and
+each output row is W columns wide, of which the first ow are kept.  Only
+strided convs gather (oh, ow) grids.
 Batch statistics accumulate in float64.
 
 Ops are pure: given the same inputs they return bit-identical results;
@@ -146,9 +146,9 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
-# cache-sized working set: the patch matrix per chunk of images (or of one
-# depthwise image's channels), gathered by conv2d's forward and by
-# conv2d_backward for both the input and the weight gradient
+# cache-sized working set: one chunk's patch matrix (whole images, or a run of
+# one depthwise image's channels) for every conv gather, all sized in
+# _tap_chunks: wide rows at stride 1, (oh, ow) grids only for strided convs
 _BLOCK_BYTES = 1 << 20
 
 
@@ -182,84 +182,70 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     return xp
 
 
-def _patch_view(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Strided view (n, c, kh, kw, oh, ow) of the padded input; no copy."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-
-
 def _is_depthwise(p: ConvParams) -> bool:
     """One single-channel filter per input channel (groups == in_c == out_c);
     a one-channel depthwise conv takes the dense path."""
     return p.groups > 1
 
 
-def _patch_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int, depthwise: bool):
-    """(images, cols) for chunks of the padded input whose patch matrix fits
-    ``_BLOCK_BYTES``; cols is (nb, c*kh*kw, oh*ow), or (nb, c, kh*kw, oh*ow) depthwise."""
-    n, c = xp.shape[:2]
-    patches = _patch_view(xp, kh, kw, stride, oh, ow)
-    rows = (c, kh * kw) if depthwise else (c * kh * kw,)
-    nb = max(1, _BLOCK_BYTES // (c * kh * kw * oh * ow * xp.itemsize))
-    for i in range(0, n, nb):
-        yield slice(i, i + nb), patches[i : i + nb].reshape(-1, *rows, oh * ow)
-
-
-def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool, oh: int, ow: int) -> np.ndarray:
-    """Pad-free cross-correlation of xp with weight, one matmul per chunk.
+def _tap_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int, depthwise: bool):
+    """(images, channels, cols, pitch) for the chunks of xp's patch matrix,
+    cols (m, c*kh*kw, L), or (m, c, kh*kw, L) depthwise, L = (oh-1)*pitch + ow.
 
     At stride 1, when xp's rows are unit-stride runs W >= its width apart
-    (W, the row pitch, is wider than the width in a view such as
-    conv2d_backward's crop of its framed buffer), taps are gathered as wide
-    rows: output pixel (r, q) of tap (i, j) is element (i+r)*W + j+q of
-    the plane, so each tap is the one contiguous run of L = (oh-1)*W + ow
-    elements that starts at i*W + j.  A chunk's matmul then yields oh
-    rows of W columns, of which the first ow are the output and the rest
-    straddle a row end; they are computed and dropped.  Chunks fit the
-    (c*kh*kw, L) patch matrices to ``_BLOCK_BYTES``, whole images at a
-    time, or for a depthwise image larger than that, runs of its
-    channels.  Other inputs gather (oh, ow) patches through
-    ``_patch_chunks``.
+    (wider in a view such as conv2d_backward's crop of its framed buffer),
+    taps are wide rows: output pixel (r, q) of tap (i, j) is element
+    (i+r)*W + j+q of the plane, so each tap is one contiguous run, pitch is
+    W, and of each W columns of a product the first ow are output pixels and
+    the rest straddle a row end.  Otherwise each tap is an (oh, ow) grid and
+    pitch is ow.  A chunk's patch matrix fits ``_BLOCK_BYTES`` with whole
+    images, or for a depthwise image larger than that, with a run of its
+    (independent) channels; channels is slice(None) unless an image is split.
     """
-    oc, icpg, kh, kw = weight.shape
-    w2 = weight.reshape(oc, 1, kh * kw) if depthwise else weight.reshape(oc, icpg * kh * kw)
-    out_rows = (oc, 1) if depthwise else (oc,)
     n, c, _, width = xp.shape
-    out = np.empty((n, oc, oh, ow), dtype=xp.dtype)
     sn, sc, sh, sw = xp.strides
-    pitch = sh // xp.itemsize
-    if stride != 1 or sw != xp.itemsize or sh != pitch * xp.itemsize or pitch < width:
-        for s, cols in _patch_chunks(xp, kh, kw, stride, oh, ow, depthwise):
-            np.matmul(w2, cols, out=out[s].reshape(-1, *out_rows, oh * ow))
-            del cols  # before the next chunk is gathered: one chunk is held at a time
-        return out
+    pitch, kk = sh // xp.itemsize, kh * kw
+    wide = stride == 1 and sw == xp.itemsize and sh == pitch * xp.itemsize and pitch >= width
+    pitch = pitch if wide else ow
     span = (oh - 1) * pitch + ow
-    kk = kh * kw
+    shape, strides = ((span,), (sw,)) if wide else ((oh, ow), (sh * stride, sw * stride))
     taps = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, kh, kw, span), strides=(sn, sc, sh, sw, sw), writeable=False)
+        xp, shape=(n, c, kh, kw, *shape), strides=(sn, sc, sh, sw, *strides), writeable=False)
     nb = max(1, _BLOCK_BYTES // (c * kk * span * xp.itemsize))
-    # depthwise channels are independent: a chunk may hold some of one image's channels
     cb = max(1, _BLOCK_BYTES // (kk * span * xp.itemsize)) if depthwise and nb == 1 else c
-    # a chunk's rows of W columns; when W == ow they are the output's own rows
-    wide = None if pitch == ow else np.empty(
-        (min(nb, n), min(cb, oc) if depthwise else oc, oh, pitch), dtype=xp.dtype)
     for i in range(0, n, nb):
         for j in range(0, c, cb):
             cols = taps[i : i + nb, j : j + cb]
             m, cj = cols.shape[:2]
             cols = cols.reshape(m, cj, kk, span) if depthwise else cols.reshape(m, cj * kk, span)
-            och = slice(j, j + cj) if depthwise else slice(None)
-            dst = out[i : i + m, och] if wide is None else wide[:m, : cj if depthwise else oc]
-            np.matmul(w2[och], cols, out=dst.reshape(*dst.shape[:2], *out_rows[1:], -1)[..., :span])
-            del cols  # one chunk held at a time
-            if wide is not None:
-                out[i : i + m, och] = dst[..., :ow]
+            yield slice(i, i + m), slice(j, j + cj) if cb < c else slice(None), cols, pitch
+
+
+def _rows(a: np.ndarray, oh: int, ow: int, pitch: int) -> np.ndarray:
+    """An (m, k, oh, pitch) chunk buffer as the (m, k, L) operand or product
+    of a chunk's matmul, L = (oh-1)*pitch + ow; a view."""
+    return a.reshape(*a.shape[:2], oh * pitch)[..., : (oh - 1) * pitch + ow]
+
+
+def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool, oh: int, ow: int) -> np.ndarray:
+    """Pad-free cross-correlation of xp with weight, one matmul per chunk of
+    ``_tap_chunks``.  The matmul writes rows pitch wide; when pitch > ow
+    they go to a chunk buffer and the first ow columns of each are kept."""
+    oc, icpg, kh, kw = weight.shape
+    w2 = weight.reshape(oc, 1, kh * kw) if depthwise else weight.reshape(oc, icpg * kh * kw)
+    out = np.empty((xp.shape[0], oc, oh, ow), dtype=xp.dtype)
+    wide = None
+    for s, ch, cols, pitch in _tap_chunks(xp, kh, kw, stride, oh, ow, depthwise):
+        dst = out[s, ch]
+        if pitch != ow:
+            if wide is None:  # the first chunk is the largest
+                wide = np.empty((*dst.shape[:3], pitch), dtype=xp.dtype)
+            dst = wide[: dst.shape[0], : dst.shape[1]]
+        res = _rows(dst, oh, ow, pitch)
+        np.matmul(w2[ch], cols, out=res[:, :, None] if depthwise else res)
+        del cols  # one chunk held at a time
+        if pitch != ow:
+            out[s, ch] = dst[..., :ow]
     return out
 
 
@@ -268,10 +254,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
 
     Output dims: (n, out_c, (h+2*pad-kh)//stride + 1, (w+2*pad-kw)//stride + 1).
     Patches are gathered in chunks whose patch matrix fits ``_BLOCK_BYTES``,
-    each multiplied by the weight in one matmul.  At stride 1 a tap's
-    patch is one run of (oh-1)*W + ow elements of the padded input's rows
-    of pitch W, and each output row keeps ow of the W columns computed
-    (see ``_correlate``); at larger strides it is an (oh, ow) grid.
+    each multiplied by the weight in one matmul: wide rows at stride 1,
+    (oh, ow) grids only at larger strides (see ``_tap_chunks``).
     """
     oh, ow = _conv_out_dims(x, p)
     out = _correlate(_pad_input(x.data, p.padding), p.weight, p.stride, _is_depthwise(p), oh, ow)
@@ -289,7 +273,10 @@ def conv2d_backward(
     dilated by the stride and framed by kernel-1 zeros, with the flipped
     kernel (in and out channels swapped for a dense conv); only its unpadded
     part is computed, one output phase mod stride at a time.  The weight
-    gradient sums grad_out . patches^T over the forward's chunks of images.
+    gradient sums grad_out . patches^T over the forward's chunks; for wide
+    rows each chunk of grad_out is copied into a zeroed buffer with rows
+    pitch wide, whose straddling columns stay 0.  Only a strided conv
+    gathers (oh, ow) grids.
     """
     n, c, h, w = x.dims
     kh, kw = p.kernel
@@ -304,10 +291,20 @@ def conv2d_backward(
         grad_bias = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(p.bias.dtype)
 
     dw = _is_depthwise(p)
-    go = grad_out.reshape(n, oc, oh * ow, 1) if dw else grad_out.reshape(n, oc, oh * ow)
     gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
-    for s, cols in _patch_chunks(_pad_input(x.data, pad), kh, kw, st, oh, ow, dw):
-        gw += (np.matmul(cols, go[s]) if dw else np.matmul(go[s], cols.transpose(0, 2, 1))).sum(axis=0)
+    framed = None
+    for s, ch, cols, pitch in _tap_chunks(_pad_input(x.data, pad), kh, kw, st, oh, ow, dw):
+        g = grad_out[s, ch]
+        if pitch != ow:
+            if framed is None:  # the first chunk is the largest; its straddling columns stay 0
+                framed = np.zeros((*g.shape[:3], pitch), dtype=grad_out.dtype)
+            framed[: g.shape[0], : g.shape[1], :, :ow] = g
+            g = framed[: g.shape[0], : g.shape[1]]
+        g = _rows(g, oh, ow, pitch)
+        if dw:
+            gw[ch] += np.matmul(cols, g[..., None]).sum(axis=0)
+        else:
+            gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
         del cols  # one chunk held at a time
 
     buf = np.zeros((n, oc, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=grad_out.dtype)
@@ -356,8 +353,8 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
     n, c, h, w = x.dims
     if c != s.channels:
         raise ShapeError(f"input channels {x.dims} do not match batch-norm width {s.channels}")
-    if n * h * w == 1:
-        raise DegenerateBatchError("batch variance undefined for a single element per channel")
+    if n * h * w < 2:
+        raise DegenerateBatchError(f"batch variance undefined for {n * h * w} elements per channel")
     dt = x.data.dtype
     mu64, var64 = _batch_stats(x.data)
     m = BN_MOMENTUM

@@ -21,7 +21,7 @@ from earunet.checkpoint import (
     save_checkpoint,
 )
 from earunet.errors import (
-    ConfigError, FormatError, InputError, ParameterError, ShapeError, VersionError,
+    ConfigError, EarUnetError, FormatError, InputError, ParameterError, ShapeError, VersionError,
 )
 from earunet.tensor import INFER, TRAIN, Tensor4
 from oracles import max_rel_err
@@ -201,6 +201,18 @@ class TestForward:
         before = {k: v.tobytes() for k, v in M.named_state(params).items()}
         with pytest.raises(InputError, match="1 non-finite"):
             M.forward(params, cfg, Tensor4(x), mode, np.random.default_rng(0))
+        assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
+
+    @pytest.mark.parametrize("mode", [INFER, TRAIN])
+    def test_empty_batch_is_an_input_error(self, mode):
+        # a train forward used to write NaN into stem_bn's running stats and
+        # then fail inside numpy in the SE gate, as an infer forward did
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        before = {k: v.tobytes() for k, v in M.named_state(params).items()}
+        with pytest.raises(EarUnetError, match="no images"):
+            M.forward(params, cfg, Tensor4(np.zeros((0, 1, 32, 32), np.float32)), mode,
+                      np.random.default_rng(0))
         assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
 
     def test_batch_independence_infer(self, desk):

@@ -258,6 +258,35 @@ class TestConv2dBackward:
         want_gw = np.sum([s[1] for s in singles], axis=0, dtype=np.float64)
         assert gw.dtype == np.float32 and np.allclose(gw, want_gw, rtol=1e-5, atol=1e-4)
 
+    @pytest.mark.parametrize(
+        "stride,c,block",
+        [
+            # 8x8 output, wide rows of pitch 10 (5.5 KiB per channel), and 12 in the
+            # input gradient's framed buffer (6.5 KiB): runs 2 + 2 + 2 + 1 for all three
+            pytest.param(1, 7, 16384, id="wide-rows-2+2+2+1-channels"),
+            # 8x8 output grids, 4.5 KiB per channel: runs 2 * 6 + 1 for the forward and
+            # the weight gradient, 4 + 4 + 4 + 1 for the input gradient's 2x2-tap phase
+            pytest.param(2, 13, 9500, id="grids-2x6+1-channels"),
+        ],
+    )
+    def test_depthwise_channel_runs_match_naive(self, monkeypatch, stride, c, block):
+        # one image's patch matrix spans 3+ blocks, so each gather splits it
+        # into runs of channels, the last one partial; images go one at a time
+        monkeypatch.setattr(T, "_BLOCK_BYTES", block)
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((2, c, 8 * stride, 8 * stride))
+        p = T.ConvParams(weight=rng.standard_normal((c, 1, 3, 3)), stride=stride, padding=1, groups=c)
+        go = rng.standard_normal((2, c, 8, 8))
+        calls = record_tap_chunks(monkeypatch)
+        got = T.conv2d(T.Tensor4(x), p).data
+        gx, gw, _ = T.conv2d_backward(T.Tensor4(x), p, go)
+        runs = [len(pitches) for _, _, pitches in calls]
+        assert min(runs[0], runs[1], max(runs[2:])) >= 3 * len(x), runs
+        assert np.allclose(got, conv2d_naive(x, p.weight, None, stride, 1, c), rtol=1e-12, atol=1e-12)
+        want_gx, want_gw = conv2d_backward_naive(x, p.weight, go, stride, 1, c)
+        assert np.allclose(gx, want_gx, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("groups,k", [(1, 3), (4, 3), (1, 1)], ids=["dense", "depthwise", "1x1"])
     def test_never_calls_public_conv2d(self, monkeypatch, groups, k):
         # tracers wrap tensor.conv2d: a backward through it would count as forward time and flops
@@ -360,33 +389,45 @@ class TestWideRows:
 
     @pytest.mark.parametrize("depthwise", [False, True])
     def test_gathers_no_patch_grid_at_stride_1(self, monkeypatch, depthwise):
-        # the forward and the input gradient take the wide rows, the input
-        # gradient straight from its framed buffer: no copy of the crop
-        # (the weight gradient alone gathers (oh, ow) patches)
+        # at stride 1 the forward, the weight gradient and the input gradient
+        # all take wide rows, the input gradient straight from its framed
+        # buffer: no copy of the crop. At stride 2 all of them gather grids
         rng = np.random.default_rng(27)
         x = t4(rng.standard_normal((2, 4, 6, 5)))
         p = T.ConvParams(weight=rng.standard_normal((4, 1 if depthwise else 4, 3, 3)), padding=1,
                          groups=4 if depthwise else 1)
-        patch_chunks, correlate = T._patch_chunks, T._correlate
-        grids, inputs = [], []
-
-        def counting(*args):
-            grids.append(args[0].shape)
-            return patch_chunks(*args)
-
-        def recording(xp, *args):
-            inputs.append(xp)
-            return correlate(xp, *args)
-
-        monkeypatch.setattr(T, "_patch_chunks", counting)
-        monkeypatch.setattr(T, "_correlate", recording)
-        go = rng.standard_normal(T.conv2d(x, p).dims)
-        assert grids == []
+        q = dataclasses.replace(p, stride=2)
+        go, go2 = (rng.standard_normal(T.conv2d(x, r).dims) for r in (p, q))
+        calls = record_tap_chunks(monkeypatch)
+        T.conv2d(x, p)
         T.conv2d_backward(x, p, go)
-        assert grids == [(2, 4, 8, 7)]  # the padded input, for the weight gradient
-        framed = inputs[-1]
+        # the padded input, for the forward and then the weight gradient
+        assert [(xp.shape, ow, pitches) for xp, ow, pitches in calls[:2]] == [((2, 4, 8, 7), 5, [7])] * 2
+        framed, ow, pitches = calls[2]
         assert framed.shape == (2, 4, 9, 8) and framed.strides[2] == 9 * framed.itemsize
         assert not framed.flags.c_contiguous and framed.base is not None
+        assert len(calls) == 3 and ow == 5 and pitches == [9]
+        del calls[:]
+        T.conv2d(x, q)
+        T.conv2d_backward(x, q, go2)
+        assert [(xp.shape, ow, pitches) for xp, ow, pitches in calls[:2]] == [((2, 4, 8, 7), 3, [3])] * 2
+        assert len(calls) == 6 and all(pitches == [ow] for _, ow, pitches in calls[2:])  # 4 phases
+
+
+def record_tap_chunks(monkeypatch):
+    """Wrap tensor._tap_chunks; each call appends (xp, ow, the pitch of each
+    chunk) to the returned list."""
+    tap_chunks, calls = T._tap_chunks, []
+
+    def recording(xp, kh, kw, stride, oh, ow, depthwise):
+        pitches = []
+        calls.append((xp, ow, pitches))
+        for chunk in tap_chunks(xp, kh, kw, stride, oh, ow, depthwise):
+            pitches.append(chunk[3])
+            yield chunk
+
+    monkeypatch.setattr(T, "_tap_chunks", recording)
+    return calls
 
 
 def fresh_bn(c, gamma=None, beta=None, dtype=np.float64):
@@ -437,6 +478,13 @@ class TestBatchNorm:
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatchError):
             T.batchnorm2d(t4(np.ones((1, 3, 1, 1))), fresh_bn(3))
+
+    def test_empty_batch_leaves_running_stats(self):
+        # an empty batch used to pass the check and write NaN running stats
+        s = fresh_bn(3)
+        with pytest.raises(DegenerateBatchError, match="0 elements"):
+            T.batchnorm2d(t4(np.ones((0, 3, 4, 4))), s)
+        assert np.array_equal(s.running_mean, np.zeros(3)) and np.array_equal(s.running_var, np.ones(3))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):

@@ -42,6 +42,7 @@ from .tensor import (
     bn_affine,
     conv2d,
     conv2d_backward,
+    flush_subnormal,
 )
 
 GradDict = dict[int, np.ndarray]  # id(array) -> its gradient
@@ -324,7 +325,11 @@ class SeCtx:
 
 def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
     """Per-channel gating: x scaled by sigmoid(fc2(swish(fc1(mean(x))))),
-    the mean over each (h, w) plane accumulated in float64."""
+    the mean over each (h, w) plane accumulated in float64.
+
+    Unlike the attention gate's, the product is not flushed of subnormals:
+    no encoder conv has been seen to read one, in train or in infer, and a
+    flush would cost every MBConv."""
     if x.c != p.fc1.weight.shape[0]:
         raise ShapeError(
             f"SE input channels {x.dims} do not match fc1 width {p.fc1.weight.shape}"
@@ -436,25 +441,34 @@ def attention_gate_forward(
     """Multiply skip features x by a mask in [0, 1] computed from x and the
     decoder features g, which must have x's batch size and resolution.
 
-    alpha is the plain sigmoid, exactly 0 where it saturates: the clip into
-    (0, 1) that ``activate`` applies for probabilities would turn a saturated
-    gate's skip and its gradient into subnormal floats, which x86 computes
-    with slow microcode assists."""
+    alpha is the plain sigmoid, exactly 0 where it saturates, not clipped
+    into (0, 1) as ``activate`` clips probabilities.  That alone does not
+    keep subnormals away: alpha itself falls below tiny for pre-activations
+    in about (-88.7, -87.3), and x*alpha already does for alpha below about
+    tiny/|x|.  x86 runs every multiply-add with a subnormal operand through
+    a slow microcode assist, so the product is flushed (``gated_skip``)."""
     xa = conv2d(x, p.wx)
     ga = conv2d(g, p.wg)
     if xa.dims != ga.dims:
         raise ShapeError(f"gate inter features disagree: {xa.dims} vs {ga.dims}")
     relu_out = activate(Tensor4(xa.data + ga.data), "relu")[0]
     alpha = _sigmoid(conv2d(relu_out, p.psi).data)  # (n, 1, hx, wx)
-    y = Tensor4(x.data * alpha)
-    return y, GateCtx(p, x, relu_out, alpha)
+    return gated_skip(x, alpha), GateCtx(p, x, relu_out, alpha)
+
+
+def gated_skip(x: Tensor4, alpha: np.ndarray) -> Tensor4:
+    """x*alpha with its subnormal products flushed (``flush_subnormal``): the
+    gate's output, and the same bytes when a backward recomputes it."""
+    return Tensor4(flush_subnormal(x.data * alpha))
 
 
 def attention_gate_backward(
     ctx: GateCtx, g: Tensor4, grad_out: np.ndarray, grads: GradDict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the skip x and of the decoder features `g` (the
-    forward's, from the caller)."""
+    forward's, from the caller).  The skip's gradient, grad_out*alpha plus
+    what reaches x through wx, is subnormal where alpha nears tiny, and is
+    flushed like the forward's product (``gated_skip``)."""
     p, x = ctx.p, ctx.x
     grad_x = grad_out * ctx.alpha
     dalpha = np.sum(grad_out * x.data, axis=1, keepdims=True, dtype=np.float64).astype(
@@ -467,7 +481,7 @@ def attention_gate_backward(
     dsum = activate_backward(ctx.relu_out.data, "relu", drelu)
     dx2, grads[id(p.wx.weight)], _ = conv2d_backward(x, p.wx, dsum)
     dg, grads[id(p.wg.weight)], _ = conv2d_backward(g, p.wg, dsum)
-    return grad_x + dx2, dg
+    return flush_subnormal(grad_x + dx2), dg
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,14 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
         raise InputError(f"input has {bad} non-finite pixels (NaN or inf)")
 
 
+def _level_input(gated: Tensor4, up: Tensor4) -> Tensor4:
+    """A decoder level's residual-block input, [gated skip, upsampled
+    features] along channels.  The forward passes the gate's output, the
+    backward ``B.gated_skip`` of the gate's saved skip and alpha, which
+    gives the same bytes."""
+    return Tensor4(np.concatenate([gated.data, up.data], axis=1))
+
+
 def _level_step(
     gate_ctx: B.GateCtx, res_ctx: B.ResCtx, feats: Tensor4, g: np.ndarray, grads: B.GradDict
 ) -> np.ndarray:
@@ -286,7 +294,7 @@ def _level_step(
     the tap step of its encoder stage."""
     up = upsample_bilinear_2x(feats)
     skip = gate_ctx.x
-    cat = Tensor4(np.concatenate([skip.data * gate_ctx.alpha, up.data], axis=1))
+    cat = _level_input(B.gated_skip(skip, gate_ctx.alpha), up)
     g = B.residual_block_backward(res_ctx, cat, g, grads)
     del cat
     grads[id(skip.data)], g_up = B.attention_gate_backward(gate_ctx, up, g[:, :skip.c], grads)
@@ -325,7 +333,7 @@ def _decoder_level(
 ) -> Tensor4:
     up = upsample_bilinear_2x(feats)
     gated, gate_ctx = B.attention_gate_forward(skip, up, gate)
-    cat = Tensor4(np.concatenate([gated.data, up.data], axis=1))
+    cat = _level_input(gated, up)
     del up, gated
     out, res_ctx = B.residual_block_forward(cat, res, mode)
     if tape is not None:

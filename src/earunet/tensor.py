@@ -11,6 +11,13 @@ each output row is W columns wide, of which the first ow are kept.  Only
 strided convs gather (oh, ow) grids.
 Batch statistics accumulate in float64.
 
+x86 runs every multiply-add with a subnormal operand (nonzero, below
+``finfo.tiny``) through a microcode assist, several times slower than a
+normal one.  ``flush_subnormal`` zeroes them in place, as a CPU's
+flush-to-zero mode would, where they are made: in the sigmoid derivative
+(``activate_backward``), and in ``blocks``' attention-gate product and its
+gradient.  A flushed value moves by less than tiny (2**-126 in float32).
+
 Ops are pure: given the same inputs they return bit-identical results;
 ``batchnorm2d`` alone also updates its running statistics in place.
 Backward functions compute the gradients of ``sum(grad_out * op(x))``
@@ -404,6 +411,29 @@ def batchnorm2d_backward(
 
 
 # ---------------------------------------------------------------------------
+# subnormals
+
+
+def flush_subnormal(a: np.ndarray) -> np.ndarray:
+    """Zero every |a| < finfo(a.dtype).tiny in place and return `a`.
+
+    A subnormal becomes a zero of its sign, so it moves by less than tiny
+    (2**-126 in float32), as a CPU's flush-to-zero mode would; 0, inf and
+    NaN are kept.  Works through chunks of a quarter of ``_BLOCK_BYTES``, in
+    any memory order, so a chunk and its two temporaries stay in cache and
+    no temporary has the size of `a`."""
+    tiny = np.finfo(a.dtype).tiny
+    flags = ["external_loop", "buffered", "zerosize_ok"]
+    with np.nditer(a, flags=flags, op_flags=[["readwrite"]], order="K",
+                   buffersize=_BLOCK_BYTES // (4 * a.itemsize)) as chunks:
+        for c in chunks:
+            small = np.abs(c) < tiny
+            if small.any():
+                np.multiply(c, 0, out=c, where=small)
+    return a
+
+
+# ---------------------------------------------------------------------------
 # activations
 
 
@@ -444,7 +474,8 @@ def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.nd
     """Input gradient of ``activate`` from its saved values, with no exp:
     relu' = [y > 0], sigmoid' = y*(1-y), swish' = s + y*(1-s), where y is
     the output and s = sigmoid(t).  The derivative and the product are
-    computed in place in one new array."""
+    computed in place in one new array; the sigmoid's is flushed
+    (``flush_subnormal``), since it is subnormal wherever y*g nears tiny."""
     if kind not in ("relu", "swish", "sigmoid"):
         raise ParameterError(f"unknown activation kind {kind!r}")
     y = saved[1] if kind == "swish" else saved
@@ -461,7 +492,8 @@ def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.nd
         d = np.subtract(1, y)
         d *= y
     d *= grad_out
-    return d
+    # covers the head's clipped sigmoid, the gate's alpha and the SE gate
+    return flush_subnormal(d) if kind == "sigmoid" else d
 
 
 # ---------------------------------------------------------------------------

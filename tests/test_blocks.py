@@ -231,7 +231,8 @@ class TestAttentionGate:
 
     def test_shut_gate_gives_exact_zeros(self):
         # alpha is the plain sigmoid: a shut gate multiplies by 0, not by a
-        # clipped finfo.tiny, so neither the gated skip nor its gradient is subnormal
+        # clipped finfo.tiny.  That covers alpha == 0 only; a gate that is
+        # nearly shut makes subnormal products (test_saturation_band_is_flushed)
         rng = np.random.default_rng(17)
         x = T.Tensor4(rng.standard_normal((2, 4, 8, 8)).astype(np.float32))
         g = T.Tensor4(rng.standard_normal((2, 6, 8, 8)).astype(np.float32))
@@ -246,6 +247,48 @@ class TestAttentionGate:
         for arr in (out.data, gx):
             assert not np.any((arr != 0) & (np.abs(arr) < tiny))
         assert all(np.all(np.isfinite(v)) for v in (gx, gg, *grads.values()))
+
+    def test_saturation_band_is_flushed(self, monkeypatch):
+        # psi's pre-activation spans [-91, -84]: alpha is 0 below -88.72
+        # (exp overflows), subnormal up to -87.34 and a normal float below
+        # 2**-100 above; x*alpha and its gradients cross into subnormals there
+        tiny = np.finfo(np.float32).tiny
+        rng = np.random.default_rng(18)
+        x = T.Tensor4(rng.standard_normal((2, 4, 16, 16)).astype(np.float32))
+        g = T.Tensor4(rng.standard_normal((2, 6, 16, 16)).astype(np.float32))
+        p = B.init_attention_gate(rng, 4, 6)
+        s = T.Tensor4(T.conv2d(x, p.wx).data + T.conv2d(g, p.wg).data)
+        pre = T.conv2d(T.activate(s, "relu")[0], p.psi).data
+        scale = 7.0 / (pre.max() - pre.min())
+        p.psi.weight *= np.float32(scale)
+        p.psi.bias[:] = -91.0 - scale * pre.min()
+        seen = []
+        conv2d_backward = B.conv2d_backward
+
+        def recording(xi, pi, go):
+            if pi is p.psi:
+                seen.append(go)
+            return conv2d_backward(xi, pi, go)
+
+        monkeypatch.setattr(B, "conv2d_backward", recording)
+        out, ctx = B.attention_gate_forward(x, g, p)
+        go = rng.standard_normal(out.dims).astype(np.float32)
+        gx, _ = B.attention_gate_backward(ctx, g, go, {})
+
+        def subnormal(a):
+            return (a != 0) & (np.abs(a) < tiny)
+
+        alpha = ctx.alpha
+        assert np.any(alpha == 0) and np.any(subnormal(alpha))
+        assert np.any((alpha >= tiny) & (alpha < 2.0**-100)) and alpha.max() < 2.0**-100
+        raw = x.data * alpha
+        assert np.any(subnormal(raw)) and np.any(np.abs(raw) >= tiny)
+        (dpsi_pre,) = seen
+        for arr in (out.data, gx, dpsi_pre):
+            assert not np.any(subnormal(arr))
+        normal = ~subnormal(raw)
+        assert out.data[normal].tobytes() == raw[normal].tobytes()
+        assert not np.any(out.data[~normal])
 
     def test_matches_primitive_composition(self):
         rng = np.random.default_rng(13)

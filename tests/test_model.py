@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from earunet import blocks as B
+from earunet import losses
 from earunet import model as M
 from earunet.checkpoint import (
     AdamMoments,
@@ -23,7 +24,7 @@ from earunet.checkpoint import (
 from earunet.errors import (
     ConfigError, EarUnetError, FormatError, InputError, ParameterError, ShapeError, VersionError,
 )
-from earunet.tensor import INFER, TRAIN, Tensor4
+from earunet.tensor import INFER, TRAIN, ConvParams, Tensor4
 from oracles import max_rel_err
 
 TABLE_CHANNELS = (48, 24, 32, 56, 112, 160, 272, 448, 1792)
@@ -472,6 +473,78 @@ class TestLeanTape:
         mib = 1 << 20
         assert tape_bytes <= 24 * mib, f"tape holds {tape_bytes / mib:.1f} MiB"
         assert peak <= 37 * mib, f"backward peaks at {peak / mib:.1f} MiB"
+
+
+def subnormal_count(a: np.ndarray) -> int:
+    tiny = np.finfo(np.float32).tiny
+    if a.dtype != np.float32 or a.ndim != 4:
+        return 0
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < tiny)))
+
+
+class TestSubnormals:
+    """x86 runs a multiply-add with a subnormal operand through a slow
+    microcode assist; the gate's product and gradient and the sigmoid
+    derivative flush theirs (``tensor.flush_subnormal``)."""
+
+    def test_desk_train_step_feeds_convs_few_subnormals(self, monkeypatch):
+        # before the flush: 11,280 subnormal operands reached conv2d and
+        # 92,990 conv2d_backward, almost all at 64x64 in decoder.level5.
+        # After it: 0 and 1,723, from normal but tiny gradients that the
+        # head's and psi's 1x1 convs scale below tiny
+        counts = collections.Counter()
+        for mod in (B, M):
+            for name in ("conv2d", "conv2d_backward"):
+                def counting(*args, _f=getattr(mod, name), _key=name):
+                    for a in args:
+                        a = a.data if isinstance(a, Tensor4) else a
+                        a = a.weight if isinstance(a, ConvParams) else a
+                        counts[_key] += subnormal_count(a)
+                    return _f(*args)
+
+                monkeypatch.setattr(mod, name, counting)
+        cfg = M.preset_config("desk")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = Tensor4(rng.random((8, 1, 64, 64), dtype=np.float32))
+        target = Tensor4((rng.random(x.dims) < 0.3).astype(np.float32))
+        y, tape = M.forward_training(params, cfg, x, rng)
+        _, grad = losses.combo_loss(y, target, losses.LossWeights(1.0, 1.0))
+        M.backward_from_context(params, tape, grad)
+        assert counts["conv2d"] == 0
+        assert counts["conv2d_backward"] <= 0.02 * 92_990
+
+    def test_recomputed_level_input_has_the_forward_bytes(self, monkeypatch):
+        # a gate in the saturation band: alpha = sigmoid(-87) is a normal
+        # float32 near tiny, so x*alpha is subnormal, and flushed, where |x| < 0.7
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        gate = params.gates[-1]
+        gate.psi.weight[:] = 0
+        gate.psi.bias[:] = -87.0
+        res = params.decoder[-1]
+        seen = {}
+        forward, backward = B.residual_block_forward, B.residual_block_backward
+
+        def recording_forward(x, p, mode):
+            if p is res:
+                seen["forward"] = x.data.copy()
+            return forward(x, p, mode)
+
+        def recording_backward(ctx, x, g, grads):
+            if ctx.p is res:
+                seen["backward"] = x.data.copy()
+            return backward(ctx, x, g, grads)
+
+        monkeypatch.setattr(B, "residual_block_forward", recording_forward)
+        monkeypatch.setattr(B, "residual_block_backward", recording_backward)
+        x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32), dtype=np.float32))
+        y, tape = M.forward_training(params, cfg, x, np.random.default_rng(2))
+        gate_ctx = [s for s in tape if getattr(s, "func", None) is M._level_step][-1].args[0]
+        M.backward_from_context(params, tape, np.ones(y.dims, dtype=np.float32))
+        raw = gate_ctx.x.data * gate_ctx.alpha
+        assert subnormal_count(raw) and np.any(np.abs(raw) >= np.finfo(np.float32).tiny)
+        assert seen["backward"].tobytes() == seen["forward"].tobytes()
 
 
 class TestCheckpoint:

@@ -583,6 +583,39 @@ class TestActivations:
         assert max_rel_err(g, numeric_grad(loss, x0)) < GRAD_TOL
 
 
+class TestFlushSubnormal:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values(self, dtype):
+        fi = np.finfo(dtype)
+        sub = [fi.smallest_subnormal, fi.tiny / 2, np.nextafter(fi.tiny, dtype(0))]
+        keep = [0.0, fi.tiny, 1.5, fi.max, np.inf]
+        a = np.array([*sub, *(-v for v in sub), *keep, *(-v for v in keep), np.nan], dtype=dtype)
+        want = a.copy()
+        want[: 2 * len(sub)] = np.copysign(0, want[: 2 * len(sub)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.flush_subnormal(a)
+        assert got is a
+        assert np.array_equal(a, want, equal_nan=True)
+        # a flushed value keeps its sign, as hardware flush-to-zero does; so does -0
+        assert np.array_equal(np.signbit(a), np.signbit(want))
+
+    def test_in_place_across_chunks_and_layouts(self):
+        # 3+ chunks of a quarter of _BLOCK_BYTES, contiguous and as two views
+        rng = np.random.default_rng(19)
+        tiny = np.finfo(np.float32).tiny
+        base = rng.standard_normal((4, 5, 64, 130)).astype(np.float32)
+        base[rng.random(base.shape) < 0.05] *= np.float32(1e-39)
+        want = np.where(np.abs(base) < tiny, np.float32(0), base)
+        for view in (lambda a: a, lambda a: a.transpose(3, 1, 0, 2), lambda a: a[:, ::2, :, 1::3]):
+            a = base.copy()
+            v = view(a)
+            assert T.flush_subnormal(v) is v
+            flushed = np.zeros(a.shape, dtype=bool)
+            view(flushed)[...] = True
+            assert np.array_equal(a, np.where(flushed, want, base))
+
+
 class TestSigmoidOracle:
     """float32 sigmoid and swish against a float64 oracle, across the range
     where exp(-t) overflows (t < -88.72) and exp(t) underflows (t < -103.97).
@@ -630,6 +663,21 @@ class TestSigmoidOracle:
         # y*(1-y) loses the relative accuracy of 1-y as y nears 1, so its
         # error is bounded by the size of y, not of the result
         assert np.all(np.abs(grad - s * (1.0 - s)) <= self.ULPS * s + self.TINY)
+
+    @pytest.mark.parametrize("g", [1.0, 1e-3, 1e-30])
+    def test_sigmoid_derivative_is_flushed(self, g):
+        # y*(1-y)*g is subnormal where y nears tiny and g < 1 (the head's clip
+        # holds y >= tiny); the flushed values move by less than tiny, and the
+        # normal ones keep their bytes
+        y = T.activate(T.Tensor4(self.grid()[None, None, None, :]), "sigmoid")[0].data
+        go = np.full_like(y, g)
+        got = T.activate_backward(y, "sigmoid", go)
+        raw = (np.float32(1) - y) * y * go
+        normal = np.abs(raw) >= self.TINY
+        assert not np.any((got != 0) & (np.abs(got) < self.TINY))
+        assert np.any(~normal) == (g < 1)
+        assert got[normal].tobytes() == raw[normal].tobytes()
+        assert not np.any(got[~normal])
 
     def test_swish(self):
         t = self.grid()

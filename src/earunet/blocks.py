@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .tensor import (
-    BN_EPS,
     INFER,
     TRAIN,
     ActSaved,
@@ -43,6 +42,7 @@ from .tensor import (
     conv2d,
     conv2d_backward,
     flush_subnormal,
+    fold_bn,
 )
 
 GradDict = dict[int, np.ndarray]  # id(array) -> its gradient
@@ -228,25 +228,6 @@ def init_res_block(rng, in_c, out_c, dtype=np.float32) -> ResBlockParams:
 # conv -> batch norm -> activation
 
 
-def _fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
-    """The conv whose output equals infer-mode bn(conv(x)): each output
-    channel's weights and bias scaled by gamma/sqrt(running_var + BN_EPS),
-    computed in float64, and the bias shifted by beta - running_mean*scale
-    (Jacob et al., arXiv:1712.05877)."""
-    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
-    bias = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
-    if conv.bias is not None:
-        bias += conv.bias.astype(np.float64) * scale
-    dt = conv.weight.dtype
-    return ConvParams(
-        weight=(conv.weight * scale[:, None, None, None]).astype(dt),
-        bias=bias.astype(dt),
-        stride=conv.stride,
-        padding=conv.padding,
-        groups=conv.groups,
-    )
-
-
 @dataclass
 class ConvUnit:
     """A train-mode conv -> BN -> activation unit after its forward: its
@@ -297,12 +278,12 @@ def conv_bn_act(
 
     Train mode runs conv2d -> batchnorm2d -> activate and returns the
     ``ConvUnit`` for its backward.
-    Infer mode runs one conv with the BN folded in (``_fold_bn``), returns
+    Infer mode runs one conv with the BN folded in (``tensor.fold_bn``), returns
     None for it, and matches the running-stat BN formula to float rounding.
     Any other mode raises ParameterError.
     """
     if mode == INFER:
-        out = conv2d(x, _fold_bn(conv, bn))
+        out = conv2d(x, fold_bn(conv, bn))
         return (out if kind is None else activate(out, kind)[0]), None
     if mode != TRAIN:
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")

@@ -18,6 +18,7 @@ resize taps, about (2*size/h)**2 of a plane per z-resampled slice.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,9 +203,14 @@ def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return img[..., _nearest_taps(h, out_h)[:, None], _nearest_taps(w, out_w)[None, :]]
 
 
-def _check_plane(h: int, w: int) -> None:
+def _check_resize(h: int, w: int, size) -> int:
+    """The slice size as an int, once it is an Integral, not a bool, of at
+    least 1, and the h x w planes are at least 2x2."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+        raise ParameterError(f"slice size must be an int >= 1, got {size!r}")
     if h < 2 or w < 2:
         raise InputError(f"in-plane resize needs at least 2x2 slices, got {h}x{w}")
+    return int(size)
 
 
 def _resized_spacing(spacing, h: int, w: int, size: int) -> tuple[float, float, float]:
@@ -215,7 +221,7 @@ def _resized_spacing(spacing, h: int, w: int, size: int) -> tuple[float, float, 
 def resize_slices(v: CtVolume | LabelVolume, size: int):
     """Resample every slice to size x size (bilinear images, nearest masks)."""
     h, w = v.dims[1], v.dims[2]
-    _check_plane(h, w)
+    size = _stage("resize_slices", _check_resize, h, w, size)
     spacing = _resized_spacing(v.spacing, h, w, size)
     if isinstance(v, LabelVolume):
         return LabelVolume(resize_plane_nearest(v.voxels, size, size), spacing)
@@ -248,6 +254,7 @@ def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     grid pixels, each written into the float32 output.
     """
     d, h, w = image.dims
+    size = _stage("resize_slices", _check_resize, h, w, size)
     y0, y1, fy = bilinear_taps(h, size)
     x0, x1, fx = bilinear_taps(w, size)
     rows, ry = np.unique(np.concatenate([y0, y1]), return_inverse=True)
@@ -259,7 +266,6 @@ def preprocess_volume(image: CtVolume, size: int) -> CtVolume:
     grid = _stage("hist_equalize", hist_equalize, grid, of=slabs)
     z = _stage("resample_z", resample_z, grid)
     del grid
-    _stage("resize_slices", _check_plane, h, w)
     out = np.empty((z.dims[0], size, size), dtype=np.float32)
     step = max(1, (1 << 18) // (rows.size * cols.size))
     for k in range(0, z.dims[0], step):

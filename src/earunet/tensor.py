@@ -9,7 +9,9 @@ forward's chunks.  At stride 1 all three gather wide rows: each kernel tap
 is one contiguous run of the input's rows, W (the row pitch) apart, and
 each output row is W columns wide, of which the first ow are kept.  Only
 strided convs gather (oh, ow) grids.
-Batch statistics accumulate in float64.
+Batch norm lives here whole.  Its train forward and backward compute each
+per-channel statistic once, accumulated in float64, and ``fold_bn`` is its
+infer form, the running statistics folded into the preceding conv.
 
 x86 runs every multiply-add with a subnormal operand (nonzero, below
 ``finfo.tiny``) through a microcode assist, several times slower than a
@@ -27,7 +29,7 @@ its forward saved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,7 +125,7 @@ class BatchNormState:
     ``batchnorm2d`` normalizes with batch statistics over (n, h, w) and
     updates the running stats in place as running <- (1-BN_MOMENTUM)*running
     + BN_MOMENTUM*batch.  Infer reads the running stats only through
-    ``blocks._fold_bn``.
+    ``fold_bn``.
     """
 
     gamma: np.ndarray
@@ -342,20 +344,14 @@ def conv2d_backward(
 BnSaved = tuple[np.ndarray, np.ndarray]  # (xh, inv) saved by batchnorm2d
 
 
-def _batch_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = np.mean(x, axis=(0, 2, 3), dtype=np.float64)
-    # centre in the input dtype; the sum of squares still accumulates in float64
-    d = x - mu.astype(x.dtype)[None, :, None, None]
-    var = np.einsum("nchw,nchw->c", d, d, dtype=np.float64) / (x.size // x.shape[1])
-    return mu, var
-
-
 def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
     """Train-mode per-channel normalize-scale-shift; returns ``(out, saved)``.
 
     Normalizes with the batch statistics over (n, h, w), updates the
     running statistics in place and saves ``(xh, inv)``, the normalized
     input and the per-channel inverse std, for ``batchnorm2d_backward``.
+    The input is centred once: the squares of x - mean give the variance,
+    and the same array, scaled in place by inv, is xh.
     """
     n, c, h, w = x.dims
     if c != s.channels:
@@ -363,14 +359,14 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
     if n * h * w < 2:
         raise DegenerateBatchError(f"batch variance undefined for {n * h * w} elements per channel")
     dt = x.data.dtype
-    mu64, var64 = _batch_stats(x.data)
+    mu64 = np.mean(x.data, axis=(0, 2, 3), dtype=np.float64)
+    xh = x.data - mu64.astype(dt)[None, :, None, None]
+    var64 = np.einsum("nchw,nchw->c", xh, xh, dtype=np.float64) / (n * h * w)
     m = BN_MOMENTUM
     for running, batch in ((s.running_mean, mu64), (s.running_var, var64)):
         running[:] = ((1.0 - m) * running.astype(np.float64) + m * batch).astype(running.dtype)
-    mu = mu64.astype(dt)
-    var = var64.astype(dt)
-    inv = (1.0 / np.sqrt(var.astype(np.float64) + BN_EPS)).astype(dt)
-    xh = (x.data - mu[None, :, None, None]) * inv[None, :, None, None]
+    inv = (1.0 / np.sqrt(var64.astype(dt).astype(np.float64) + BN_EPS)).astype(dt)
+    xh *= inv[None, :, None, None]
     return Tensor4(bn_affine(xh, s)), (xh, inv)
 
 
@@ -390,24 +386,39 @@ def batchnorm2d_backward(
     """Gradients of batchnorm2d w.r.t. input, gamma and beta,
     differentiating through the batch statistics.
 
-    ``saved`` is the ``(xh, inv)`` that the forward returned.
+    ``saved`` is the ``(xh, inv)`` that the forward returned.  Two sums
+    over (n, h, w), in float64, are the beta and gamma gradients, sum(g)
+    and sum(g*xh); the input gradient is the closed form (Ioffe & Szegedy,
+    arXiv:1502.03167) gamma*inv*(g - sum(g)/N - xh*sum(g*xh)/N), N = n*h*w,
+    built in place in the one array that held g*xh.
     """
     xh, inv = saved
     if grad_out.shape != xh.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} does not match input {xh.shape}")
     dt = xh.dtype
-    t = grad_out * xh  # one scratch array for the three products with xh
-    grad_gamma = np.sum(t, axis=(0, 2, 3), dtype=np.float64).astype(s.gamma.dtype)
-    grad_beta = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(s.beta.dtype)
+    sum_g = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64)
+    t = grad_out * xh
+    sum_gxh = np.sum(t, axis=(0, 2, 3), dtype=np.float64)
+    size = xh.size // xh.shape[1]
+    np.multiply(xh, (sum_gxh / size).astype(dt)[None, :, None, None], out=t)
+    np.subtract(grad_out, t, out=t)
+    t -= (sum_g / size).astype(dt)[None, :, None, None]
+    t *= (s.gamma.astype(np.float64) * inv).astype(dt)[None, :, None, None]
+    return t.astype(dt, copy=False), sum_gxh.astype(s.gamma.dtype), sum_g.astype(s.beta.dtype)
 
-    g = grad_out * s.gamma.astype(dt)[None, :, None, None]
-    mean_g = np.mean(g, axis=(0, 2, 3), dtype=np.float64).astype(dt)
-    mean_gxh = np.mean(np.multiply(g, xh, out=t), axis=(0, 2, 3), dtype=np.float64).astype(dt)
-    # inv * (g - mean_g - xh*mean_gxh), in place in g
-    g -= mean_g[None, :, None, None]
-    g -= np.multiply(xh, mean_gxh[None, :, None, None], out=t)
-    g *= inv[None, :, None, None]
-    return g.astype(dt, copy=False), grad_gamma, grad_beta
+
+def fold_bn(conv: ConvParams, bn: BatchNormState) -> ConvParams:
+    """The conv whose output equals infer-mode bn(conv(x)): each output
+    channel's weights and bias scaled by gamma/sqrt(running_var + BN_EPS),
+    computed in float64, and the bias shifted by beta - running_mean*scale
+    (Jacob et al., arXiv:1712.05877)."""
+    scale = bn.gamma.astype(np.float64) / np.sqrt(bn.running_var.astype(np.float64) + BN_EPS)
+    bias = bn.beta.astype(np.float64) - bn.running_mean.astype(np.float64) * scale
+    if conv.bias is not None:
+        bias += conv.bias.astype(np.float64) * scale
+    dt = conv.weight.dtype
+    return replace(conv, weight=(conv.weight * scale[:, None, None, None]).astype(dt),
+                   bias=bias.astype(dt))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,26 @@ def bn_infer_naive(z, bn):
     return out
 
 
+def bn_backward_naive(x, gamma, grad_out):
+    """Input gradient of train-mode batch norm, one channel at a time in
+    float64, in the chain-rule form of Ioffe & Szegedy (arXiv:1502.03167):
+    through xh = (x - mean)/sqrt(var + BN_EPS), then var, then mean, with
+    var the biased batch variance over (n, h, w)."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=np.float64)
+    out = np.empty_like(x)
+    for c in range(x.shape[1]):
+        xc, dxh = x[:, c], g[:, c] * float(gamma[c])
+        m = xc.size
+        mean = xc.mean()
+        var = ((xc - mean) ** 2).mean()
+        std = math.sqrt(var + BN_EPS)
+        dvar = float(np.sum(dxh * (xc - mean))) * -0.5 / std**3
+        dmean = -float(np.sum(dxh)) / std + dvar * float(np.mean(-2.0 * (xc - mean)))
+        out[:, c] = dxh / std + dvar * 2.0 * (xc - mean) / m + dmean / m
+    return out
+
+
 # ---------------------------------------------------------------------------
 # squeeze and excitation: per-sample, per-channel loops
 

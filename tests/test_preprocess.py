@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from earunet.errors import InputError
+from earunet import preprocess
+from earunet.errors import InputError, ParameterError
 from earunet.preprocess import (
     CROP_MARGIN_SLICES,
     EQUALIZE_BINS,
@@ -290,3 +291,50 @@ def test_preprocess_case_upsampled_in_z_holds_about_its_input():
     # the organ's source slices 18..23 are the nearest of resampled slices 44..58
     assert [p.slice_index for p in pairs] == list(range(44 - CROP_MARGIN_SLICES, 59 + CROP_MARGIN_SLICES))
     assert peak <= 1.1 * hu.nbytes, f"peak {peak / hu.nbytes:.2f}x the input"
+
+
+def _small_case():
+    spacing = (2.5, 0.9, 0.8)
+    image = CtVolume(_phantom_hu((6, 12, 10), np.int16), spacing)
+    mask = np.zeros(image.dims, dtype=np.uint8)
+    mask[2:4, 3:8, 2:7] = 1
+    return image, LabelVolume(mask, spacing)
+
+
+ENTRY_POINTS = {
+    "resize_slices": lambda image, labels, size: resize_slices(image, size),
+    "preprocess_volume": lambda image, labels, size: preprocess_volume(image, size),
+    "preprocess_case": lambda image, labels, size: preprocess_case(image, labels, size=size),
+}
+
+
+# a float, a bool, zero, a negative and a fraction: each used to fail late
+# with a raw numpy error, fail as an empty axis, divide by zero, or resize
+# silently to 3x3
+@pytest.mark.parametrize("size", [64.0, True, 0, -1, 2.5])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bad_slice_size_fails_before_any_pass(entry, size, monkeypatch):
+    monkeypatch.setattr(preprocess, "hu_window", lambda *a, **k: pytest.fail("a pass ran"))
+    with pytest.raises(ParameterError, match=r"^resize_slices: slice size"):
+        ENTRY_POINTS[entry](*_small_case(), size)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_numpy_integer_slice_size_is_an_int(entry):
+    image, labels = _small_case()
+    got = ENTRY_POINTS[entry](image, labels, np.int64(8))
+    want = ENTRY_POINTS[entry](image, labels, 8)
+    if entry == "preprocess_case":
+        got, want = np.stack([p.image for p in got]), np.stack([p.image for p in want])
+    else:
+        assert got.spacing == want.spacing
+        got, want = got.voxels, want.voxels
+    assert got.shape[-2:] == (8, 8) and np.array_equal(got, want)
+
+
+def test_too_small_plane_fails_before_any_pass():
+    # one row per slice; the NaN would fail equalization if a pass ran first
+    hu = np.zeros((4, 1, 6), dtype=np.float32)
+    hu[1, 0, 2] = np.nan
+    with pytest.raises(InputError, match=r"^resize_slices: .*2x2"):
+        preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=8)

@@ -14,7 +14,13 @@ from earunet import blocks as B
 from earunet import tensor as T
 from earunet.errors import DegenerateBatchError, ParameterError, ShapeError
 from earunet.preprocess import resize_plane_bilinear
-from oracles import conv2d_backward_naive, conv2d_naive, max_rel_err, numeric_grad
+from oracles import (
+    bn_backward_naive,
+    conv2d_backward_naive,
+    conv2d_naive,
+    max_rel_err,
+    numeric_grad,
+)
 
 GRAD_TOL = 1e-3
 
@@ -444,7 +450,7 @@ class TestBatchNorm:
         # identity running stats fold into a weight scale of 1/sqrt(1+BN_EPS) and a zero bias
         conv = B.init_conv(np.random.default_rng(4), 3, 3, 3, dtype=np.float64)
         bn = B.init_bn(3, np.float64)
-        folded = B._fold_bn(conv, bn)
+        folded = T.fold_bn(conv, bn)
         want = conv.weight / np.sqrt(1.0 + T.BN_EPS)
         assert np.allclose(folded.weight, want, rtol=1e-15, atol=0) and not folded.bias.any()
 
@@ -530,6 +536,44 @@ class TestBatchNorm:
         assert max_rel_err(gx, numeric_grad(loss_x, x0)) < GRAD_TOL
         assert max_rel_err(gg, numeric_grad(loss_g, gamma0)) < GRAD_TOL
         assert max_rel_err(gb, numeric_grad(loss_b, beta0)) < GRAD_TOL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_centres_once(self, dtype):
+        # xh is (x - mean)*inv bit for bit, and out is xh*gamma + beta; inv
+        # is 1/sqrt(var + eps) of the centred input, to the dtype's rounding
+        rng = np.random.default_rng(12)
+        x = (rng.standard_normal((4, 3, 6, 5)) * 3.0 + 40.0).astype(dtype)
+        s = fresh_bn(3, gamma=[0.5, 1.5, -2.0], beta=[0.1, -1.0, 3.0], dtype=dtype)
+        out, (xh, inv) = T.batchnorm2d(T.Tensor4(x), s)
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        var = np.var(x.astype(np.float64), axis=(0, 2, 3))
+        assert xh.dtype == inv.dtype == out.data.dtype == dtype
+        assert np.allclose(inv, 1.0 / np.sqrt(var + T.BN_EPS), rtol=4 * np.finfo(dtype).eps, atol=0)
+        want = (x - mean.astype(dtype)[None, :, None, None]) * inv[None, :, None, None]
+        assert np.array_equal(xh, want)
+        assert np.array_equal(out.data, want * s.gamma[None, :, None, None] + s.beta[None, :, None, None])
+
+    @pytest.mark.parametrize("cancelling,bound", [(False, 1e-6), (True, 1e-3)])
+    def test_backward_float32_matches_float64_oracle(self, cancelling, bound):
+        # a decoder-like activation; in the cancelling case grad_out is nearly
+        # affine in xh, so the mean terms remove almost all of it
+        rng = np.random.default_rng(13)
+        x = (rng.standard_normal((8, 24, 32, 32)) * 2.0 + 1.0).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, 24).astype(np.float32)
+        s = fresh_bn(24, gamma=gamma, dtype=np.float32)
+        saved = T.batchnorm2d(T.Tensor4(x), s)[1]
+        noise = rng.standard_normal(x.shape)
+        if cancelling:
+            x64 = x.astype(np.float64)
+            mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+            xh = (x64 - mean) / np.sqrt(x64.var(axis=(0, 2, 3), keepdims=True) + T.BN_EPS)
+            go = (0.7 + 1.3 * xh + 1e-3 * noise).astype(np.float32)
+        else:
+            go = noise.astype(np.float32)
+        gx = T.batchnorm2d_backward(saved, s, go)[0]
+        want = bn_backward_naive(x, gamma, go)
+        assert gx.dtype == np.float32
+        assert np.abs(gx - want).max() / np.abs(want).max() < bound
 
 
 class TestActivations:

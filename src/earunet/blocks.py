@@ -33,7 +33,6 @@ from .tensor import (
     BnSaved,
     ConvParams,
     Tensor4,
-    _sigmoid,
     activate,
     activate_backward,
     batchnorm2d,
@@ -423,7 +422,7 @@ def attention_gate_forward(
     decoder features g, which must have x's batch size and resolution.
 
     alpha is the plain sigmoid, exactly 0 where it saturates, not clipped
-    into (0, 1) as ``activate`` clips probabilities.  That alone does not
+    into (0, 1) as the model's head clips probabilities.  That alone does not
     keep subnormals away: alpha itself falls below tiny for pre-activations
     in about (-88.7, -87.3), and x*alpha already does for alpha below about
     tiny/|x|.  x86 runs every multiply-add with a subnormal operand through
@@ -433,7 +432,7 @@ def attention_gate_forward(
     if xa.dims != ga.dims:
         raise ShapeError(f"gate inter features disagree: {xa.dims} vs {ga.dims}")
     relu_out = activate(Tensor4(xa.data + ga.data), "relu")[0]
-    alpha = _sigmoid(conv2d(relu_out, p.psi).data)  # (n, 1, hx, wx)
+    alpha = activate(conv2d(relu_out, p.psi), "sigmoid")[0].data  # (n, 1, hx, wx)
     return gated_skip(x, alpha), GateCtx(p, x, relu_out, alpha)
 
 

@@ -1,7 +1,8 @@
-"""Segmentation losses with analytic gradients.
+"""The segmentation loss, w_bce*BCE + w_dice*DL, with its analytic gradient.
 
 Binary cross-entropy is the elementwise mean of -(y log p + (1-y) log(1-p))
-with predictions clamped to [eps, 1-eps] before the logs.  Dice loss is
+with predictions clamped to [eps, 1-eps] before the logs; a clamped pixel
+gets no BCE gradient.  Dice loss (Milletari et al., arXiv:1606.04797) is
 1 - (2*sum(y*p) + 1) / (sum(y) + sum(p) + 1) with the sums running over
 the whole batch, so the empty-empty case is defined (loss 0).  All
 reductions run in float64.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import InputError, ParameterError, ShapeError
 from .tensor import Tensor4
 
 CLAMP_EPS = 1e-7
@@ -44,49 +45,33 @@ class LossWeights:
             raise ParameterError("at least one loss weight must be positive")
 
 
-def _check_pair(pred: Tensor4, target: Tensor4) -> None:
-    if pred.dims != target.dims:
-        raise ShapeError(f"pred dims {pred.dims} do not match target dims {target.dims}")
-
-
-def bce_loss(pred: Tensor4, target: Tensor4) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. pred."""
-    _check_pair(pred, target)
-    p = pred.data.astype(np.float64)
-    y = target.data.astype(np.float64)
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    n = p.size
-    loss = float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
-    inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-    grad = np.where(inside, ((1.0 - y) / (1.0 - pc) - y / pc) / n, 0.0)
-    return loss, grad.astype(pred.data.dtype)
-
-
-def dice_loss(pred: Tensor4, target: Tensor4) -> tuple[float, np.ndarray]:
-    """Batch-aggregated Dice loss (smoothing constant 1) and its gradient."""
-    _check_pair(pred, target)
-    p = pred.data.astype(np.float64)
-    y = target.data.astype(np.float64)
-    num = 2.0 * float(np.sum(y * p)) + 1.0
-    den = float(np.sum(y)) + float(np.sum(p)) + 1.0
-    loss = 1.0 - num / den
-    grad = -(2.0 * y * den - num) / (den * den)
-    return loss, grad.astype(pred.data.dtype)
-
-
 def combo_loss(
     pred: Tensor4, target: Tensor4, w: LossWeights
 ) -> tuple[float, np.ndarray]:
-    """Weighted sum w_bce*BCE + w_dice*DL; gradient combines linearly."""
-    _check_pair(pred, target)
+    """Weighted sum w_bce*BCE + w_dice*DL and its gradient w.r.t. pred, in
+    pred's dtype; a term whose weight is 0 is not computed.  pred and target
+    must have equal dims and be non-empty, finite and in [0, 1]."""
+    if pred.dims != target.dims:
+        raise ShapeError(f"pred dims {pred.dims} do not match target dims {target.dims}")
+    p = pred.data.astype(np.float64)
+    y = target.data.astype(np.float64)
+    for name, a in (("pred", p), ("target", y)):
+        # written so that NaN fails the test too
+        if not (a.size and a.min() >= 0.0 and a.max() <= 1.0):
+            raise InputError(f"combo_loss: {name} must be non-empty, finite and in [0, 1]")
     loss = 0.0
     grad = np.zeros_like(pred.data)
     if w.w_bce:
-        lb, gb = bce_loss(pred, target)
-        loss += w.w_bce * lb
-        grad += np.asarray(w.w_bce, dtype=grad.dtype) * gb
+        pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+        n = p.size
+        loss += w.w_bce * float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
+        inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
+        gb = np.where(inside, ((1.0 - y) / (1.0 - pc) - y / pc) / n, 0.0)
+        grad += np.asarray(w.w_bce, dtype=grad.dtype) * gb.astype(grad.dtype)
     if w.w_dice:
-        ld, gd = dice_loss(pred, target)
-        loss += w.w_dice * ld
-        grad += np.asarray(w.w_dice, dtype=grad.dtype) * gd
+        num = 2.0 * float(np.sum(y * p)) + 1.0
+        den = float(np.sum(y)) + float(np.sum(p)) + 1.0
+        loss += w.w_dice * (1.0 - num / den)
+        gd = -(2.0 * y * den - num) / (den * den)
+        grad += np.asarray(w.w_dice, dtype=grad.dtype) * gd.astype(grad.dtype)
     return loss, grad

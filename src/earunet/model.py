@@ -354,7 +354,8 @@ def _run_forward(
     ``backward_from_context`` and needs an rng for the stochastic-depth
     draws.  Infer mode drops each context as soon as its layer
     returns, so only the skip tensors stay alive across layers, and
-    returns no tape.
+    returns no tape.  The head clips its sigmoid into (0, 1), to
+    [finfo.tiny, nextafter(1, 0)], before its tape step saves it.
     """
     if mode not in (TRAIN, INFER):
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
@@ -386,6 +387,7 @@ def _run_forward(
         feats = _decoder_level(tape, feats, skips.pop(si), gate, res, mode)
 
     y = activate(conv2d(feats, params.out_conv), "sigmoid")[0]
+    np.clip(y.data, np.finfo(y.data.dtype).tiny, np.nextafter(y.data.dtype.type(1), 0), out=y.data)
     if tape is not None:
         tape.append(partial(_head_step, feats, params.out_conv, y.data))
     return y, tape
@@ -399,8 +401,8 @@ def forward(
     rng: np.random.Generator | None = None,
 ) -> Tensor4:
     """Per-pixel liver probability map, same spatial dims as the input,
-    every value strictly in (0,1).  The input must have the parameters'
-    dtype; train mode needs an rng."""
+    every value strictly in (0,1) (the head's clip in ``_run_forward``).
+    The input must have the parameters' dtype; train mode needs an rng."""
     return _run_forward(params, cfg, x, mode, rng)[0]
 
 

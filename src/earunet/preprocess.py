@@ -105,19 +105,21 @@ def hist_equalize(v: CtVolume, of=None) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
-def _resampled_z(d: int, spacing) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Source coordinate, in slices, of each z-resampled slice, and the new spacing."""
+def _z_taps(d: int, spacing) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple]:
+    """Lower and upper source slice, and the upper weight, of each
+    z-resampled slice (as ``bilinear_taps``), and the new spacing."""
     if d < 2:
         raise InputError(f"z-resampling needs at least 2 slices, got {d}")
     sz, sy, sx = spacing
     target = TARGET_SLICE_SPACING_MM
     pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
-    return pos, (target, sy, sx)
+    i0 = np.floor(pos).astype(np.intp)
+    return (i0, np.minimum(i0 + 1, d - 1), pos - i0), (target, sy, sx)
 
 
-def _nearest_slice(pos: np.ndarray, d: int) -> np.ndarray:
-    """Source slice nearest each coordinate; ties round up."""
-    return np.minimum(np.floor(pos + 0.5).astype(np.intp), d - 1)
+def _nearest(i0: np.ndarray, i1: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The nearer of each index's two taps, the upper one on a tie."""
+    return np.where(f < 0.5, i0, i1)
 
 
 def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
@@ -127,19 +129,15 @@ def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
     depth i*target.  Images interpolate linearly between neighbor slices,
     masks take the nearest slice (ties round up).
     """
-    d = v.dims[0]
-    pos, spacing = _resampled_z(d, v.spacing)
+    (i0, i1, w), spacing = _z_taps(v.dims[0], v.spacing)
     if kind not in ("linear", "nearest"):
         raise ParameterError(f"kind must be linear or nearest, got {kind!r}")
     if kind == "nearest":
-        return type(v)(v.voxels[_nearest_slice(pos, d)], spacing)
-    i0 = np.floor(pos).astype(np.intp)
-    i1 = np.minimum(i0 + 1, d - 1)
-    w = pos - i0
+        return type(v)(v.voxels[_nearest(i0, i1, w)], spacing)
     vox = v.voxels
     # one output slice at a time: float64 temporaries stay slice-sized
-    out = np.empty((pos.size,) + vox.shape[1:], dtype=np.float32)
-    for k in range(pos.size):
+    out = np.empty((w.size,) + vox.shape[1:], dtype=np.float32)
+    for k in range(w.size):
         out[k] = vox[i0[k]].astype(np.float64) * (1.0 - w[k]) + vox[i1[k]].astype(np.float64) * w[k]
     return CtVolume(out, spacing)
 
@@ -190,17 +188,11 @@ def resize_plane_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray
     return _bilinear_combine(img, *bilinear_taps(h, out_h), *bilinear_taps(w, out_w))
 
 
-def _nearest_taps(src: int, dst: int) -> np.ndarray:
-    """The nearer of each destination index's two bilinear taps, the upper one on a tie."""
-    i0, i1, f = bilinear_taps(src, dst)
-    return np.where(f < 0.5, i0, i1)
-
-
 def resize_plane_nearest(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Nearest-neighbor resize: each output pixel takes the nearer of its
     two bilinear taps, the upper one on a tie."""
     h, w = img.shape[-2], img.shape[-1]
-    return img[..., _nearest_taps(h, out_h)[:, None], _nearest_taps(w, out_w)[None, :]]
+    return img[..., _nearest(*bilinear_taps(h, out_h))[:, None], _nearest(*bilinear_taps(w, out_w))]
 
 
 def _check_resize(h: int, w: int, size) -> int:
@@ -297,12 +289,12 @@ def preprocess_case(
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
     v = preprocess_volume(image, size)
     d, h, w = mask.dims
-    pos, spacing = _stage("resample_z", _resampled_z, d, mask.spacing)
-    zi = _nearest_slice(pos, d)
+    taps, spacing = _stage("resample_z", _z_taps, d, mask.spacing)
+    zi = _nearest(*taps)
     flags = LabelVolume(np.array([plane.any() for plane in mask.voxels])[zi, None, None], spacing)
     v, _, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, flags)
-    m = mask.voxels[zi[lo : lo + v.dims[0], None, None], _nearest_taps(h, size)[:, None],
-                    _nearest_taps(w, size)]
+    m = mask.voxels[zi[lo : lo + v.dims[0], None, None], _nearest(*bilinear_taps(h, size))[:, None],
+                    _nearest(*bilinear_taps(w, size))]
     return [
         SlicePair(
             image=v.voxels[i],

@@ -464,7 +464,8 @@ ActSaved = np.ndarray | tuple[np.ndarray, np.ndarray]
 
 def activate(x: Tensor4, kind: str) -> tuple[Tensor4, ActSaved]:
     """Elementwise activation: relu, swish (t*sigmoid(t)) or sigmoid;
-    returns ``(out, saved)`` for ``activate_backward``."""
+    returns ``(out, saved)`` for ``activate_backward``.  The sigmoid is
+    plain, exactly 0 and 1 where it saturates (the model's head clips)."""
     t = x.data
     if kind == "relu":
         out = saved = np.maximum(t, 0)
@@ -473,9 +474,7 @@ def activate(x: Tensor4, kind: str) -> tuple[Tensor4, ActSaved]:
         out = t * s
         saved = (s, out)
     elif kind == "sigmoid":
-        # strictly inside (0, 1): 0 and subnormals rise to the smallest normal, 1 drops below 1
         out = saved = _sigmoid(t)
-        np.clip(out, np.finfo(t.dtype).tiny, np.nextafter(np.asarray(1.0, t.dtype), 0.0), out=out)
     else:
         raise ParameterError(f"unknown activation kind {kind!r}")
     return Tensor4(out), saved
@@ -503,7 +502,7 @@ def activate_backward(saved: ActSaved, kind: str, grad_out: np.ndarray) -> np.nd
         d = np.subtract(1, y)
         d *= y
     d *= grad_out
-    # covers the head's clipped sigmoid, the gate's alpha and the SE gate
+    # covers the head, the attention gate's alpha and the SE gate
     return flush_subnormal(d) if kind == "sigmoid" else d
 
 

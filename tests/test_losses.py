@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from earunet.errors import ParameterError, ShapeError
-from earunet.losses import (
-    LOSS_PRESETS,
-    LossWeights,
-    bce_loss,
-    combo_loss,
-    dice_loss,
-)
+from earunet.errors import InputError, ParameterError, ShapeError
+from earunet.losses import LOSS_PRESETS, LossWeights, combo_loss
 from earunet.tensor import Tensor4
 from oracles import max_rel_err, numeric_grad
 
@@ -21,14 +15,24 @@ def t4(arr):
     return Tensor4(np.asarray(arr, dtype=np.float64))
 
 
+def bce_term(pred, target):
+    """combo_loss's BCE term alone."""
+    return combo_loss(pred, target, LossWeights(1.0, 0.0))
+
+
+def dice_term(pred, target):
+    """combo_loss's Dice term alone."""
+    return combo_loss(pred, target, LossWeights(0.0, 1.0))
+
+
 class TestBce:
     def test_perfect_prediction_near_zero(self):
         target = np.array([[[[0.0, 1.0, 1.0, 0.0]]]])
-        loss, _ = bce_loss(t4(target), t4(target))
+        loss, _ = bce_term(t4(target), t4(target))
         assert 0.0 <= loss <= 1.2e-7
 
     def test_half_confidence_is_ln2(self):
-        loss, _ = bce_loss(t4([[[[0.5]]]]), t4([[[[1.0]]]]))
+        loss, _ = bce_term(t4([[[[0.5]]]]), t4([[[[1.0]]]]))
         assert abs(loss - math.log(2.0)) < 1e-9
 
     def test_non_negative(self):
@@ -36,50 +40,50 @@ class TestBce:
         for _ in range(20):
             pred = rng.uniform(0.01, 0.99, (1, 1, 3, 3))
             target = rng.integers(0, 2, (1, 1, 3, 3)).astype(float)
-            loss, _ = bce_loss(t4(pred), t4(target))
+            loss, _ = bce_term(t4(pred), t4(target))
             assert loss >= 0
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         pred = rng.uniform(0.05, 0.95, (1, 1, 4, 4))
         target = rng.integers(0, 2, (1, 1, 4, 4)).astype(float)
-        _, grad = bce_loss(t4(pred), t4(target))
-        num = numeric_grad(lambda p: bce_loss(t4(p), t4(target))[0], pred, step=1e-5)
+        _, grad = bce_term(t4(pred), t4(target))
+        num = numeric_grad(lambda p: bce_term(t4(p), t4(target))[0], pred, step=1e-5)
         assert max_rel_err(grad, num) < 1e-4
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            bce_loss(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 1, 2, 3))))
+            bce_term(t4(np.zeros((1, 1, 2, 2))), t4(np.zeros((1, 1, 2, 3))))
 
 
 class TestDice:
     def test_both_empty_is_zero(self):
         z = t4(np.zeros((1, 1, 2, 2)))
-        loss, _ = dice_loss(z, z)
+        loss, _ = dice_term(z, z)
         assert loss == 0.0
 
     def test_perfect_overlap_all_ones(self):
         ones = t4(np.ones((1, 1, 5, 5)))
-        loss, _ = dice_loss(ones, ones)
+        loss, _ = dice_term(ones, ones)
         assert abs(loss) < 1e-12
 
     def test_total_miss(self):
         target = t4(np.ones((1, 1, 1, 3)))
         pred = t4(np.zeros((1, 1, 1, 3)))
-        loss, _ = dice_loss(pred, target)
+        loss, _ = dice_term(pred, target)
         assert abs(loss - 0.75) < 1e-12  # 1 - 1/(3+0+1)
 
     def test_symmetric(self):
         rng = np.random.default_rng(2)
         a = t4(rng.uniform(0, 1, (1, 1, 3, 3)))
         b = t4(rng.integers(0, 2, (1, 1, 3, 3)).astype(float))
-        assert abs(dice_loss(a, b)[0] - dice_loss(b, a)[0]) < 1e-12
+        assert abs(dice_term(a, b)[0] - dice_term(b, a)[0]) < 1e-12
 
     def test_exact_overlap_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             y = rng.integers(0, 2, (1, 1, 4, 4)).astype(float)
-            loss, _ = dice_loss(t4(y), t4(y))
+            loss, _ = dice_term(t4(y), t4(y))
             assert loss <= 1.0 / (2.0 * y.sum() + 1.0) + 1e-12
 
     def test_range(self):
@@ -87,15 +91,15 @@ class TestDice:
         for _ in range(20):
             pred = rng.uniform(0, 1, (1, 1, 3, 3))
             target = rng.integers(0, 2, (1, 1, 3, 3)).astype(float)
-            loss, _ = dice_loss(t4(pred), t4(target))
+            loss, _ = dice_term(t4(pred), t4(target))
             assert 0.0 <= loss < 1.0
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         pred = rng.uniform(0.05, 0.95, (1, 1, 4, 4))
         target = rng.integers(0, 2, (1, 1, 4, 4)).astype(float)
-        _, grad = dice_loss(t4(pred), t4(target))
-        num = numeric_grad(lambda p: dice_loss(t4(p), t4(target))[0], pred, step=1e-5)
+        _, grad = dice_term(t4(pred), t4(target))
+        num = numeric_grad(lambda p: dice_term(t4(p), t4(target))[0], pred, step=1e-5)
         assert max_rel_err(grad, num) < 1e-4
 
 
@@ -105,17 +109,9 @@ class TestCombo:
         self.pred = t4(rng.uniform(0.05, 0.95, (2, 1, 3, 3)))
         self.target = t4(rng.integers(0, 2, (2, 1, 3, 3)).astype(float))
 
-    def test_degenerate_weights(self):
-        lb, gb = bce_loss(self.pred, self.target)
-        ld, gd = dice_loss(self.pred, self.target)
-        l1, g1 = combo_loss(self.pred, self.target, LossWeights(1.0, 0.0))
-        l2, g2 = combo_loss(self.pred, self.target, LossWeights(0.0, 1.0))
-        assert l1 == lb and np.array_equal(g1, gb)
-        assert l2 == ld and np.array_equal(g2, gd)
-
     def test_additive(self):
-        lb, gb = bce_loss(self.pred, self.target)
-        ld, gd = dice_loss(self.pred, self.target)
+        lb, gb = bce_term(self.pred, self.target)
+        ld, gd = dice_term(self.pred, self.target)
         lc, gc = combo_loss(self.pred, self.target, LossWeights(1.0, 1.0))
         assert abs(lc - (lb + ld)) < 1e-7
         assert np.allclose(gc, gb + gd, atol=1e-12)
@@ -147,6 +143,42 @@ class TestCombo:
             lambda p: combo_loss(t4(p), self.target, w)[0], self.pred.data.copy(), step=1e-5
         )
         assert max_rel_err(grad, num) < 1e-4
+
+
+class TestBadInput:
+    """Values outside [0, 1], or not finite, raise instead of scoring: at
+    p = 0.9 a target of 2 gave a negative loss, a prediction of 1.5 scored
+    as perfect with zero gradient, and a NaN prediction got a zero BCE
+    gradient."""
+
+    W = LossWeights(1.0, 1.0)
+
+    def test_target_above_one(self):
+        with pytest.raises(InputError, match="combo_loss: target"):
+            combo_loss(t4([[[[0.9]]]]), t4([[[[2.0]]]]), self.W)
+
+    def test_pred_above_one(self):
+        with pytest.raises(InputError, match="combo_loss: pred"):
+            combo_loss(t4([[[[1.5]]]]), t4([[[[1.0]]]]), self.W)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("which", ["pred", "target"])
+    def test_non_finite_or_negative(self, bad, which):
+        arrays = {"pred": np.full((1, 1, 2, 2), 0.5), "target": np.ones((1, 1, 2, 2))}
+        arrays[which][0, 0, 1, 0] = bad
+        for w in (LossWeights(1.0, 0.0), LossWeights(0.0, 1.0)):
+            with pytest.raises(InputError, match=f"combo_loss: {which}"):
+                combo_loss(t4(arrays["pred"]), t4(arrays["target"]), w)
+
+    def test_empty(self):
+        empty = t4(np.zeros((0, 1, 2, 2)))
+        with pytest.raises(InputError, match="non-empty"):
+            combo_loss(empty, empty, self.W)
+
+    def test_unit_interval_ends_are_valid(self):
+        y = t4([[[[0.0, 1.0]]]])
+        loss, grad = combo_loss(y, y, self.W)
+        assert 0.0 <= loss < 1e-6 and np.all(np.isfinite(grad))
 
 
 class TestPresets:

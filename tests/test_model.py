@@ -294,6 +294,20 @@ class TestForward:
         M.forward(params, cfg, x, INFER)
         assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
 
+    @pytest.mark.parametrize("dtype,big", [(np.float32, 200), (np.float64, 800)])
+    @pytest.mark.parametrize("mode", [TRAIN, INFER])
+    def test_head_clips_into_open_interval(self, mode, dtype, big):
+        # the head's logit is the bias alone; at +-big the plain sigmoid is
+        # exactly 1 or 0, and the head clips it into (0, 1)
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0), dtype=dtype)
+        params.out_conv.weight[...] = 0
+        x = Tensor4(np.random.default_rng(1).random((2, 1, 32, 32)).astype(dtype))
+        for bias, want in ((big, np.nextafter(dtype(1), dtype(0))), (-big, np.finfo(dtype).tiny)):
+            params.out_conv.bias[...] = bias
+            y = M.forward(params, cfg, x, mode, np.random.default_rng(2)).data
+            assert y.dtype == dtype and np.all(y == want)
+
 
 @pytest.fixture(scope="module")
 def micro64():

@@ -62,8 +62,9 @@ def test_resample_z_linear_matches_naive(num, den):
     assert np.array_equal(got.voxels, want.astype(np.float32))
 
 
-# z ratios 2.5, 0.5 and 0.625
-@pytest.mark.parametrize("num,den", [(2.5, 1.0), (1.0, 2.0), (1.0, 1.6)])
+# z ratios 2.5, 0.5, 0.625 and 4; at 4 output slice i reads source slice
+# i/4, so every fourth is a tie at k + 0.5, which takes the upper slice
+@pytest.mark.parametrize("num,den", [(2.5, 1.0), (1.0, 2.0), (1.0, 1.6), (4.0, 1.0)])
 def test_resample_z_nearest_matches_naive(num, den):
     sz, target = num / den, TARGET_SLICE_SPACING_MM
     rng = np.random.default_rng(2)

@@ -151,20 +151,10 @@ class TestBadInput:
     as perfect with zero gradient, and a NaN prediction got a zero BCE
     gradient."""
 
-    W = LossWeights(1.0, 1.0)
-
-    def test_target_above_one(self):
-        with pytest.raises(InputError, match="combo_loss: target"):
-            combo_loss(t4([[[[0.9]]]]), t4([[[[2.0]]]]), self.W)
-
-    def test_pred_above_one(self):
-        with pytest.raises(InputError, match="combo_loss: pred"):
-            combo_loss(t4([[[[1.5]]]]), t4([[[[1.0]]]]), self.W)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.5, 2.0])
     @pytest.mark.parametrize("which", ["pred", "target"])
-    def test_non_finite_or_negative(self, bad, which):
-        arrays = {"pred": np.full((1, 1, 2, 2), 0.5), "target": np.ones((1, 1, 2, 2))}
+    def test_non_finite_or_out_of_range(self, bad, which):
+        arrays = {"pred": np.full((1, 1, 2, 2), 0.9), "target": np.ones((1, 1, 2, 2))}
         arrays[which][0, 0, 1, 0] = bad
         for w in (LossWeights(1.0, 0.0), LossWeights(0.0, 1.0)):
             with pytest.raises(InputError, match=f"combo_loss: {which}"):
@@ -173,12 +163,7 @@ class TestBadInput:
     def test_empty(self):
         empty = t4(np.zeros((0, 1, 2, 2)))
         with pytest.raises(InputError, match="non-empty"):
-            combo_loss(empty, empty, self.W)
-
-    def test_unit_interval_ends_are_valid(self):
-        y = t4([[[[0.0, 1.0]]]])
-        loss, grad = combo_loss(y, y, self.W)
-        assert 0.0 <= loss < 1e-6 and np.all(np.isfinite(grad))
+            combo_loss(empty, empty, LossWeights(1.0, 1.0))
 
 
 class TestPresets:

@@ -15,7 +15,8 @@ repository root):
   the runs, the median and the quartiles; the traced run's per-layer
   metrics.
 - ``BENCH_full.json``: full_step.py's forward, backward and infer seconds
-  and ru_maxrss per round, with the same statistics.
+  and ru_maxrss per round, each round with its git sha and src digest, and
+  the same statistics.
 
 ``--append`` adds the new runs to the files already in ``--out`` (and
 ``--no-trace`` skips the traced run), so that alternating runs of two
@@ -26,10 +27,9 @@ non-zero.
 
 ``--compare`` only reads files: each BENCH file in OLD and its namesake
 in NEW.  Per workload and metric it prints OLD's and NEW's medians, the
-relative change and BENCHMARK.json's bound.  A
-change is "unresolved" when NEW's median lies inside OLD's quartiles, else
-"better" or "worse"; "beyond bound" marks a worse change larger than the
-bound.  It exits 1 if a change is beyond its bound, 2 if OLD holds no
+relative change and BENCHMARK.json's bound.  A change is "unresolved"
+when NEW's median lies inside OLD's quartiles, else "better" or "worse";
+"beyond bound" marks a worse change larger than the bound.  It exits 1 if a change is beyond its bound, 2 if OLD holds no
 BENCH file, NEW lacks one of OLD's or a file lacks a field.
 """
 
@@ -89,9 +89,10 @@ def workload_file(name: str, untraced: list[dict], traced: dict | None) -> dict:
         "correct": all(r["correct"] for r in runs),
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
-        "end_to_end": {m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                                   **stats([r["metrics"].get(m["name"], float("nan")) for r in untraced])}
-                       for m in BENCHMARK["end_to_end"]},
+        "end_to_end": {
+            m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                        **stats([r["metrics"].get(m["name"], float("nan")) for r in untraced])}
+            for m in BENCHMARK["end_to_end"]},
         "per_layer": traced["metrics"] if traced else {},
         "untraced_runs": untraced,
         "traced_run": traced,
@@ -99,6 +100,9 @@ def workload_file(name: str, untraced: list[dict], traced: dict | None) -> dict:
 
 
 def run_full(rounds: int) -> list[dict]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run  # perfbench/run.py, for the same git sha and src digest
+
     cmd = [sys.executable, "tools/full_step.py"]
     env = dict(os.environ, PYTHONPATH="src")
     out = []
@@ -107,19 +111,16 @@ def run_full(rounds: int) -> list[dict]:
         match = FULL_LINE.search(proc.stdout)
         print(f"full: exit {proc.returncode}, {proc.stdout.strip()}", flush=True)
         out.append({"exit": proc.returncode,
+                    "provenance": {"git_sha": run.git_sha(), "src_sha256": run.source_digest()},
                     **{k: float(v) for k, v in (match.groupdict() if match else {}).items()}})
     return out
 
 
 def full_file(rounds: list[dict]) -> dict:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import run  # perfbench/run.py, for the same git sha and src digest
-
     ok = all(r["exit"] == 0 and FULL_METRICS.keys() <= r.keys() for r in rounds)
     return {
         "workload": "full",
         "command": ["env", "PYTHONPATH=src", "python3", "tools/full_step.py"],
-        "provenance": {"git_sha": run.git_sha(), "src_sha256": run.source_digest()},
         "correct": ok,
         "rounds": rounds,
         "end_to_end": {k: {"unit": unit, "better": "lower", "bound": None,
@@ -166,7 +167,8 @@ def compare(old_dir: str, new_dir: str) -> int:
         print(f"error: no BENCH_*.json in {old_dir}", file=sys.stderr)
         return 2
     beyond = 0
-    print(f"{'workload':15} {'metric':13} {'old':>10} {'new':>10} {'change':>8} {'bound':>6}  verdict")
+    print(f"{'workload':15} {'metric':13} {'old':>10} {'new':>10} {'change':>8} {'bound':>6}",
+          " verdict")
     for name in names:
         try:
             pair = [json.loads((Path(d) / f"BENCH_{name}.json").read_text())["end_to_end"]

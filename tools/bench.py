@@ -1,13 +1,15 @@
 """Write the committed BENCH_*.json files, or compare two sets of them.
 
-    python3 tools/bench.py [--runs 5] [--seconds S] [--seed 7] [--full-rounds 3] [--out DIR]
+    python3 tools/bench.py [--runs 5] [--seconds S] [--full-rounds 3] [--out DIR] [--append]
     python3 tools/bench.py --compare OLD_DIR NEW_DIR
 
 Run from the repository root.  Each workload of BENCHMARK.json runs
 ``--runs`` times untraced and once traced (``perfbench/run.py`` as a
-subprocess, at one seed and ``--seconds``, by default BENCHMARK.json's
+subprocess, at ``SEED`` and ``--seconds``, by default BENCHMARK.json's
 ``run_seconds``), and ``tools/full_step.py`` runs ``--full-rounds`` times,
-each in a fresh process.  The files go to ``--out`` (default: the
+each in a fresh process.  Both run as ``python3`` from PATH, the
+interpreter that BENCHMARK.json's command names, and each file records
+the command lines as run.  The files go to ``--out`` (default: the
 repository root):
 
 - ``BENCH_<workload>.json``: every run's command line, provenance line,
@@ -18,9 +20,9 @@ repository root):
   and ru_maxrss per round, each round with its git sha and src digest, and
   the same statistics.
 
-``--append`` adds the new runs to the files already in ``--out`` (and
-``--no-trace`` skips the traced run), so that alternating runs of two
-versions collect into one file per version; ``--runs 0`` or
+``--append`` adds the new runs to the files already in ``--out``, and runs
+the traced run only for a file that has none yet, so that alternating
+runs of two versions collect into one file per version; ``--runs 0`` or
 ``--full-rounds 0`` leaves the workload or full-step files alone.  The
 script exits 1 if a run is not ``correct: true`` or full_step.py exits
 non-zero.
@@ -29,8 +31,9 @@ non-zero.
 in NEW.  Per workload and metric it prints OLD's and NEW's medians, the
 relative change and BENCHMARK.json's bound.  A change is "unresolved"
 when NEW's median lies inside OLD's quartiles, else "better" or "worse";
-"beyond bound" marks a worse change larger than the bound.  It exits 1 if a change is beyond its bound, 2 if OLD holds no
-BENCH file, NEW lacks one of OLD's or a file lacks a field.
+"beyond bound" marks a worse change larger than the bound.  It exits 1 if
+a change is beyond its bound, 2 if OLD holds no BENCH file, NEW lacks one
+of OLD's or a file lacks a field.
 """
 
 from __future__ import annotations
@@ -46,11 +49,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# one seed for every run, so that BENCH files of different changes compare
+SEED = 7
 FULL_LINE = re.compile(
     r"fwd (?P<fwd_s>[\d.]+) s, bwd (?P<bwd_s>[\d.]+) s, ru_maxrss (?P<ru_maxrss_mb>\d+) MB"
     r".*infer fwd (?P<infer_s>[\d.]+) s")
 # full_step.py's metrics, all lower-is-better; BENCHMARK.json bounds none of them
 FULL_METRICS = {"fwd_s": "s", "bwd_s": "s", "infer_s": "s", "ru_maxrss_mb": "MB"}
+FULL_COMMAND = ["python3", "tools/full_step.py"]  # run with PYTHONPATH=src
 
 
 def stats(values: list[float]) -> dict:
@@ -59,9 +65,9 @@ def stats(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
-def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
+def run_workload(name: str, seconds: float, trace: int) -> dict:
     """One perfbench/run.py process; its last two stdout lines as a record."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+    cmd = ["python3", "perfbench/run.py", "--workload", name, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -72,7 +78,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
         detail, result = {}, {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     print(f"{name} trace={trace}: exit {proc.returncode}, correct {result['correct']}", flush=True)
     return {
-        "command": ["python3"] + cmd[1:],
+        "command": cmd,
         "exit": proc.returncode,
         "provenance": detail.get("provenance"),
         "correct": result["correct"] is True and proc.returncode == 0,
@@ -82,8 +88,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
     }
 
 
-def workload_file(name: str, untraced: list[dict], traced: dict | None) -> dict:
-    runs = untraced + ([traced] if traced else [])
+def workload_file(name: str, untraced: list[dict], traced: dict) -> dict:
+    runs = untraced + [traced]
     return {
         "workload": name,
         "correct": all(r["correct"] for r in runs),
@@ -93,7 +99,7 @@ def workload_file(name: str, untraced: list[dict], traced: dict | None) -> dict:
             m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                         **stats([r["metrics"].get(m["name"], float("nan")) for r in untraced])}
             for m in BENCHMARK["end_to_end"]},
-        "per_layer": traced["metrics"] if traced else {},
+        "per_layer": traced["metrics"],
         "untraced_runs": untraced,
         "traced_run": traced,
     }
@@ -103,11 +109,10 @@ def run_full(rounds: int) -> list[dict]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import run  # perfbench/run.py, for the same git sha and src digest
 
-    cmd = [sys.executable, "tools/full_step.py"]
     env = dict(os.environ, PYTHONPATH="src")
     out = []
     for _ in range(rounds):
-        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+        proc = subprocess.run(FULL_COMMAND, cwd=ROOT, env=env, capture_output=True, text=True)
         match = FULL_LINE.search(proc.stdout)
         print(f"full: exit {proc.returncode}, {proc.stdout.strip()}", flush=True)
         out.append({"exit": proc.returncode,
@@ -120,7 +125,7 @@ def full_file(rounds: list[dict]) -> dict:
     ok = all(r["exit"] == 0 and FULL_METRICS.keys() <= r.keys() for r in rounds)
     return {
         "workload": "full",
-        "command": ["env", "PYTHONPATH=src", "python3", "tools/full_step.py"],
+        "command": ["env", "PYTHONPATH=src"] + FULL_COMMAND,
         "correct": ok,
         "rounds": rounds,
         "end_to_end": {k: {"unit": unit, "better": "lower", "bound": None,
@@ -141,11 +146,10 @@ def measure(args) -> int:
             rounds = (old["rounds"] if old else []) + run_full(args.full_rounds)
             data = full_file(rounds)
         else:
-            untraced = [run_workload(name, args.seed, args.seconds, 0) for _ in range(args.runs)]
-            traced = None if args.no_trace else run_workload(name, args.seed, args.seconds, 1)
+            untraced = [run_workload(name, args.seconds, 0) for _ in range(args.runs)]
             if old:
                 untraced = old["untraced_runs"] + untraced
-                traced = traced or old["traced_run"]
+            traced = old["traced_run"] if old else run_workload(name, args.seconds, 1)
             data = workload_file(name, untraced, traced)
         path.write_text(json.dumps(data, indent=1) + "\n")
         written.append(data)
@@ -201,11 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     ap.add_argument("--runs", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
-    ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--full-rounds", type=int, default=3)
     ap.add_argument("--out", default=str(ROOT))
     ap.add_argument("--append", action="store_true")
-    ap.add_argument("--no-trace", action="store_true")
     args = ap.parse_args(argv)
     return compare(*args.compare) if args.compare else measure(args)
 

@@ -3,12 +3,15 @@
 Everything here operates on (batch, channel, height, width) arrays in
 float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding; its
-input gradient is the same chunked correlation, run over the stride-dilated
-output gradient with the flipped kernel, and its weight gradient reads the
-forward's chunks.  At stride 1 all three gather wide rows: each kernel tap
-is one contiguous run of the input's rows, W (the row pitch) apart, and
-each output row is W columns wide, of which the first ow are kept.  Only
-strided convs gather (oh, ow) grids.
+input gradient is the same chunked correlation with the flipped kernel, one
+phase mod stride at a time, over crops of the output gradient framed once
+by zeros.  A dense stride-1 weight gradient is one matmul per kernel tap,
+the tap read in place; other weight gradients read the forward's chunks.
+At stride 1 and in every input-gradient phase, taps are wide rows: each
+kernel tap is one contiguous run of the input's rows, W (the row pitch)
+apart, and each output row is W columns wide, of which the first ow are
+kept.  Only a strided conv's forward and weight gradient gather (oh, ow)
+grids.  Every matmul runs on BLAS: no operand has a negative stride.
 Batch norm lives here whole.  Its train forward and backward compute each
 per-channel statistic once, accumulated in float64, and ``fold_bn`` is its
 infer form, the running statistics folded into the preceding conv.
@@ -157,7 +160,8 @@ class BatchNormState:
 
 # cache-sized working set: one chunk's patch matrix (whole images, or a run of
 # one depthwise image's channels) for every conv gather, all sized in
-# _tap_chunks: wide rows at stride 1, (oh, ow) grids only for strided convs
+# _tap_chunks: wide rows at stride 1 and in every input-gradient phase, (oh, ow)
+# grids only for a strided conv's forward and weight gradient
 _BLOCK_BYTES = 1 << 20
 
 
@@ -197,29 +201,40 @@ def _is_depthwise(p: ConvParams) -> bool:
     return p.groups > 1
 
 
-def _tap_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int, depthwise: bool):
-    """(images, channels, cols, pitch) for the chunks of xp's patch matrix,
-    cols (m, c*kh*kw, L), or (m, c, kh*kw, L) depthwise, L = (oh-1)*pitch + ow.
+def _taps(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """(taps, pitch): xp's patches as a view, (n, c, kh, kw, L) wide rows,
+    L = (oh-1)*pitch + ow, or (n, c, kh, kw, oh, ow) grids with pitch ow.
 
     At stride 1, when xp's rows are unit-stride runs W >= its width apart
-    (wider in a view such as conv2d_backward's crop of its framed buffer),
+    (wider in a view such as a crop of conv2d_backward's framed grad_out),
     taps are wide rows: output pixel (r, q) of tap (i, j) is element
     (i+r)*W + j+q of the plane, so each tap is one contiguous run, pitch is
     W, and of each W columns of a product the first ow are output pixels and
-    the rest straddle a row end.  Otherwise each tap is an (oh, ow) grid and
-    pitch is ow.  A chunk's patch matrix fits ``_BLOCK_BYTES`` with whole
-    images, or for a depthwise image larger than that, with a run of its
-    (independent) channels; channels is slice(None) unless an image is split.
+    the rest straddle a row end.  Otherwise each tap is an (oh, ow) grid.
     """
     n, c, _, width = xp.shape
     sn, sc, sh, sw = xp.strides
-    pitch, kk = sh // xp.itemsize, kh * kw
+    pitch = sh // xp.itemsize
     wide = stride == 1 and sw == xp.itemsize and sh == pitch * xp.itemsize and pitch >= width
     pitch = pitch if wide else ow
-    span = (oh - 1) * pitch + ow
-    shape, strides = ((span,), (sw,)) if wide else ((oh, ow), (sh * stride, sw * stride))
+    shape, strides = (((oh - 1) * pitch + ow,), (sw,)) if wide else ((oh, ow), (sh * stride, sw * stride))
     taps = np.lib.stride_tricks.as_strided(
         xp, shape=(n, c, kh, kw, *shape), strides=(sn, sc, sh, sw, *strides), writeable=False)
+    return taps, pitch
+
+
+def _tap_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int, depthwise: bool):
+    """(images, channels, cols, pitch) for the chunks of xp's patch matrix
+    (``_taps``), cols (m, c*kh*kw, L), or (m, c, kh*kw, L) depthwise, L =
+    (oh-1)*pitch + ow.
+
+    A chunk's patch matrix fits ``_BLOCK_BYTES`` with whole images, or for
+    a depthwise image larger than that, with a run of its (independent)
+    channels; channels is slice(None) unless an image is split.
+    """
+    taps, pitch = _taps(xp, kh, kw, stride, oh, ow)
+    n, c, kk = xp.shape[0], xp.shape[1], kh * kw
+    span = (oh - 1) * pitch + ow
     nb = max(1, _BLOCK_BYTES // (c * kk * span * xp.itemsize))
     cb = max(1, _BLOCK_BYTES // (kk * span * xp.itemsize)) if depthwise and nb == 1 else c
     for i in range(0, n, nb):
@@ -239,8 +254,12 @@ def _rows(a: np.ndarray, oh: int, ow: int, pitch: int) -> np.ndarray:
 def _correlate(xp: np.ndarray, weight: np.ndarray, stride: int, depthwise: bool, oh: int, ow: int) -> np.ndarray:
     """Pad-free cross-correlation of xp with weight, one matmul per chunk of
     ``_tap_chunks``.  The matmul writes rows pitch wide; when pitch > ow
-    they go to a chunk buffer and the first ow columns of each are kept."""
+    they go to a chunk buffer and the first ow columns of each are kept.
+    The kernel matrix is C-contiguous: numpy's matmul skips BLAS for an
+    operand with a negative stride, such as a flipped kernel's view, which
+    is copied; the forward's weight is contiguous and is not."""
     oc, icpg, kh, kw = weight.shape
+    weight = np.ascontiguousarray(weight)
     w2 = weight.reshape(oc, 1, kh * kw) if depthwise else weight.reshape(oc, icpg * kh * kw)
     out = np.empty((xp.shape[0], oc, oh, ow), dtype=xp.dtype)
     wide = None
@@ -273,19 +292,77 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     return Tensor4(out)
 
 
+def _phase_crops(size: int, k: int, out: int, st: int, pad: int):
+    """One axis of conv2d's input gradient, one phase at a time.
+
+    Input rows r, r+st, ... (phase r) meet kernel rows k-1-u0-st*m only, u0
+    = (k-1-pad-r) % st, and phase row q at flipped tap m reads grad_out row
+    q + m - d, d = (k-1-pad-r-u0)/st.  Returns the zero rows that grad_out
+    needs before and after it, and (r, u0, rows, crop) for each phase with a
+    tap: its length and the slice of the framed grad_out that it correlates.
+    """
+    found = []
+    for r in range(min(st, size)):
+        u0 = (k - 1 - pad - r) % st
+        if u0 < k:
+            rows = len(range(r, size, st))
+            found.append((r, u0, rows, (k - 1 - pad - r - u0) // st, rows + len(range(u0, k, st)) - 1))
+    before = max([0] + [d for *_, d, _ in found])
+    after = max([0] + [span - d - out for *_, d, span in found])
+    return before, after, [(r, u0, rows, slice(before - d, before - d + span)) for r, u0, rows, d, span in found]
+
+
+def _weight_grad(xp: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
+    """conv2d's weight gradient from the padded input xp, with grad_out in
+    rows pitch wide whose straddling columns are 0.  A dense stride-1 conv
+    takes one matmul per tap, over whole images, with the tap's run of xp
+    read in place (``_taps``).  Depthwise and strided convs sum grad_out .
+    patches^T over the forward's chunks, framing grad_out a chunk at a time
+    (framed whole, it raised ``train_desk``'s peak RSS by ~1 MB)."""
+    n, oc, oh, ow = grad_out.shape
+    c, (kh, kw), dw = xp.shape[1], p.kernel, _is_depthwise(p)
+    if p.stride == 1 and not dw:
+        taps, pitch = _taps(xp, kh, kw, 1, oh, ow)
+        g = grad_out
+        if pitch != ow:
+            g = np.zeros((n, oc, oh, pitch), dtype=grad_out.dtype)
+            g[..., :ow] = grad_out
+        g = _rows(g, oh, ow, pitch)
+        gw = np.empty(p.weight.shape, dtype=p.weight.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                t = taps[:, :, i, j].reshape(n, c, -1)  # a view for wide rows
+                gw[:, :, i, j] = np.matmul(g, t.transpose(0, 2, 1)).sum(axis=0)
+        return gw
+    gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
+    wide = None
+    for s, ch, cols, pitch in _tap_chunks(xp, kh, kw, p.stride, oh, ow, dw):
+        g = grad_out[s, ch]
+        if pitch != ow:
+            if wide is None:  # the first chunk is the largest; its straddling columns stay 0
+                wide = np.zeros((*g.shape[:3], pitch), dtype=grad_out.dtype)
+            wide[: g.shape[0], : g.shape[1], :, :ow] = g
+            g = wide[: g.shape[0], : g.shape[1]]
+        g = _rows(g, oh, ow, pitch)
+        if dw:
+            gw[ch] += np.matmul(cols, g[..., None]).sum(axis=0)
+        else:
+            gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        del cols  # one chunk held at a time
+    return gw.reshape(p.weight.shape)
+
+
 def conv2d_backward(
     x: Tensor4, p: ConvParams, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients of conv2d w.r.t. input, weight and bias.
 
-    The padded input's gradient is a stride-1 correlation of grad_out,
-    dilated by the stride and framed by kernel-1 zeros, with the flipped
-    kernel (in and out channels swapped for a dense conv); only its unpadded
-    part is computed, one output phase mod stride at a time.  The weight
-    gradient sums grad_out . patches^T over the forward's chunks; for wide
-    rows each chunk of grad_out is copied into a zeroed buffer with rows
-    pitch wide, whose straddling columns stay 0.  Only a strided conv
-    gathers (oh, ow) grids.
+    The weight gradient is ``_weight_grad``'s.  The input gradient is
+    computed one phase mod stride at a time (``_phase_crops``): each is a
+    stride-1 correlation, with the flipped kernel's taps of that phase (in
+    and out channels swapped for a dense conv), of a crop of grad_out framed
+    once by the zero rows and columns that the crops need, so every phase
+    gathers wide rows; an unpadded 1x1 conv reads grad_out as it is.
     """
     n, c, h, w = x.dims
     kh, kw = p.kernel
@@ -300,42 +377,24 @@ def conv2d_backward(
         grad_bias = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(p.bias.dtype)
 
     dw = _is_depthwise(p)
-    gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
-    framed = None
-    for s, ch, cols, pitch in _tap_chunks(_pad_input(x.data, pad), kh, kw, st, oh, ow, dw):
-        g = grad_out[s, ch]
-        if pitch != ow:
-            if framed is None:  # the first chunk is the largest; its straddling columns stay 0
-                framed = np.zeros((*g.shape[:3], pitch), dtype=grad_out.dtype)
-            framed[: g.shape[0], : g.shape[1], :, :ow] = g
-            g = framed[: g.shape[0], : g.shape[1]]
-        g = _rows(g, oh, ow, pitch)
-        if dw:
-            gw[ch] += np.matmul(cols, g[..., None]).sum(axis=0)
-        else:
-            gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        del cols  # one chunk held at a time
-
-    buf = np.zeros((n, oc, h + 2 * pad + kh - 1, w + 2 * pad + kw - 1), dtype=grad_out.dtype)
-    buf[:, :, kh - 1 : kh - 1 + st * oh : st, kw - 1 : kw - 1 + st * ow : st] = grad_out
+    gw = _weight_grad(_pad_input(x.data, pad), p, grad_out)
+    top, bottom, row_phases = _phase_crops(h, kh, oh, st, pad)
+    left, right, col_phases = _phase_crops(w, kw, ow, st, pad)
+    framed = grad_out
+    if top or bottom or left or right:
+        framed = np.zeros((n, oc, top + oh + bottom, left + ow + right), dtype=grad_out.dtype)
+        framed[:, :, top : top + oh, left : left + ow] = grad_out
     flipped = p.weight[:, :, ::-1, ::-1] if dw else p.weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    # output rows ry + st*q, from the crop offset on, meet nonzero buffer rows only
-    # at taps u0 + st*m: each phase is a stride-1 correlation over every st-th row.
-    # At stride 1 the one phase is the whole gradient, so no zeroed frame is
-    # made for it (an empty input has no phase)
+    # at stride 1 the one phase is the whole gradient (an empty input has none)
     grad_x = None if st == 1 and h * w else np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    for ry in range(min(st, h)):
-        for rx in range(min(st, w)):
-            u0, v0 = (kh - 1 - pad - ry) % st, (kw - 1 - pad - rx) % st
-            if u0 < kh and v0 < kw:
-                ph, pw = len(range(ry, h, st)), len(range(rx, w, st))
-                sub = buf[:, :, pad + ry + u0 :: st, pad + rx + v0 :: st]
-                part = _correlate(sub, flipped[:, :, u0::st, v0::st], 1, dw, ph, pw)
-                if grad_x is None:
-                    grad_x = part
-                else:
-                    grad_x[:, :, ry::st, rx::st] = part
-    return grad_x, gw.reshape(p.weight.shape), grad_bias
+    for ry, u0, ph, rows in row_phases:
+        for rx, v0, pw, cols in col_phases:
+            part = _correlate(framed[:, :, rows, cols], flipped[:, :, u0::st, v0::st], 1, dw, ph, pw)
+            if grad_x is None:
+                grad_x = part
+            else:
+                grad_x[:, :, ry::st, rx::st] = part
+    return grad_x, gw, grad_bias
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ class TestConv2dBackward:
         non_square = pad_over_kernel = stride_remainder = False
         for _ in range(15):
             n, h, w = int(rng.integers(1, 3)), int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            kh = int(rng.integers(1, min(h + 2 * padding, 4) + 1))
-            kw = int(rng.integers(1, min(w + 2 * padding, 4) + 1))
+            kh = int(rng.integers(1, min(h + 2 * padding, 5) + 1))
+            kw = int(rng.integers(1, min(w + 2 * padding, 5) + 1))
             groups = int(rng.choice([1, 1, 3]))
             c, oc = (groups, groups) if groups > 1 else (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             x = rng.standard_normal((n, c, h, w))
@@ -267,11 +267,12 @@ class TestConv2dBackward:
     @pytest.mark.parametrize(
         "stride,c,block",
         [
-            # 8x8 output, wide rows of pitch 10 (5.5 KiB per channel), and 12 in the
-            # input gradient's framed buffer (6.5 KiB): runs 2 + 2 + 2 + 1 for all three
+            # 8x8 output, wide rows of pitch 10 (5.5 KiB per channel), in the padded
+            # input and in the framed grad_out: runs 2 + 2 + 2 + 1 for all three
             pytest.param(1, 7, 16384, id="wide-rows-2+2+2+1-channels"),
             # 8x8 output grids, 4.5 KiB per channel: runs 2 * 6 + 1 for the forward and
-            # the weight gradient, 4 + 4 + 4 + 1 for the input gradient's 2x2-tap phase
+            # the weight gradient; the input gradient's 2x2-tap phase reads wide rows
+            # of pitch 9 (2.2 KiB) from the framed grad_out: runs 4 + 4 + 4 + 1
             pytest.param(2, 13, 9500, id="grids-2x6+1-channels"),
         ],
     )
@@ -306,6 +307,31 @@ class TestConv2dBackward:
 
         monkeypatch.setattr(T, "conv2d", forbidden)
         T.conv2d_backward(x, p, go)
+
+    def test_every_matmul_runs_on_blas(self, monkeypatch):
+        # numpy hands a matmul to BLAS only when every operand has non-negative
+        # strides and a unit stride in one of its last two axes; a flipped
+        # kernel's view runs in numpy's own loop, several times slower
+        rng = np.random.default_rng(29)
+        cases = [(6, 3, 1), (6, 3, 2), (6, 5, 1), (6, 5, 2), (1, 3, 1)]  # (groups, k, stride)
+        args = []
+        for groups, k, stride in cases:
+            x = t4(rng.standard_normal((2, 6, 9, 8)))
+            p = T.ConvParams(weight=rng.standard_normal((6, 6 // groups, k, k)), stride=stride,
+                             padding=k // 2, groups=groups)
+            args.append((x, p, rng.standard_normal(T.conv2d(x, p).dims)))
+        matmul, operands = np.matmul, []
+
+        def spy(*arrays, **kwargs):
+            operands.extend((*arrays, kwargs["out"]) if "out" in kwargs else arrays)
+            return matmul(*arrays, **kwargs)
+
+        monkeypatch.setattr(T.np, "matmul", spy)
+        for x, p, go in args:
+            T.conv2d_backward(x, p, go)
+        assert operands
+        for a in operands:
+            assert min(a.strides) >= 0 and a.itemsize in a.strides[-2:], (a.shape, a.strides)
 
     def test_grad_out_shape_error(self):
         x = t4(np.zeros((1, 1, 4, 4)))
@@ -357,22 +383,22 @@ class TestWideRows:
         self.check(x, p, rng, 1e-5 if dtype == np.float32 else 1e-12)
 
     @pytest.mark.parametrize(
-        "n,c,oc,depthwise,pitch",
+        "n,c,oc,depthwise,rows",
         [
-            pytest.param(7, 62, 1, False, 10, id="dense-forward-3+3+1-images"),
-            pytest.param(7, 1, 52, False, 12, id="dense-input-gradient-3+3+1-images"),
-            pytest.param(2, 400, 400, True, 10, id="depthwise-forward-186+186+28-channels"),
-            pytest.param(2, 400, 400, True, 12, id="depthwise-input-gradient-158+158+84-channels"),
+            pytest.param(7, 62, 1, False, 62, id="dense-forward-3+3+1-images"),
+            pytest.param(7, 1, 52, False, 52, id="dense-input-gradient-3+3+1-images"),
+            pytest.param(2, 400, 400, True, 400, id="depthwise-forward-186+186+28-channels"),
         ],
     )
-    def test_chunks_match_naive(self, n, c, oc, depthwise, pitch):
-        # 8x8 float64 planes, 3x3 kernel, padding 1: the forward reads rows of
-        # pitch 10, the input gradient rows of pitch 12 in its framed buffer.
-        # Dense chunks group whole images; a depthwise image over the block
-        # splits into chunks of channels, the last one partial
-        oh, k = 8, 3
-        # the input gradient correlates the oc channels of grad_out
-        span, rows = (oh - 1) * pitch + oh, oc if pitch == 12 else c
+    def test_chunks_match_naive(self, n, c, oc, depthwise, rows):
+        # 8x8 float64 planes, 3x3 kernel, padding 1: the forward, and the input
+        # gradient from grad_out framed by one zero row and column a side, read
+        # rows of pitch 10 and correlate `rows` channels (the input gradient the
+        # oc channels of grad_out). Dense chunks group whole images; a depthwise
+        # image over the block splits into chunks of channels, the last one
+        # partial, alike in the forward and the input gradient
+        oh, k, pitch = 8, 3, 10
+        span = (oh - 1) * pitch + oh
         per_image = rows * k * k * span * 8
         if depthwise:
             cb = T._BLOCK_BYTES // (k * k * span * 8)
@@ -395,30 +421,32 @@ class TestWideRows:
 
     @pytest.mark.parametrize("depthwise", [False, True])
     def test_gathers_no_patch_grid_at_stride_1(self, monkeypatch, depthwise):
-        # at stride 1 the forward, the weight gradient and the input gradient
-        # all take wide rows, the input gradient straight from its framed
-        # buffer: no copy of the crop. At stride 2 all of them gather grids
+        # the forward takes wide rows at stride 1 and grids at stride 2. Every
+        # input-gradient phase, at either stride, takes wide rows from a crop of
+        # one framed copy of grad_out; the dense stride-1 weight gradient reads
+        # its taps in place and makes no gather
         rng = np.random.default_rng(27)
-        x = t4(rng.standard_normal((2, 4, 6, 5)))
+        x = t4(rng.standard_normal((2, 4, 7, 6)))
         p = T.ConvParams(weight=rng.standard_normal((4, 1 if depthwise else 4, 3, 3)), padding=1,
                          groups=4 if depthwise else 1)
-        q = dataclasses.replace(p, stride=2)
-        go, go2 = (rng.standard_normal(T.conv2d(x, r).dims) for r in (p, q))
-        calls = record_tap_chunks(monkeypatch)
-        T.conv2d(x, p)
-        T.conv2d_backward(x, p, go)
-        # the padded input, for the forward and then the weight gradient
-        assert [(xp.shape, ow, pitches) for xp, ow, pitches in calls[:2]] == [((2, 4, 8, 7), 5, [7])] * 2
-        framed, ow, pitches = calls[2]
-        assert framed.shape == (2, 4, 9, 8) and framed.strides[2] == 9 * framed.itemsize
-        assert not framed.flags.c_contiguous and framed.base is not None
-        assert len(calls) == 3 and ow == 5 and pitches == [9]
-        del calls[:]
-        T.conv2d(x, q)
-        T.conv2d_backward(x, q, go2)
-        assert [(xp.shape, ow, pitches) for xp, ow, pitches in calls[:2]] == [((2, 4, 8, 7), 3, [3])] * 2
-        assert len(calls) == 6 and all(pitches == [ow] for _, ow, pitches in calls[2:])  # 4 phases
-
+        for stride, ow in ((1, 6), (2, 3)):
+            q = dataclasses.replace(p, stride=stride)
+            go = rng.standard_normal(T.conv2d(x, q).dims)
+            calls = record_tap_chunks(monkeypatch)
+            T.conv2d(x, q)
+            T.conv2d_backward(x, q, go)
+            monkeypatch.undo()
+            # the padded input, for the forward and then a strided or depthwise weight gradient
+            padded = 1 if stride == 1 and not depthwise else 2
+            pitch = 8 if stride == 1 else ow
+            assert [(xp.shape, o, pitches) for xp, o, pitches in calls[:padded]] == [
+                ((2, 4, 9, 8), ow, [pitch])] * padded
+            phases = calls[padded:]
+            assert len(phases) == stride * stride
+            framed = phases[0][0].base
+            assert framed.shape[:2] == go.shape[:2] and not np.shares_memory(framed, go)
+            for crop, o, pitches in phases:
+                assert crop.base is framed and pitches == [framed.shape[3]] and framed.shape[3] > o
 
 def record_tap_chunks(monkeypatch):
     """Wrap tensor._tap_chunks; each call appends (xp, ow, the pitch of each

@@ -75,18 +75,8 @@ def check_entries(
     """Compare sampled entries of `analytic` against filtered central FD."""
     size = arr.size
     want = min(entries, size)
-    if want == size:
-        candidates = iter(range(size))
-    else:
-        candidates = iter(rng.permutation(size).tolist())
     done = 0
-    budget = 4 * want
-    while done < want and budget > 0:
-        try:
-            idx = next(candidates)
-        except StopIteration:
-            break
-        budget -= 1
+    for idx in (range(size) if want == size else rng.permutation(size))[:4 * want]:
         fd1 = _fd(loss, arr, idx, step)
         fd2 = _fd(loss, arr, idx, step / 2.0)
         scale = max(abs(analytic.flat[idx]), abs(fd2), FLOOR)
@@ -96,6 +86,8 @@ def check_entries(
         report.merge(name, _rel(float(analytic.flat[idx]), fd2))
         report.checked += 1
         done += 1
+        if done == want:
+            break
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ datatypes, corrupt dims, spacing or offset) errors loudly.  A
 non-identity scl_slope/scl_inter is applied on read and yields a float32
 CtVolume (an error if a value overflows it); writers store identity scaling.
 
-Unscaled uint8 payloads load as LabelVolume, int16/float32 as CtVolume;
-writers pick the payload dtype from the array dtype, so round trips are
-bit-exact.
+Unscaled uint8 payloads load as LabelVolume (a voxel other than 0/1 is a
+FormatError), int16/float32 as CtVolume; writers pick the payload dtype
+from the array dtype, so round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .volumes import CtVolume, LabelVolume
 
 NIFTI_HEADER_SIZE = 348
@@ -49,17 +49,14 @@ def _atomic_write(path: str | os.PathLike, parts: Iterable) -> None:
 # NIfTI-1
 
 
-def read_nifti_header(path: str | os.PathLike) -> bytes:
+def read_volume(path: str | os.PathLike) -> CtVolume | LabelVolume:
+    """Read a single-file NIfTI-1 `.nii`: check the header, then read the payload into one array."""
+    if not os.fspath(path).endswith(".nii"):
+        raise FormatError(f"{path}: unknown volume format (expected .nii)")
     with open(path, "rb") as f:
         hdr = f.read(NIFTI_HEADER_SIZE)
     if len(hdr) < NIFTI_HEADER_SIZE:
         raise FormatError(f"{path}: NIfTI header truncated ({len(hdr)} of 348 bytes)")
-    return hdr
-
-
-def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
-    """Check the 348-byte header, then read the payload straight into one array."""
-    hdr = read_nifti_header(path)
     (sizeof_hdr,) = struct.unpack_from("<i", hdr, 0)
     if sizeof_hdr != NIFTI_HEADER_SIZE:
         (be,) = struct.unpack_from(">i", hdr, 0)
@@ -109,7 +106,10 @@ def read_nifti(path: str | os.PathLike) -> CtVolume | LabelVolume:
             out[k] = scaled
         return CtVolume(out, spacing)
     vox = vox.astype(dt.newbyteorder("="), copy=False)
-    return LabelVolume(vox, spacing) if vox.dtype == np.uint8 else CtVolume(vox, spacing)
+    try:
+        return LabelVolume(vox, spacing) if vox.dtype == np.uint8 else CtVolume(vox, spacing)
+    except ShapeError as e:  # a label other than 0/1, such as LiTS's tumour 2
+        raise FormatError(f"{path}: {e}") from e
 
 
 def write_nifti(
@@ -156,15 +156,3 @@ def write_nifti(
     # the array's own buffer; a no-op astype on little-endian hosts
     payload = vox.astype(vox.dtype.newbyteorder("<"), copy=False)
     _atomic_write(path, (hdr, b"\x00" * 4, payload))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def read_volume(path: str | os.PathLike) -> CtVolume | LabelVolume:
-    """Read a volume by extension; only .nii is supported."""
-    p = os.fspath(path)
-    if p.endswith(".nii"):
-        return read_nifti(p)
-    raise FormatError(f"{path}: unknown volume format (expected .nii)")

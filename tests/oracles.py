@@ -239,21 +239,19 @@ def _edge_taps(c, n):
     return (min(max(i0, 0), n - 1), 1 - f), (min(max(i0 + 1, 0), n - 1), f)
 
 
-def zoom_naive(image, mask, factor):
-    """Zoom of one slice pair about its centre, one output pixel at a time.
+def warp_naive(image, mask, rows, cols):
+    """Resample one slice pair, one output pixel at a time.
 
-    Output pixel i reads source coordinate c + (i - c) / factor: the image
-    bilinearly, the mask at floor(coord + 0.5); indices outside the plane
-    are clamped to its edge."""
+    Output pixel (i, j) reads source coordinate (rows[i, j], cols[i, j]):
+    the image bilinearly, the mask at floor(coord + 0.5); indices outside
+    the plane are clamped to its edge."""
     h, w = image.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    img = np.zeros((h, w), dtype=np.float32)
-    msk = np.zeros((h, w), dtype=np.uint8)
-    for i in range(h):
-        sy = cy + (i - cy) / factor
-        (y0, wy0), (y1, wy1) = _edge_taps(sy, h)
-        for j in range(w):
-            sx = cx + (j - cx) / factor
+    img = np.zeros(rows.shape, dtype=np.float32)
+    msk = np.zeros(rows.shape, dtype=np.uint8)
+    for i in range(rows.shape[0]):
+        for j in range(rows.shape[1]):
+            sy, sx = float(rows[i, j]), float(cols[i, j])
+            (y0, wy0), (y1, wy1) = _edge_taps(sy, h)
             (x0, wx0), (x1, wx1) = _edge_taps(sx, w)
             img[i, j] = (
                 float(image[y0, x0]) * wy0 * wx0
@@ -264,6 +262,16 @@ def zoom_naive(image, mask, factor):
             msk[i, j] = mask[min(max(math.floor(sy + 0.5), 0), h - 1),
                              min(max(math.floor(sx + 0.5), 0), w - 1)]
     return img, msk
+
+
+def zoom_naive(image, mask, factor):
+    """Zoom of one slice pair about its centre (warp_naive): output pixel
+    i reads source coordinate c + (i - c) / factor."""
+    h, w = image.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    rows = np.array([[cy + (i - cy) / factor] * w for i in range(h)])
+    cols = np.array([[cx + (j - cx) / factor for j in range(w)]] * h)
+    return warp_naive(image, mask, rows, cols)
 
 
 # ---------------------------------------------------------------------------

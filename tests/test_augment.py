@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
-from earunet.augment import ZOOM_RANGE, all_augmentations, augment, flip_pair, zoom_pair
+from earunet.augment import (
+    ELASTIC_ALPHA_PX,
+    ELASTIC_SIGMA_PX,
+    ZOOM_RANGE,
+    all_augmentations,
+    augment,
+    elastic_pair,
+    flip_pair,
+    zoom_pair,
+)
 from earunet.preprocess import SlicePair
-from oracles import zoom_naive
+from oracles import warp_naive, zoom_naive
 
 SEEDS = range(5)
 SUBSETS = all_augmentations()
@@ -73,5 +83,24 @@ def test_zoom_matches_naive(seed):
     mask = (rng.random((h, w)) < 0.4).astype(np.uint8)
     got, want = zoom_pair(image, mask, factor), zoom_naive(image, mask, factor)
     assert got[0].dtype == np.float32 and got[1].dtype == np.uint8
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_elastic_matches_naive(seed):
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(5, 40, 2)
+    image = rng.random((h, w), dtype=np.float32)
+    mask = (rng.random((h, w)) < 0.4).astype(np.uint8)
+    got = elastic_pair(image, mask, np.random.default_rng(seed + 100))
+    # the two displacement fields again, rows then columns, from the same seed
+    fields = np.random.default_rng(seed + 100)
+    d_rows, d_cols = (gaussian_filter(fields.uniform(-1.0, 1.0, (h, w)), ELASTIC_SIGMA_PX)
+                      * ELASTIC_ALPHA_PX for _ in range(2))
+    rows, cols = np.mgrid[:h, :w]
+    want = warp_naive(image, mask, rows + d_rows, cols + d_cols)
+    assert got[0].dtype == np.float32 and got[1].dtype == np.uint8
+    assert not np.array_equal(got[0], image)  # the fields move the plane
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])

@@ -1,12 +1,15 @@
-"""tools/bench.py's file-reading half: statistics, BENCH file records and --compare.
+"""tools/bench.py's file-reading half: run records, statistics, BENCH file records and --compare.
 
-The script is loaded from its path; every input is a synthetic record or
-file under tmp_path, and no benchmark process is started.
+The script is loaded from its path; every input is a synthetic record,
+file under tmp_path or stdout of a stand-in for subprocess.run, and no
+benchmark process is started.
 """
 
 import copy
 import importlib.util
 import json
+import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,43 @@ class TestStats:
         s = bench.stats(values)
         assert s["runs"] == values
         assert (s["median"], s["q1"], s["q3"]) == pytest.approx((median, q1, q3))
+
+
+# perfbench/run.py's last two stdout lines: the detail record, then the result
+DETAIL = json.dumps({"provenance": {"git_sha": "abc"}})
+RESULT = {"correct": True, "attempted": 3, "failed": 0,
+          "metrics": {"op_s.p50": {"value": 1.5, "unit": "s"}}}
+
+
+class TestRunWorkload:
+    def run(self, monkeypatch, stdout, returncode=0):
+        def fake_run(cmd, **kwargs):
+            return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="")
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+        return bench.run_workload("train_desk", 1.0, 0)
+
+    def test_records_the_last_two_lines(self, monkeypatch):
+        record = self.run(monkeypatch, f"log\n{DETAIL}\n{json.dumps(RESULT)}\n")
+        assert record["provenance"] == {"git_sha": "abc"}
+        assert (record["correct"], record["attempted"], record["failed"]) == (True, 3, 0)
+        assert record["metrics"] == {"op_s.p50": 1.5}
+
+    def test_incorrect_when_the_run_exits_non_zero(self, monkeypatch):
+        record = self.run(monkeypatch, f"{DETAIL}\n{json.dumps(RESULT)}\n", 1)
+        assert record["correct"] is False and record["exit"] == 1
+
+    @pytest.mark.parametrize("last", [
+        *[json.dumps({k: v for k, v in RESULT.items() if k != key})
+          for key in ("correct", "attempted", "failed", "metrics")],
+        json.dumps({**RESULT, "metrics": {"op_s.p50": 1.5}}), json.dumps({**RESULT, "metrics": []}),
+        "[]", "not json"],
+        ids=["no-correct", "no-attempted", "no-failed", "no-metrics", "bare-metric", "metrics-list",
+             "list", "not-json"])
+    def test_a_last_line_that_is_no_result_is_an_incorrect_run(self, monkeypatch, last):
+        record = self.run(monkeypatch, f"{DETAIL}\n{last}\n")
+        assert record["correct"] is False
+        assert (record["attempted"], record["failed"], record["metrics"]) == (0, 0, {})
 
 
 class TestWorkloadFile:
@@ -123,6 +163,19 @@ class TestCompare:
         write_bench(tmp_path / "old", "full", OLD)
         write_bench(tmp_path / "new", "segment_volume", OLD)
         assert bench.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
+
+    @pytest.mark.parametrize("side, field, value", [
+        ("new", "median", math.nan), ("new", "median", math.inf), ("old", "median", math.nan),
+        ("old", "q1", math.nan), ("old", "q3", -math.inf)])
+    def test_non_finite_statistic(self, tmp_path, capsys, side, field, value):
+        # workload_file stores NaN for a metric that no run produced
+        for name in ("old", "new"):
+            data = copy.deepcopy(OLD)
+            if name == side:
+                data["op_s.p50"][field] = value
+            write_bench(tmp_path / name, "segment_volume", data)
+        assert bench.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
+        assert "BENCH_segment_volume.json op_s.p50: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("side, keys", [
         ("new", ("op_s.p50", "median")), ("old", ("op_s.p50", "q1")),

@@ -12,7 +12,7 @@ import pytest
 from earunet import model as M
 from earunet.checkpoint import AdamMoments, Checkpoint, load_checkpoint, save_checkpoint
 from earunet.errors import EarUnetError, FormatError, VersionError
-from earunet.volume_io import NIFTI_HEADER_SIZE, read_nifti, write_nifti
+from earunet.volume_io import NIFTI_HEADER_SIZE, read_volume, write_nifti
 from earunet.volumes import CtVolume, LabelVolume
 
 
@@ -240,7 +240,7 @@ def nifti_blob(request, tmp_path):
 def _read(tmp_path, case, blob):
     path = tmp_path / f"{case}.nii"
     path.write_bytes(blob)
-    return read_nifti(path)
+    return read_volume(path)
 
 
 def test_nifti_truncated_at_every_offset(tmp_path, nifti_blob):

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from earunet.errors import FormatError, ShapeError
-from earunet.volume_io import read_nifti, read_nifti_header, write_nifti
+from earunet.volume_io import NIFTI_HEADER_SIZE, read_volume, write_nifti
 from earunet.volumes import CtVolume, LabelVolume
 
 
 def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
     src = tmp_path / "src.nii"
     write_nifti(CtVolume(np.zeros((3, 4, 5), dtype=np.int16), (2.0, 1.0, 1.0)), src)
-    template = bytearray(read_nifti_header(src))
+    template = bytearray(src.read_bytes()[:NIFTI_HEADER_SIZE])
     struct.pack_into("<f", template, 76, -1.0)  # pixdim[0]: qfac
     struct.pack_into("<2f", template, 112, 2.0, -1024.0)  # scl_slope, scl_inter
     struct.pack_into("<2h", template, 252, 1, 1)  # qform_code, sform_code
@@ -26,10 +26,10 @@ def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
     out = tmp_path / "out.nii"
     write_nifti(CtVolume(vox, (1.0, 0.5, 0.5)), out, template_header=bytes(template))
 
-    back = read_nifti(out)
+    back = read_volume(out)
     assert back.spacing == (1.0, 0.5, 0.5)
     assert back.voxels.dtype == np.int16 and np.array_equal(back.voxels, vox)
-    hdr = read_nifti_header(out)
+    hdr = out.read_bytes()[:NIFTI_HEADER_SIZE]
     assert hdr[76:80] == template[76:80]
     assert hdr[252:344] == template[252:344]
 
@@ -37,12 +37,12 @@ def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
 def test_read_applies_intensity_scaling(tmp_path):
     path = tmp_path / "ct.nii"
     write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
-    assert read_nifti(path).voxels.dtype == np.int16  # identity scaling: stored dtype
+    assert read_volume(path).voxels.dtype == np.int16  # identity scaling: stored dtype
 
     blob = bytearray(path.read_bytes())
     struct.pack_into("<2f", blob, 112, 2.0, -1024.0)
     path.write_bytes(bytes(blob))
-    back = read_nifti(path)
+    back = read_volume(path)
     assert isinstance(back, CtVolume) and back.voxels.dtype == np.float32
     assert np.array_equal(back.voxels, np.full((2, 3, 4), -1022.0, dtype=np.float32))
 
@@ -56,7 +56,7 @@ def test_read_zero_or_nonfinite_slope_is_unscaled(tmp_path, slope):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<2f", blob, 112, slope, -1024.0)
     path.write_bytes(bytes(blob))
-    back = read_nifti(path)
+    back = read_volume(path)
     assert back.voxels.dtype == np.int16 and np.array_equal(back.voxels, vox)
 
 
@@ -66,7 +66,7 @@ def test_read_nonfinite_intercept_reads_as_zero(tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<2f", blob, 112, 2.0, float("nan"))
     path.write_bytes(bytes(blob))
-    back = read_nifti(path)
+    back = read_volume(path)
     assert back.voxels.dtype == np.float32
     assert np.array_equal(back.voxels, np.full((2, 3, 4), 2.0, dtype=np.float32))
 
@@ -78,7 +78,7 @@ def test_scaled_overflow_of_float32_is_a_format_error(tmp_path):
     struct.pack_into("<2f", blob, 112, 1e35, 0.0)
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="scl_slope"):
-        read_nifti(path)
+        read_volume(path)
 
 
 def _corrupt(tmp_path, fmt, offset, *values):
@@ -94,30 +94,30 @@ def _corrupt(tmp_path, fmt, offset, *values):
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_nonfinite_vox_offset_is_a_format_error(tmp_path, value):
     with pytest.raises(FormatError, match="vox_offset"):
-        read_nifti(_corrupt(tmp_path, "<f", 108, value))
+        read_volume(_corrupt(tmp_path, "<f", 108, value))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_nonfinite_pixdim_is_a_format_error(tmp_path, value):
     with pytest.raises(FormatError, match="pixdim"):
-        read_nifti(_corrupt(tmp_path, "<f", 88, value))  # pixdim[3], the slice spacing
+        read_volume(_corrupt(tmp_path, "<f", 88, value))  # pixdim[3], the slice spacing
 
 
 def test_zero_dim_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="dim"):
-        read_nifti(_corrupt(tmp_path, "<h", 46, 0))  # dim[3]
+        read_volume(_corrupt(tmp_path, "<h", 46, 0))  # dim[3]
 
 
 @pytest.mark.parametrize("value", [8, 252])
 def test_rank_beyond_seven_is_a_format_error(tmp_path, value):
     with pytest.raises(FormatError, match="dim"):
-        read_nifti(_corrupt(tmp_path, "<h", 40, value))  # dim[0]; 252 is byte 40 XOR 0xFF
+        read_volume(_corrupt(tmp_path, "<h", 40, value))  # dim[0]; 252 is byte 40 XOR 0xFF
 
 
 @pytest.mark.parametrize("value", [-1, -2])
 def test_negative_dim_is_a_format_error(tmp_path, value):
     with pytest.raises(FormatError, match="dim"):
-        read_nifti(_corrupt(tmp_path, "<h", 42, value))  # dim[1]
+        read_volume(_corrupt(tmp_path, "<h", 42, value))  # dim[1]
 
 
 @pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
@@ -127,11 +127,21 @@ def test_volume_spacing_must_be_finite(cls, bad):
         cls(np.zeros((2, 2, 2), dtype=np.uint8), (bad, 1.0, 1.0))
 
 
+_NOUN = {CtVolume: "volume", LabelVolume: "mask"}  # each type's word in its geometry errors
+
+
 @pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
 @pytest.mark.parametrize("shape", [(0, 64, 64), (3, 0, 64), (3, 64, 0)])
 def test_volume_with_an_empty_axis_is_a_shape_error(cls, shape):
-    with pytest.raises(ShapeError, match="empty axis"):
+    with pytest.raises(ShapeError, match=f"^{_NOUN[cls]} has an empty axis"):
         cls(np.zeros(shape, dtype=np.int16 if cls is CtVolume else np.uint8), (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
+@pytest.mark.parametrize("shape", [(64, 64), (1, 3, 64, 64)])
+def test_volume_that_is_not_3d_is_a_shape_error(cls, shape):
+    with pytest.raises(ShapeError, match=re.escape(f"{_NOUN[cls]} must be 3-D (d,h,w)")):
+        cls(np.zeros(shape, dtype=np.uint8), (1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -181,7 +191,7 @@ def test_round_trip_is_bit_exact(tmp_path, dtype):
         vox = rng.integers(-32768, 32767, (3, 5, 7), endpoint=True, dtype=np.int16)
     path = tmp_path / "v.nii"
     write_nifti((LabelVolume if dtype == np.uint8 else CtVolume)(vox, (2.5, 0.75, 0.5)), path)
-    back = read_nifti(path)
+    back = read_volume(path)
     assert type(back) is (LabelVolume if dtype == np.uint8 else CtVolume)
     assert back.voxels.dtype == dtype and back.voxels.dtype.isnative
     assert back.voxels.tobytes() == vox.tobytes()
@@ -211,32 +221,53 @@ def test_short_header_is_a_format_error(tmp_path):
     write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
     path.write_bytes(path.read_bytes()[:300])
     with pytest.raises(FormatError, match="348"):
-        read_nifti(path)
+        read_volume(path)
+
+
+@pytest.mark.parametrize("name", ["ct.img", "ct.nii.gz", "ct.nii.tmp", "ct"])
+def test_path_not_ending_in_nii_is_a_format_error(tmp_path, name):
+    # a valid NIfTI-1 file under each name: only the extension is wrong
+    path = tmp_path / name
+    write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: unknown volume format")):
+        read_volume(path)
+
+
+def test_mask_label_other_than_0_1_is_a_format_error_naming_the_file(tmp_path):
+    # a LiTS label file marks tumour as 2; it is rejected, not remapped
+    path = tmp_path / "labels.nii"
+    write_nifti(LabelVolume(np.zeros((2, 3, 4), dtype=np.uint8), (1.0, 1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    blob[-5] = 2  # a payload byte: the payload ends the file
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as info:
+        read_volume(path)
+    assert str(info.value) == f"{path}: mask voxels must be 0/1, found np.uint8(2)"
 
 
 def test_bad_sizeof_hdr_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="sizeof_hdr"):
-        read_nifti(_corrupt(tmp_path, "<i", 0, 540))  # a NIfTI-2 header size
+        read_volume(_corrupt(tmp_path, "<i", 0, 540))  # a NIfTI-2 header size
 
 
 def test_big_endian_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="big-endian"):
-        read_nifti(_corrupt(tmp_path, ">i", 0, 348))
+        read_volume(_corrupt(tmp_path, ">i", 0, 348))
 
 
 def test_bad_magic_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="magic"):
-        read_nifti(_corrupt(tmp_path, "4s", 344, b"ni1\x00"))  # the two-file header/image pair
+        read_volume(_corrupt(tmp_path, "4s", 344, b"ni1\x00"))  # the two-file header/image pair
 
 
 def test_unsupported_datatype_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="datatype"):
-        read_nifti(_corrupt(tmp_path, "<h", 70, 8))  # int32
+        read_volume(_corrupt(tmp_path, "<h", 70, 8))  # int32
 
 
 def test_vox_offset_inside_header_is_a_format_error(tmp_path):
     with pytest.raises(FormatError, match="vox_offset"):
-        read_nifti(_corrupt(tmp_path, "<f", 108, 100.0))
+        read_volume(_corrupt(tmp_path, "<f", 108, 100.0))
 
 
 @pytest.mark.parametrize("cut", [1, 2 * 6 * 6])
@@ -244,7 +275,7 @@ def test_truncated_payload_is_a_format_error(tmp_path, cut):
     path = _corrupt(tmp_path, "<h", 40, 3)  # a valid file: dim[0] already 3
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(FormatError, match="payload"):
-        read_nifti(path)
+        read_volume(path)
 
 
 def test_read_holds_one_payload(tmp_path):
@@ -253,7 +284,7 @@ def test_read_holds_one_payload(tmp_path):
     write_nifti(CtVolume(vox, (1.0, 1.0, 1.0)), path)
     tracemalloc.start()
     try:
-        back = read_nifti(path)
+        back = read_volume(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -268,7 +299,7 @@ def test_read_mask_holds_one_payload(tmp_path):
     write_nifti(LabelVolume(vox, (1.0, 1.0, 1.0)), path)
     tracemalloc.start()
     try:
-        back = read_nifti(path)
+        back = read_volume(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -287,7 +318,7 @@ def test_write_holds_no_payload_copy(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(read_nifti(path).voxels, vox)
+    assert np.array_equal(read_volume(path).voxels, vox)
     assert peak < 0.25 * vox.nbytes, f"peak {peak} bytes for a {vox.nbytes}-byte payload"
 
 
@@ -303,7 +334,7 @@ def test_scaled_read_holds_payload_and_output(tmp_path):
     slope, inter = struct.unpack_from("<2f", blob, 112)
     tracemalloc.start()
     try:
-        back = read_nifti(path)
+        back = read_volume(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

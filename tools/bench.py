@@ -33,13 +33,15 @@ relative change and BENCHMARK.json's bound.  A change is "unresolved"
 when NEW's median lies inside OLD's quartiles, else "better" or "worse";
 "beyond bound" marks a worse change larger than the bound.  It exits 1 if
 a change is beyond its bound, 2 if OLD holds no BENCH file, NEW lacks one
-of OLD's or a file lacks a field.
+of OLD's, a file lacks a field or a median or quartile it reads is not
+finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -73,19 +75,16 @@ def run_workload(name: str, seconds: float, trace: int) -> dict:
     lines = proc.stdout.strip().splitlines()
     try:
         detail, result = json.loads(lines[-2]), json.loads(lines[-1])
-    except (IndexError, ValueError):
+        record = {"provenance": detail.get("provenance"),
+                  "correct": result["correct"] is True and proc.returncode == 0,
+                  "attempted": result["attempted"], "failed": result["failed"],
+                  "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        # no two lines, or lines that are not the run's JSON records
         sys.stderr.write(proc.stderr)
-        detail, result = {}, {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    print(f"{name} trace={trace}: exit {proc.returncode}, correct {result['correct']}", flush=True)
-    return {
-        "command": cmd,
-        "exit": proc.returncode,
-        "provenance": detail.get("provenance"),
-        "correct": result["correct"] is True and proc.returncode == 0,
-        "attempted": result["attempted"],
-        "failed": result["failed"],
-        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-    }
+        record = {"provenance": None, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    print(f"{name} trace={trace}: exit {proc.returncode}, correct {record['correct']}", flush=True)
+    return {"command": cmd, "exit": proc.returncode, **record}
 
 
 def workload_file(name: str, untraced: list[dict], traced: dict) -> dict:
@@ -182,20 +181,23 @@ def compare(old_dir: str, new_dir: str) -> int:
             return 2
         for metric, o in pair[0].items():
             try:
-                n = pair[1][metric]
-                change = relative(o["median"], n["median"])
-                inside = o["q1"] <= n["median"] <= o["q3"]
-                worse = change > 0 if o["better"] == "lower" else change < 0
-                bound = o["bound"]
+                old, q1, q3, new = o["median"], o["q1"], o["q3"], pair[1][metric]["median"]
+                better, bound = o["better"], o["bound"]
             except KeyError as exc:
                 print(f"error: BENCH_{name}.json {metric}: no {exc}", file=sys.stderr)
                 return 2
-            verdict = "unresolved" if inside else "worse" if worse else "better"
+            if not all(map(math.isfinite, (old, q1, q3, new))):  # a metric no run produced is NaN
+                print(f"error: BENCH_{name}.json {metric}: OLD median {old}, q1 {q1}, q3 {q3}; "
+                      f"NEW median {new}", file=sys.stderr)
+                return 2
+            change = relative(old, new)
+            worse = change > 0 if better == "lower" else change < 0
+            verdict = "unresolved" if q1 <= new <= q3 else "worse" if worse else "better"
             if worse and bound is not None and abs(change) > bound:
                 verdict += ", beyond bound"
                 beyond += 1
             shown = "-" if bound is None else f"{bound:.0%}"
-            print(f"{name:15} {metric:13} {o['median']:10.4g} {n['median']:10.4g} "
+            print(f"{name:15} {metric:13} {old:10.4g} {new:10.4g} "
                   f"{change:+8.1%} {shown:>6}  {verdict}")
     return 1 if beyond else 0
 

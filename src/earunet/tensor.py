@@ -5,8 +5,9 @@ float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding; its
 input gradient is the same chunked correlation with the flipped kernel, one
 phase mod stride at a time, over crops of the output gradient framed once
-by zeros.  A dense stride-1 weight gradient is one matmul per kernel tap,
-the tap read in place; other weight gradients read the forward's chunks.
+by zeros.  A dense weight gradient is one matmul per kernel tap at any
+stride, the tap read in place at stride 1; only a depthwise weight
+gradient sums over the forward's chunks (``_tap_chunks``).
 At stride 1 and in every input-gradient phase, taps are wide rows: each
 kernel tap is one contiguous run of the input's rows, W (the row pitch)
 apart, and each output row is W columns wide, of which the first ow are
@@ -313,16 +314,17 @@ def _phase_crops(size: int, k: int, out: int, st: int, pad: int):
 
 
 def _weight_grad(xp: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndarray:
-    """conv2d's weight gradient from the padded input xp, with grad_out in
-    rows pitch wide whose straddling columns are 0.  A dense stride-1 conv
-    takes one matmul per tap, over whole images, with the tap's run of xp
-    read in place (``_taps``).  Depthwise and strided convs sum grad_out .
-    patches^T over the forward's chunks, framing grad_out a chunk at a time
-    (framed whole, it raised ``train_desk``'s peak RSS by ~1 MB)."""
+    """conv2d's weight gradient from the padded input xp.  A dense conv
+    takes one matmul per tap, over whole images: at stride 1 the tap's run
+    of xp is read in place, with grad_out in rows pitch wide whose
+    straddling columns are 0; at larger strides the tap's (oh, ow) grid is
+    copied once (``_taps``).  A depthwise conv sums grad_out . patches^T over
+    the forward's chunks, framing grad_out a chunk at a time (framed whole,
+    it raised ``train_desk``'s peak RSS by ~1 MB)."""
     n, oc, oh, ow = grad_out.shape
-    c, (kh, kw), dw = xp.shape[1], p.kernel, _is_depthwise(p)
-    if p.stride == 1 and not dw:
-        taps, pitch = _taps(xp, kh, kw, 1, oh, ow)
+    c, (kh, kw) = xp.shape[1], p.kernel
+    if not _is_depthwise(p):
+        taps, pitch = _taps(xp, kh, kw, p.stride, oh, ow)
         g = grad_out
         if pitch != ow:
             g = np.zeros((n, oc, oh, pitch), dtype=grad_out.dtype)
@@ -334,20 +336,16 @@ def _weight_grad(xp: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndar
                 t = taps[:, :, i, j].reshape(n, c, -1)  # a view for wide rows
                 gw[:, :, i, j] = np.matmul(g, t.transpose(0, 2, 1)).sum(axis=0)
         return gw
-    gw = np.zeros((oc, kh * kw, 1) if dw else (oc, c * kh * kw), dtype=p.weight.dtype)
+    gw = np.zeros((oc, kh * kw, 1), dtype=p.weight.dtype)
     wide = None
-    for s, ch, cols, pitch in _tap_chunks(xp, kh, kw, p.stride, oh, ow, dw):
+    for s, ch, cols, pitch in _tap_chunks(xp, kh, kw, p.stride, oh, ow, depthwise=True):
         g = grad_out[s, ch]
         if pitch != ow:
             if wide is None:  # the first chunk is the largest; its straddling columns stay 0
                 wide = np.zeros((*g.shape[:3], pitch), dtype=grad_out.dtype)
             wide[: g.shape[0], : g.shape[1], :, :ow] = g
             g = wide[: g.shape[0], : g.shape[1]]
-        g = _rows(g, oh, ow, pitch)
-        if dw:
-            gw[ch] += np.matmul(cols, g[..., None]).sum(axis=0)
-        else:
-            gw += np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        gw[ch] += np.matmul(cols, _rows(g, oh, ow, pitch)[..., None]).sum(axis=0)
         del cols  # one chunk held at a time
     return gw.reshape(p.weight.shape)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ShapeError
 
 
-@dataclass
+@dataclass(eq=False)
 class _Volume:
     """Non-empty 3-D voxels (d, h, w) and three positive finite spacings (sz, sy, sx) in mm."""
 

@@ -37,6 +37,12 @@ class TestStats:
         assert s["runs"] == values
         assert (s["median"], s["q1"], s["q3"]) == pytest.approx((median, q1, q3))
 
+    @pytest.mark.parametrize("values", [[1.0, math.nan, 1.2, 1.1, 1.3], [1.0, math.inf]])
+    def test_a_non_finite_run_makes_every_statistic_nan(self, values):
+        s = bench.stats(values)
+        assert s["runs"] == values
+        assert all(math.isnan(s[k]) for k in ("median", "q1", "q3"))
+
 
 # perfbench/run.py's last two stdout lines: the detail record, then the result
 DETAIL = json.dumps({"provenance": {"git_sha": "abc"}})
@@ -174,6 +180,14 @@ class TestCompare:
             if name == side:
                 data["op_s.p50"][field] = value
             write_bench(tmp_path / name, "segment_volume", data)
+        assert bench.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
+        assert "BENCH_segment_volume.json op_s.p50: " in capsys.readouterr().err
+
+    def test_new_with_one_run_lacking_a_metric(self, tmp_path, capsys):
+        # workload_file stores NaN for the run; its finite runs alone would read better
+        write_bench(tmp_path / "old", "segment_volume", OLD)
+        write_bench(tmp_path / "new", "segment_volume", {
+            **OLD, "op_s.p50": metric([0.5, math.nan, 0.6, 0.7, 0.8])})
         assert bench.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
         assert "BENCH_segment_volume.json op_s.p50: " in capsys.readouterr().err
 

@@ -423,8 +423,8 @@ class TestWideRows:
     def test_gathers_no_patch_grid_at_stride_1(self, monkeypatch, depthwise):
         # the forward takes wide rows at stride 1 and grids at stride 2. Every
         # input-gradient phase, at either stride, takes wide rows from a crop of
-        # one framed copy of grad_out; the dense stride-1 weight gradient reads
-        # its taps in place and makes no gather
+        # one framed copy of grad_out; a dense weight gradient takes its taps
+        # from _taps and makes no chunk gather
         rng = np.random.default_rng(27)
         x = t4(rng.standard_normal((2, 4, 7, 6)))
         p = T.ConvParams(weight=rng.standard_normal((4, 1 if depthwise else 4, 3, 3)), padding=1,
@@ -436,8 +436,8 @@ class TestWideRows:
             T.conv2d(x, q)
             T.conv2d_backward(x, q, go)
             monkeypatch.undo()
-            # the padded input, for the forward and then a strided or depthwise weight gradient
-            padded = 1 if stride == 1 and not depthwise else 2
+            # the padded input, for the forward and then a depthwise weight gradient
+            padded = 1 if not depthwise else 2
             pitch = 8 if stride == 1 else ow
             assert [(xp.shape, o, pitches) for xp, o, pitches in calls[:padded]] == [
                 ((2, 4, 9, 8), ow, [pitch])] * padded

@@ -144,6 +144,16 @@ def test_volume_that_is_not_3d_is_a_shape_error(cls, shape):
         cls(np.zeros(shape, dtype=np.uint8), (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("cls", [CtVolume, LabelVolume])
+def test_volume_equality_answers_by_identity(cls):
+    # an ndarray field has no truth value, so value equality would raise
+    v = cls(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0))
+    copy = cls(v.voxels.copy(), v.spacing)
+    other = (LabelVolume if cls is CtVolume else CtVolume)(v.voxels, v.spacing)
+    assert v == v and not v != v
+    assert v != copy and v != other and other != v
+
+
 @pytest.mark.parametrize(
     "dtype,value",
     [

@@ -34,7 +34,7 @@ when NEW's median lies inside OLD's quartiles, else "better" or "worse";
 "beyond bound" marks a worse change larger than the bound.  It exits 1 if
 a change is beyond its bound, 2 if OLD holds no BENCH file, NEW lacks one
 of OLD's, a file lacks a field or a median or quartile it reads is not
-finite.
+finite, as all three are when a run lacks the metric.
 """
 
 from __future__ import annotations
@@ -62,7 +62,10 @@ FULL_COMMAND = ["python3", "tools/full_step.py"]  # run with PYTHONPATH=src
 
 
 def stats(values: list[float]) -> dict:
-    """The values, their median and quartiles (inclusive method)."""
+    """The values, their median and quartiles (inclusive method); all three
+    are NaN if any value is not finite, as a run lacking the metric is."""
+    if not all(map(math.isfinite, values)):
+        return {"runs": values, "median": math.nan, "q1": math.nan, "q3": math.nan}
     q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"runs": values, "median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
@@ -186,7 +189,7 @@ def compare(old_dir: str, new_dir: str) -> int:
             except KeyError as exc:
                 print(f"error: BENCH_{name}.json {metric}: no {exc}", file=sys.stderr)
                 return 2
-            if not all(map(math.isfinite, (old, q1, q3, new))):  # a metric no run produced is NaN
+            if not all(map(math.isfinite, (old, q1, q3, new))):  # a metric a run lacks is NaN
                 print(f"error: BENCH_{name}.json {metric}: OLD median {old}, q1 {q1}, q3 {q3}; "
                       f"NEW median {new}", file=sys.stderr)
                 return 2

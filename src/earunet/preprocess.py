@@ -105,18 +105,6 @@ def hist_equalize(v: CtVolume, of=None) -> CtVolume:
     return CtVolume(out, v.spacing)
 
 
-def _z_taps(d: int, spacing) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple]:
-    """Lower and upper source slice, and the upper weight, of each
-    z-resampled slice (as ``bilinear_taps``), and the new spacing."""
-    if d < 2:
-        raise InputError(f"z-resampling needs at least 2 slices, got {d}")
-    sz, sy, sx = spacing
-    target = TARGET_SLICE_SPACING_MM
-    pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
-    i0 = np.floor(pos).astype(np.intp)
-    return (i0, np.minimum(i0 + 1, d - 1), pos - i0), (target, sy, sx)
-
-
 def _nearest(i0: np.ndarray, i1: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The nearer of each index's two taps, the upper one on a tie."""
     return np.where(f < 0.5, i0, i1)
@@ -129,7 +117,13 @@ def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
     depth i*target.  Images interpolate linearly between neighbor slices,
     masks take the nearest slice (ties round up).
     """
-    (i0, i1, w), spacing = _z_taps(v.dims[0], v.spacing)
+    d, (sz, sy, sx), target = v.dims[0], v.spacing, TARGET_SLICE_SPACING_MM
+    if d < 2:
+        raise InputError(f"z-resampling needs at least 2 slices, got {d}")
+    # lower and upper source slice, and the upper weight (as bilinear_taps)
+    pos = np.arange(int(np.floor((d - 1) * sz / target)) + 1, dtype=np.float64) * target / sz
+    i0 = np.floor(pos).astype(np.intp)
+    i1, w, spacing = np.minimum(i0 + 1, d - 1), pos - i0, (target, sy, sx)
     if kind not in ("linear", "nearest"):
         raise ParameterError(f"kind must be linear or nearest, got {kind!r}")
     if kind == "nearest":
@@ -278,23 +272,21 @@ def preprocess_case(
 
     The image takes ``preprocess_volume``'s chain and is cropped after its
     resize.  The organ range is read from one foreground flag per source
-    slice, gathered by resample_z's nearest-slice index, so it is the
-    range of the z-resampled full-resolution mask.  The mask is gathered
-    once, at the kept slices' nearest source slices, rows and columns:
-    no array of the mask's size is made.
+    slice, z-resampled as a (d, 1, 1) mask, so it is the range of the
+    z-resampled full-resolution mask.  The mask is resized in-plane
+    before it is z-resampled and cropped: no array of the mask's size is
+    made.
     """
     if image.dims != mask.dims:
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
     v = preprocess_volume(image, size)
-    d, h, w = mask.dims
-    taps, spacing = _stage("resample_z", _z_taps, d, mask.spacing)
-    zi = _nearest(*taps)
-    flags = LabelVolume(np.array([plane.any() for plane in mask.voxels])[zi, None, None], spacing)
+    fg = np.array([plane.any() for plane in mask.voxels])[:, None, None]
+    flags = _stage("resample_z", resample_z, LabelVolume(fg, mask.spacing), "nearest")
     v, _, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, flags)
-    m = mask.voxels[zi[lo : lo + v.dims[0], None, None], _nearest(*bilinear_taps(h, size))[:, None],
-                    _nearest(*bilinear_taps(w, size))]
+    m = _stage("resample_z", resample_z, resize_slices(mask, size), "nearest").voxels
+    m = m[lo : lo + v.dims[0]]
     return [
         SlicePair(
             image=v.voxels[i],

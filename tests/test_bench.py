@@ -21,7 +21,7 @@ _spec.loader.exec_module(bench)
 
 
 def run_record(correct=True, **metrics):
-    """One run as run_workload records it."""
+    """One run as bench.run_record records it."""
     return {"command": [], "exit": 0 if correct else 1, "provenance": None,
             "correct": correct, "attempted": 4, "failed": 0, "metrics": metrics}
 
@@ -48,15 +48,24 @@ class TestStats:
 DETAIL = json.dumps({"provenance": {"git_sha": "abc"}})
 RESULT = {"correct": True, "attempted": 3, "failed": 0,
           "metrics": {"op_s.p50": {"value": 1.5, "unit": "s"}}}
+# tools/full_step.py's output: its human line, then the same two records
+FULL_VALUES = {"fwd_s": 2.5, "bwd_s": 4.5, "infer_s": 1.5, "ru_maxrss_mb": 1189.0}
+FULL_LINE = "full n=2 train step: fwd 2.50 s, bwd 4.50 s, ru_maxrss 1189 MB (bound 2000); ..."
+
+
+def full_result(correct=True):
+    return json.dumps({"correct": correct, "attempted": 1, "failed": int(not correct),
+                       "metrics": {k: {"value": v, "unit": bench.FULL_METRICS[k]}
+                                   for k, v in FULL_VALUES.items()}})
 
 
 class TestRunWorkload:
-    def run(self, monkeypatch, stdout, returncode=0):
+    def run(self, monkeypatch, stdout, returncode=0, cmd=None):
         def fake_run(cmd, **kwargs):
             return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="")
 
         monkeypatch.setattr(bench.subprocess, "run", fake_run)
-        return bench.run_workload("train_desk", 1.0, 0)
+        return bench.run_record(cmd or bench.workload_command("train_desk", 1.0, 0))
 
     def test_records_the_last_two_lines(self, monkeypatch):
         record = self.run(monkeypatch, f"log\n{DETAIL}\n{json.dumps(RESULT)}\n")
@@ -80,6 +89,21 @@ class TestRunWorkload:
         assert record["correct"] is False
         assert (record["attempted"], record["failed"], record["metrics"]) == (0, 0, {})
 
+    def test_records_the_full_steps_lines(self, monkeypatch):
+        record = self.run(monkeypatch, f"{FULL_LINE}\n{DETAIL}\n{full_result()}\n",
+                          cmd=bench.FULL_COMMAND)
+        assert record["command"] == bench.FULL_COMMAND
+        assert record["provenance"] == {"git_sha": "abc"}
+        assert (record["correct"], record["attempted"], record["failed"]) == (True, 1, 0)
+        assert record["metrics"] == FULL_VALUES
+
+    def test_a_full_step_over_its_memory_gate_is_incorrect(self, monkeypatch):
+        # the gate's failure: the step prints every number and exits 1
+        record = self.run(monkeypatch, f"{FULL_LINE}\n{DETAIL}\n{full_result(False)}\n", 1,
+                          cmd=bench.FULL_COMMAND)
+        assert record["correct"] is False and record["failed"] == 1
+        assert record["metrics"] == FULL_VALUES
+
 
 class TestWorkloadFile:
     def test_traced_metrics_are_per_layer(self):
@@ -102,20 +126,31 @@ class TestWorkloadFile:
 
 
 class TestFullFile:
-    ROUND = {"fwd_s": 2.5, "bwd_s": 4.5, "infer_s": 1.5, "ru_maxrss_mb": 1189.0}
-
     def test_correct_when_every_round_exits_0(self):
-        data = bench.full_file([{"exit": 0, **self.ROUND}, {"exit": 0, **self.ROUND}])
+        data = bench.workload_file("full", [run_record(**FULL_VALUES)] * 2, None)
         assert data["correct"] is True
-        assert data["end_to_end"]["ru_maxrss_mb"]["median"] == 1189.0
+        assert list(data["end_to_end"]) == list(bench.FULL_METRICS)
+        assert data["end_to_end"]["ru_maxrss_mb"] == {
+            "unit": "MB", "better": "lower", "bound": None, **bench.stats([1189.0, 1189.0])}
+        assert "per_layer" not in data and "traced_run" not in data
 
     def test_incorrect_when_a_round_exits_1(self):
-        # the memory gate's failure: the round prints every number and exits 1
-        assert bench.full_file([{"exit": 0, **self.ROUND}, {"exit": 1, **self.ROUND}])[
-            "correct"] is False
+        rounds = [run_record(**FULL_VALUES), run_record(correct=False, **FULL_VALUES)]
+        assert bench.workload_file("full", rounds, None)["correct"] is False
 
-    def test_incorrect_when_a_round_lacks_a_metric(self):
-        assert bench.full_file([{"exit": 0, "fwd_s": 2.5}])["correct"] is False
+    def test_a_round_lacking_a_metric_makes_its_statistics_nan(self, tmp_path, capsys):
+        # the other two rounds alone would give bwd_s a median of 4.2
+        lacking = {k: v for k, v in FULL_VALUES.items() if k != "bwd_s"}
+        rounds = [run_record(**{**FULL_VALUES, "bwd_s": 3.9}), run_record(**lacking),
+                  run_record(**FULL_VALUES)]
+        data = bench.workload_file("full", rounds, None)
+        assert all(math.isnan(data["end_to_end"]["bwd_s"][k]) for k in ("median", "q1", "q3"))
+        assert data["end_to_end"]["fwd_s"]["median"] == 2.5
+        write_bench(tmp_path / "old", "full", bench.workload_file(
+            "full", [run_record(**FULL_VALUES)], None)["end_to_end"])
+        write_bench(tmp_path / "new", "full", data["end_to_end"])
+        assert bench.main(["--compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 2
+        assert "BENCH_full.json bwd_s: " in capsys.readouterr().err
 
 
 def write_bench(directory: Path, name: str, end_to_end: dict) -> None:

@@ -502,15 +502,15 @@ class TestSubnormals:
     microcode assist; the gate's product and gradient and the sigmoid
     derivative flush theirs (``tensor.flush_subnormal``)."""
 
-    def test_desk_train_step_feeds_convs_few_subnormals(self, monkeypatch):
-        # before the flush: 11,280 subnormal operands reached conv2d and
-        # 92,990 conv2d_backward, almost all at 64x64 in decoder.level5.
-        # After it: 0 and 1,723, from normal but tiny gradients that the
-        # head's and psi's 1x1 convs scale below tiny
+    @staticmethod
+    def count_subnormal_operands(monkeypatch) -> collections.Counter:
+        """Subnormal operands of every conv2d and conv2d_backward call made
+        through blocks and model, and the calls, keyed by function name."""
         counts = collections.Counter()
         for mod in (B, M):
             for name in ("conv2d", "conv2d_backward"):
                 def counting(*args, _f=getattr(mod, name), _key=name):
+                    counts[_key, "calls"] += 1
                     for a in args:
                         a = a.data if isinstance(a, Tensor4) else a
                         a = a.weight if isinstance(a, ConvParams) else a
@@ -518,6 +518,12 @@ class TestSubnormals:
                     return _f(*args)
 
                 monkeypatch.setattr(mod, name, counting)
+        return counts
+
+    @staticmethod
+    def desk_step():
+        """Model (seed 0), train forward tape and combo_loss gradient of one
+        desk n=8 step."""
         cfg = M.preset_config("desk")
         params = M.build_model(cfg, np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -525,9 +531,40 @@ class TestSubnormals:
         target = Tensor4((rng.random(x.dims) < 0.3).astype(np.float32))
         y, tape = M.forward_training(params, cfg, x, rng)
         _, grad = losses.combo_loss(y, target, losses.LossWeights(1.0, 1.0))
+        return params, tape, grad
+
+    def test_desk_train_step_feeds_convs_few_subnormals(self, monkeypatch):
+        # before the flush: 11,280 subnormal operands reached conv2d and
+        # 92,990 conv2d_backward, almost all at 64x64 in decoder.level5.
+        # After it: 0 and 1,723, from normal but tiny gradients that the
+        # head's and psi's 1x1 convs scale below tiny
+        counts = self.count_subnormal_operands(monkeypatch)
+        params, tape, grad = self.desk_step()
         M.backward_from_context(params, tape, grad)
         assert counts["conv2d"] == 0
         assert counts["conv2d_backward"] <= 0.02 * 92_990
+
+    def test_desk_infer_forward_feeds_convs_no_subnormal(self, monkeypatch):
+        # the reason se_block_forward leaves the SE product unflushed
+        counts = self.count_subnormal_operands(monkeypatch)
+        cfg = M.preset_config("desk")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        x = Tensor4(np.random.default_rng(1).random((16, 1, 64, 64), dtype=np.float32))
+        M.forward(params, cfg, x)
+        assert counts["conv2d", "calls"] > 0
+        assert counts["conv2d"] == 0
+
+    def test_backward_is_exactly_linear_under_power_of_two_scaling(self):
+        # scaling grad_out by 2**k moves no value across tiny that a flush
+        # would zero, so the flushes' zeros change no gradient
+        params, tape, grad = self.desk_step()
+        base, gx = M.backward_from_context(params, tape, grad)
+        for k in (20, 40):
+            scaled, gx_k = M.backward_from_context(params, tape, np.ldexp(grad, k))
+            assert list(scaled) == list(base)
+            assert np.array_equal(gx_k, np.ldexp(gx, k))
+            for name, g in base.items():
+                assert np.array_equal(scaled[name], np.ldexp(g, k)), (k, name)
 
     def test_recomputed_level_input_has_the_forward_bytes(self, monkeypatch):
         # a gate in the saturation band: alpha = sigmoid(-87) is a normal

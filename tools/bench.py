@@ -8,24 +8,24 @@ Run from the repository root.  Each workload of BENCHMARK.json runs
 subprocess, at ``SEED`` and ``--seconds``, by default BENCHMARK.json's
 ``run_seconds``), and ``tools/full_step.py`` runs ``--full-rounds`` times,
 each in a fresh process.  Both run as ``python3`` from PATH, the
-interpreter that BENCHMARK.json's command names, and each file records
-the command lines as run.  The files go to ``--out`` (default: the
+interpreter that BENCHMARK.json's command names, and both end their
+output with run.py's two record lines, a detail object holding the
+provenance and a result object.  The files go to ``--out`` (default: the
 repository root):
 
-- ``BENCH_<workload>.json``: every run's command line, provenance line,
+- ``BENCH_<workload>.json``: every run's command line, provenance,
   ``correct``/``attempted``/``failed`` and metrics; per end-to-end metric
   the runs, the median and the quartiles; the traced run's per-layer
   metrics.
-- ``BENCH_full.json``: full_step.py's forward, backward and infer seconds
-  and ru_maxrss per round, each round with its git sha and src digest, and
-  the same statistics.
+- ``BENCH_full.json``: the same for full_step.py's rounds (forward,
+  backward and infer seconds and ru_maxrss), with no traced run.
 
 ``--append`` adds the new runs to the files already in ``--out``, and runs
 the traced run only for a file that has none yet, so that alternating
 runs of two versions collect into one file per version; ``--runs 0`` or
 ``--full-rounds 0`` leaves the workload or full-step files alone.  The
-script exits 1 if a run is not ``correct: true`` or full_step.py exits
-non-zero.
+script exits 1 if a run is not ``correct: true``, as a full_step.py
+round over its memory gate is not.
 
 ``--compare`` only reads files: each BENCH file in OLD and its namesake
 in NEW.  Per workload and metric it prints OLD's and NEW's medians, the
@@ -42,8 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import re
 import statistics
 import subprocess
 import sys
@@ -53,12 +51,9 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # one seed for every run, so that BENCH files of different changes compare
 SEED = 7
-FULL_LINE = re.compile(
-    r"fwd (?P<fwd_s>[\d.]+) s, bwd (?P<bwd_s>[\d.]+) s, ru_maxrss (?P<ru_maxrss_mb>\d+) MB"
-    r".*infer fwd (?P<infer_s>[\d.]+) s")
 # full_step.py's metrics, all lower-is-better; BENCHMARK.json bounds none of them
 FULL_METRICS = {"fwd_s": "s", "bwd_s": "s", "infer_s": "s", "ru_maxrss_mb": "MB"}
-FULL_COMMAND = ["python3", "tools/full_step.py"]  # run with PYTHONPATH=src
+FULL_COMMAND = ["python3", "tools/full_step.py"]
 
 
 def stats(values: list[float]) -> dict:
@@ -70,10 +65,14 @@ def stats(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
-def run_workload(name: str, seconds: float, trace: int) -> dict:
-    """One perfbench/run.py process; its last two stdout lines as a record."""
-    cmd = ["python3", "perfbench/run.py", "--workload", name, "--seed", str(SEED),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def workload_command(name: str, seconds: float, trace: int) -> list[str]:
+    return ["python3", "perfbench/run.py", "--workload", name, "--seed", str(SEED),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
+def run_record(cmd: list[str]) -> dict:
+    """One process of cmd; its last two stdout lines, perfbench/run.py's
+    detail and result records, which tools/full_step.py prints too, as a record."""
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -86,13 +85,18 @@ def run_workload(name: str, seconds: float, trace: int) -> dict:
         # no two lines, or lines that are not the run's JSON records
         sys.stderr.write(proc.stderr)
         record = {"provenance": None, "correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    print(f"{name} trace={trace}: exit {proc.returncode}, correct {record['correct']}", flush=True)
+    print(f"{' '.join(cmd[1:])}: exit {proc.returncode}, correct {record['correct']}", flush=True)
     return {"command": cmd, "exit": proc.returncode, **record}
 
 
-def workload_file(name: str, untraced: list[dict], traced: dict) -> dict:
-    runs = untraced + [traced]
-    return {
+def workload_file(name: str, untraced: list[dict], traced: dict | None) -> dict:
+    """Statistics of the end-to-end metrics over the untraced runs, and the
+    traced run's metrics as per-layer ones.  The full step has no traced
+    run, and its end-to-end metrics are FULL_METRICS."""
+    listed = BENCHMARK["end_to_end"] if traced else [
+        {"name": k, "unit": u, "better": "lower", "bound": None} for k, u in FULL_METRICS.items()]
+    runs = untraced + ([traced] if traced else [])
+    data = {
         "workload": name,
         "correct": all(r["correct"] for r in runs),
         "attempted": sum(r["attempted"] for r in runs),
@@ -100,40 +104,12 @@ def workload_file(name: str, untraced: list[dict], traced: dict) -> dict:
         "end_to_end": {
             m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                         **stats([r["metrics"].get(m["name"], float("nan")) for r in untraced])}
-            for m in BENCHMARK["end_to_end"]},
-        "per_layer": traced["metrics"],
+            for m in listed},
         "untraced_runs": untraced,
-        "traced_run": traced,
     }
-
-
-def run_full(rounds: int) -> list[dict]:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import run  # perfbench/run.py, for the same git sha and src digest
-
-    env = dict(os.environ, PYTHONPATH="src")
-    out = []
-    for _ in range(rounds):
-        proc = subprocess.run(FULL_COMMAND, cwd=ROOT, env=env, capture_output=True, text=True)
-        match = FULL_LINE.search(proc.stdout)
-        print(f"full: exit {proc.returncode}, {proc.stdout.strip()}", flush=True)
-        out.append({"exit": proc.returncode,
-                    "provenance": {"git_sha": run.git_sha(), "src_sha256": run.source_digest()},
-                    **{k: float(v) for k, v in (match.groupdict() if match else {}).items()}})
-    return out
-
-
-def full_file(rounds: list[dict]) -> dict:
-    ok = all(r["exit"] == 0 and FULL_METRICS.keys() <= r.keys() for r in rounds)
-    return {
-        "workload": "full",
-        "command": ["env", "PYTHONPATH=src"] + FULL_COMMAND,
-        "correct": ok,
-        "rounds": rounds,
-        "end_to_end": {k: {"unit": unit, "better": "lower", "bound": None,
-                           **stats([r[k] for r in rounds if k in r] or [float("nan")])}
-                       for k, unit in FULL_METRICS.items()},
-    }
+    if traced:
+        data.update(per_layer=traced["metrics"], traced_run=traced)
+    return data
 
 
 def measure(args) -> int:
@@ -145,14 +121,13 @@ def measure(args) -> int:
         path = out / f"BENCH_{name}.json"
         old = json.loads(path.read_text()) if args.append and path.is_file() else None
         if name == "full":
-            rounds = (old["rounds"] if old else []) + run_full(args.full_rounds)
-            data = full_file(rounds)
+            untraced, traced = [run_record(FULL_COMMAND) for _ in range(args.full_rounds)], None
         else:
-            untraced = [run_workload(name, args.seconds, 0) for _ in range(args.runs)]
-            if old:
-                untraced = old["untraced_runs"] + untraced
-            traced = old["traced_run"] if old else run_workload(name, args.seconds, 1)
-            data = workload_file(name, untraced, traced)
+            untraced = [run_record(workload_command(name, args.seconds, 0))
+                        for _ in range(args.runs)]
+            traced = old["traced_run"] if old else run_record(
+                workload_command(name, args.seconds, 1))
+        data = workload_file(name, (old["untraced_runs"] if old else []) + untraced, traced)
         path.write_text(json.dumps(data, indent=1) + "\n")
         written.append(data)
     bad = [d["workload"] for d in written if not d["correct"]]

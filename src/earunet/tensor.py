@@ -5,9 +5,11 @@ float32 (float64 is accepted for high-precision gradient checking).
 Convolution uses the cross-correlation convention with zero padding; its
 input gradient is the same chunked correlation with the flipped kernel, one
 phase mod stride at a time, over crops of the output gradient framed once
-by zeros.  A dense weight gradient is one matmul per kernel tap at any
-stride, the tap read in place at stride 1; only a depthwise weight
-gradient sums over the forward's chunks (``_tap_chunks``).
+by zeros.  One helper, ``_frame``, builds every zero frame: the padded
+input, that framed output gradient and the weight gradient's wide rows.  A
+dense weight gradient is one matmul per kernel tap at any stride, the tap
+read in place at stride 1; only a depthwise weight gradient sums over the
+forward's chunks (``_tap_chunks``).
 At stride 1 and in every input-gradient phase, taps are wide rows: each
 kernel tap is one contiguous run of the input's rows, W (the row pitch)
 apart, and each output row is W columns wide, of which the first ow are
@@ -159,10 +161,11 @@ class BatchNormState:
 # ---------------------------------------------------------------------------
 # convolution
 
-# cache-sized working set: one chunk's patch matrix (whole images, or a run of
-# one depthwise image's channels) for every conv gather, all sized in
-# _tap_chunks: wide rows at stride 1 and in every input-gradient phase, (oh, ow)
-# grids only for a strided conv's forward and weight gradient
+# cache-sized working set: a chunk's patch matrix holds as many whole images as
+# fit, or a run of one depthwise image's channels, but never less than one dense
+# image, which can be far larger (see _tap_chunks); wide rows at stride 1 and in
+# every input-gradient phase, (oh, ow) grids only for a strided conv's forward
+# and weight gradient
 _BLOCK_BYTES = 1 << 20
 
 
@@ -185,15 +188,16 @@ def _conv_out_dims(x: Tensor4, p: ConvParams) -> tuple[int, int]:
     return oh, ow
 
 
-def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad both spatial axes; one zeroed buffer and one copy, which is
-    cheaper than np.pad."""
-    if padding == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    xp[:, :, padding : padding + h, padding : padding + w] = x
-    return xp
+def _frame(a: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """a (..., h, w) inside zero rows above and below and zero columns left
+    and right on its last two axes; one zeroed buffer and one copy, which is
+    cheaper than np.pad.  a itself when every side is 0."""
+    if not (top or bottom or left or right):
+        return a
+    *lead, h, w = a.shape
+    framed = np.zeros((*lead, top + h + bottom, left + w + right), dtype=a.dtype)
+    framed[..., top : top + h, left : left + w] = a
+    return framed
 
 
 def _is_depthwise(p: ConvParams) -> bool:
@@ -229,9 +233,12 @@ def _tap_chunks(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int,
     (``_taps``), cols (m, c*kh*kw, L), or (m, c, kh*kw, L) depthwise, L =
     (oh-1)*pitch + ow.
 
-    A chunk's patch matrix fits ``_BLOCK_BYTES`` with whole images, or for
-    a depthwise image larger than that, with a run of its (independent)
-    channels; channels is slice(None) unless an image is split.
+    A chunk holds as many whole images as fit ``_BLOCK_BYTES``, at least
+    one.  A depthwise image larger than that is split into runs of its
+    (independent) channels that fit, at least one each; channels is
+    slice(None) unless an image is split.  A dense image is never split, so
+    its chunk can exceed the block: ``decoder.level5.res.conv1`` gathers
+    3.6 MB per image at ``desk`` and 190 MB at ``full``.
     """
     taps, pitch = _taps(xp, kh, kw, stride, oh, ow)
     n, c, kk = xp.shape[0], xp.shape[1], kh * kw
@@ -282,12 +289,13 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """2-D cross-correlation with zero padding.
 
     Output dims: (n, out_c, (h+2*pad-kh)//stride + 1, (w+2*pad-kw)//stride + 1).
-    Patches are gathered in chunks whose patch matrix fits ``_BLOCK_BYTES``,
-    each multiplied by the weight in one matmul: wide rows at stride 1,
-    (oh, ow) grids only at larger strides (see ``_tap_chunks``).
+    Patches are gathered in the chunks of ``_tap_chunks``, each multiplied
+    by the weight in one matmul: wide rows at stride 1, (oh, ow) grids only
+    at larger strides.
     """
     oh, ow = _conv_out_dims(x, p)
-    out = _correlate(_pad_input(x.data, p.padding), p.weight, p.stride, _is_depthwise(p), oh, ow)
+    pad = p.padding
+    out = _correlate(_frame(x.data, pad, pad, pad, pad), p.weight, p.stride, _is_depthwise(p), oh, ow)
     if p.bias is not None:
         out += p.bias[None, :, None, None]
     return Tensor4(out)
@@ -325,11 +333,7 @@ def _weight_grad(xp: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndar
     c, (kh, kw) = xp.shape[1], p.kernel
     if not _is_depthwise(p):
         taps, pitch = _taps(xp, kh, kw, p.stride, oh, ow)
-        g = grad_out
-        if pitch != ow:
-            g = np.zeros((n, oc, oh, pitch), dtype=grad_out.dtype)
-            g[..., :ow] = grad_out
-        g = _rows(g, oh, ow, pitch)
+        g = _rows(_frame(grad_out, 0, 0, 0, pitch - ow), oh, ow, pitch)
         gw = np.empty(p.weight.shape, dtype=p.weight.dtype)
         for i in range(kh):
             for j in range(kw):
@@ -337,14 +341,8 @@ def _weight_grad(xp: np.ndarray, p: ConvParams, grad_out: np.ndarray) -> np.ndar
                 gw[:, :, i, j] = np.matmul(g, t.transpose(0, 2, 1)).sum(axis=0)
         return gw
     gw = np.zeros((oc, kh * kw, 1), dtype=p.weight.dtype)
-    wide = None
     for s, ch, cols, pitch in _tap_chunks(xp, kh, kw, p.stride, oh, ow, depthwise=True):
-        g = grad_out[s, ch]
-        if pitch != ow:
-            if wide is None:  # the first chunk is the largest; its straddling columns stay 0
-                wide = np.zeros((*g.shape[:3], pitch), dtype=grad_out.dtype)
-            wide[: g.shape[0], : g.shape[1], :, :ow] = g
-            g = wide[: g.shape[0], : g.shape[1]]
+        g = _frame(grad_out[s, ch], 0, 0, 0, pitch - ow)
         gw[ch] += np.matmul(cols, _rows(g, oh, ow, pitch)[..., None]).sum(axis=0)
         del cols  # one chunk held at a time
     return gw.reshape(p.weight.shape)
@@ -375,13 +373,10 @@ def conv2d_backward(
         grad_bias = np.sum(grad_out, axis=(0, 2, 3), dtype=np.float64).astype(p.bias.dtype)
 
     dw = _is_depthwise(p)
-    gw = _weight_grad(_pad_input(x.data, pad), p, grad_out)
+    gw = _weight_grad(_frame(x.data, pad, pad, pad, pad), p, grad_out)
     top, bottom, row_phases = _phase_crops(h, kh, oh, st, pad)
     left, right, col_phases = _phase_crops(w, kw, ow, st, pad)
-    framed = grad_out
-    if top or bottom or left or right:
-        framed = np.zeros((n, oc, top + oh + bottom, left + ow + right), dtype=grad_out.dtype)
-        framed[:, :, top : top + oh, left : left + ow] = grad_out
+    framed = _frame(grad_out, top, bottom, left, right)
     flipped = p.weight[:, :, ::-1, ::-1] if dw else p.weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     # at stride 1 the one phase is the whole gradient (an empty input has none)
     grad_x = None if st == 1 and h * w else np.zeros((n, c, h, w), dtype=grad_out.dtype)

@@ -34,9 +34,24 @@ class TestConv2d:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pad_input_matches_np_pad(self, padding, dtype):
         x = np.random.default_rng(9).standard_normal((2, 3, 4, 5)).astype(dtype)
-        got = T._pad_input(x, padding)
+        got = T._frame(x, padding, padding, padding, padding)
         want = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
         assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sides", [(0, 0, 0, 3), (2, 0, 0, 1), (0, 1, 2, 0), (1, 3, 0, 0), (2, 1, 3, 4)])
+    @pytest.mark.parametrize("shape", [(4, 5), (2, 3, 4, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_matches_np_pad(self, sides, shape, dtype):
+        x = np.random.default_rng(10).standard_normal(shape).astype(dtype)
+        top, bottom, left, right = sides
+        got = T._frame(x, top, bottom, left, right)
+        lead = [(0, 0)] * (x.ndim - 2)
+        want = np.pad(x, lead + [(top, bottom), (left, right)], constant_values=0)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_frame_without_sides_is_its_input(self):
+        x = np.random.default_rng(11).standard_normal((2, 3, 4, 5)).astype(np.float32)
+        assert T._frame(x, 0, 0, 0, 0) is x
 
     def test_all_ones_3x3(self):
         x = t4(np.ones((1, 1, 3, 3)))

@@ -450,7 +450,6 @@ def attention_gate_backward(
     what reaches x through wx, is subnormal where alpha nears tiny, and is
     flushed like the forward's product (``gated_skip``)."""
     p, x = ctx.p, ctx.x
-    grad_x = grad_out * ctx.alpha
     dalpha = np.sum(grad_out * x.data, axis=1, keepdims=True, dtype=np.float64).astype(
         x.data.dtype
     )
@@ -459,9 +458,12 @@ def attention_gate_backward(
         ctx.relu_out, p.psi, dpsi_pre
     )
     dsum = activate_backward(ctx.relu_out.data, "relu", drelu)
-    dx2, grads[id(p.wx.weight)], _ = conv2d_backward(x, p.wx, dsum)
+    del drelu
+    grad_x, grads[id(p.wx.weight)], _ = conv2d_backward(x, p.wx, dsum)
     dg, grads[id(p.wg.weight)], _ = conv2d_backward(g, p.wg, dsum)
-    return flush_subnormal(grad_x + dx2), dg
+    del dsum
+    grad_x += grad_out * ctx.alpha  # summed here, once drelu and dsum are freed
+    return flush_subnormal(grad_x), dg
 
 
 # ---------------------------------------------------------------------------

@@ -249,13 +249,15 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
 
 
 # A train-mode forward records one backward step per layer, in forward
-# order; ``backward_from_context`` runs them in reverse.  A step maps the
-# layer's output gradient to its input gradient and writes the gradient of
-# each parameter array it read into the shared grads, keyed by the array's
-# id; a decoder level's step also leaves its skip's gradient there for the
-# tap step of the skip's encoder stage.  Besides its contexts a step holds
-# only its layer's input: the stem and stage-9 steps their conv unit's, a
-# decoder level's step the features it upsamples.  MBConv steps bind
+# order; ``backward_from_context`` pops them off the tape in reverse and
+# runs each, so a step's saved arrays are freed once it has run and the
+# backward consumes the tape.  A step maps the layer's output gradient to
+# its input gradient and writes the gradient of each parameter array it
+# read into the shared grads, keyed by the array's id; a decoder level's
+# step also leaves its skip's gradient there for the tap step of the
+# skip's encoder stage.  Besides its contexts a step holds only its
+# layer's input: the stem and stage-9 steps their conv unit's, a decoder
+# level's step the features it upsamples.  MBConv steps bind
 # ``B.mbconv_backward`` when the forward records them, so a tracer that
 # patches ``blocks`` sees them only if it is installed before the forward
 # runs; the other steps, and the conv units (``B.ConvUnit``), look the
@@ -423,11 +425,13 @@ def backward_from_context(
     grads, input grad), the grads named and ordered as ``iter_params``
     yields the trainable arrays of ``params``.  Raises ParameterError when
     the arrays the tape wrote are not exactly those, e.g. for a tape
-    recorded with another model's params.  A tape can be run more than once."""
+    recorded with another model's params.  The tape is consumed: each step
+    is popped off it as it runs, so its saved arrays are freed once its
+    gradient is taken, and the tape is empty afterwards."""
     grads: B.GradDict = {}
     g = grad_out
-    for step in reversed(ctx):
-        g = step(g, grads)
+    while ctx:
+        g = ctx.pop()(g, grads)
     named = {name: grads.pop(id(arr), None) for name, arr in named_trainable(params).items()}
     missing = [name for name, grad in named.items() if grad is None]
     if missing or grads:

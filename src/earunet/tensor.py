@@ -587,8 +587,7 @@ def upsample_bilinear_2x(x: Tensor4) -> Tensor4:
     n, c, h, w = x.dims
     wh = _upsample2x_matrix(h, x.data.dtype)
     ww = _upsample2x_matrix(w, x.data.dtype)
-    out = np.matmul(np.matmul(wh, x.data), ww.T)
-    return Tensor4(np.ascontiguousarray(out))
+    return Tensor4(np.matmul(np.matmul(wh, x.data), ww.T))
 
 
 def upsample_bilinear_2x_backward(x: Tensor4, grad_out: np.ndarray) -> np.ndarray:
@@ -599,4 +598,4 @@ def upsample_bilinear_2x_backward(x: Tensor4, grad_out: np.ndarray) -> np.ndarra
         )
     wh = _upsample2x_matrix(h, x.data.dtype)
     ww = _upsample2x_matrix(w, x.data.dtype)
-    return np.ascontiguousarray(np.matmul(np.matmul(wh.T, grad_out), ww))
+    return np.matmul(np.matmul(wh.T, grad_out), ww)

@@ -8,7 +8,7 @@ import pytest
 from earunet import metrics as MX
 from earunet.errors import ShapeError
 from earunet.volumes import LabelVolume
-from oracles import metrics_naive, surface_naive
+from oracles import EDT_RTOL, metrics_naive, surface_distances_edt, surface_edt, surface_naive
 
 SP1 = (1.0, 1.0, 1.0)
 
@@ -237,3 +237,49 @@ class TestEvaluateCase:
         b = lv(np.zeros((2, 2, 2)), (2.0, 1.0, 1.0))
         with pytest.raises(ShapeError):
             MX.evaluate_case(a, b)
+
+
+class TestEvaluateCaseAtScanSize:
+    """The KD-tree distances against the EDT oracle on a 31x128^2 grid at an
+    anisotropic spacing, with thousands of surface points per side, where
+    the brute-force check's few hundred points on 8^3 masks leave the trees
+    shallow."""
+
+    SPACING = (2.5, 0.75, 0.75)
+    SHAPE = (31, 128, 128)
+
+    def ellipsoid(self, center, radii_mm):
+        z, y, x = np.indices(self.SHAPE, dtype=np.float64)
+        r = sum(((c - c0) * s / r0) ** 2
+                for c, c0, s, r0 in zip((z, y, x), center, self.SPACING, radii_mm))
+        return LabelVolume((r <= 1.0).astype(np.uint8), self.SPACING)
+
+    def check(self, pred, gt):
+        for v in (pred, gt):
+            assert len(MX.extract_surface(v)) == np.count_nonzero(surface_edt(v.voxels))
+        got = MX.evaluate_case(pred, gt)
+        want = surface_distances_edt(pred.voxels, gt.voxels, self.SPACING)
+        for g, w in zip((got.assd_mm, got.msd_mm), want):
+            if w is None:
+                assert g is None
+            else:
+                assert abs(g - w) <= EDT_RTOL * w, (g, w)
+        return got
+
+    def test_offset_ellipsoids(self):
+        pred = self.ellipsoid((15, 60, 66), (30, 36, 30))
+        gt = self.ellipsoid((16, 68, 60), (32, 33, 34))
+        got = self.check(pred, gt)
+        assert 0 < got.assd_mm < got.msd_mm
+
+    def test_near_full_prediction(self):
+        # an untrained model's mask: every query lies far from the other surface
+        full = np.ones(self.SHAPE, dtype=np.uint8)
+        full[0, :64] = 0
+        got = self.check(LabelVolume(full, self.SPACING), self.ellipsoid((15, 64, 64), (25, 30, 30)))
+        assert got.assd_mm > 10
+
+    def test_empty_prediction(self):
+        pred = LabelVolume(np.zeros(self.SHAPE, dtype=np.uint8), self.SPACING)
+        got = self.check(pred, self.ellipsoid((15, 64, 64), (25, 30, 30)))
+        assert got.assd_mm is None and got.msd_mm is None

@@ -310,7 +310,7 @@ def se_block_forward(x: Tensor4, p: SeBlockParams) -> tuple[Tensor4, SeCtx]:
     Unlike the attention gate's, the product is not flushed of subnormals:
     no encoder conv has been seen to read one, in train or in infer, and a
     flush would cost every MBConv."""
-    if x.c != p.fc1.weight.shape[0]:
+    if x.dims[1] != p.fc1.weight.shape[0]:
         raise ShapeError(
             f"SE input channels {x.dims} do not match fc1 width {p.fc1.weight.shape}"
         )
@@ -330,7 +330,7 @@ def se_block_backward(ctx: SeCtx, x: Tensor4, grad_out: np.ndarray, grads: GradD
     da1 = dh2 @ p.fc2.weight.T
     dh1 = activate_backward(ctx.act1, "swish", da1[:, :, None, None]).reshape(x.n, -1)
     # each pixel's share of its channel mean
-    dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.h * x.w), dtype=dt)
+    dx_mean = (dh1 @ p.fc1.weight.T) * np.asarray(1.0 / (x.dims[2] * x.dims[3]), dtype=dt)
     grad_x = grad_out * ctx.s
     grad_x += dx_mean.astype(dt, copy=False)[:, :, None, None]
     grads[id(p.fc1.weight)] = (ctx.v.T @ dh1).astype(p.fc1.weight.dtype, copy=False)

@@ -268,7 +268,7 @@ Tape = list[Step]
 
 def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
     s = cfg.input_size
-    if x.c != 1 or x.h != s or x.w != s:
+    if x.dims[1:] != (1, s, s):
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
     if not x.n:  # train-mode BN has no batch statistics, and the SE gate no mean
         raise InputError(f"input {x.dims} has no images")
@@ -299,9 +299,10 @@ def _level_step(
     cat = _level_input(B.gated_skip(skip, gate_ctx.alpha), up)
     g = B.residual_block_backward(res_ctx, cat, g, grads)
     del cat
-    grads[id(skip.data)], g_up = B.attention_gate_backward(gate_ctx, up, g[:, :skip.c], grads)
+    c = skip.dims[1]
+    grads[id(skip.data)], g_up = B.attention_gate_backward(gate_ctx, up, g[:, :c], grads)
     del up
-    g_up += g[:, skip.c:]
+    g_up += g[:, c:]
     return upsample_bilinear_2x_backward(feats, g_up)
 
 
@@ -381,6 +382,7 @@ def _run_forward(
             feats, ctx = B.mbconv_forward(feats, blk, mode, rng)
             if tape is not None:
                 tape.append(partial(B.mbconv_backward, ctx))
+            del ctx
         tap(si, feats)
 
     feats = _unit(tape, feats, params.head_conv9, params.head_bn9, mode)

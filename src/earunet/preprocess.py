@@ -98,6 +98,8 @@ def hist_equalize(v: CtVolume, of=None) -> CtVolume:
             hist += np.bincount(_bin_index(plane).ravel(), minlength=bins)
     if of is not None:
         _check_unit(v.voxels)
+    if not hist.any():  # an empty ``of``; the cdf would be 0/0, NaN everywhere
+        raise InputError("histogram equalization counted no voxel: `of` holds no volume")
     cdf = (np.cumsum(hist, dtype=np.float64) / hist.sum()).astype(np.float32)
     out = np.empty(v.dims, dtype=np.float32)
     for k, plane in enumerate(v.voxels):

@@ -67,18 +67,6 @@ class Tensor4:
     def n(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def h(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[3]
-
 
 @dataclass
 class ConvParams:
@@ -147,10 +135,6 @@ class BatchNormState:
                 raise ShapeError(f"{name} shape {arr.shape} does not match gamma shape {(c,)}")
         if np.any(self.running_var <= 0):
             raise ParameterError("running_var must be strictly positive")
-
-    @property
-    def channels(self) -> int:
-        return self.gamma.shape[0]
 
     @property
     def mode(self) -> str:
@@ -406,8 +390,8 @@ def batchnorm2d(x: Tensor4, s: BatchNormState) -> tuple[Tensor4, BnSaved]:
     and the same array, scaled in place by inv, is xh.
     """
     n, c, h, w = x.dims
-    if c != s.channels:
-        raise ShapeError(f"input channels {x.dims} do not match batch-norm width {s.channels}")
+    if c != s.gamma.shape[0]:
+        raise ShapeError(f"input channels {x.dims} do not match batch-norm gamma {s.gamma.shape}")
     if n * h * w < 2:
         raise DegenerateBatchError(f"batch variance undefined for {n * h * w} elements per channel")
     dt = x.data.dtype

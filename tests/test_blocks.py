@@ -172,8 +172,8 @@ class TestMbConv:
         p = B.init_mbconv(rng, 8, 8, kernel=3, stride=1, expansion=6, dtype=np.float64)
         # non-trivial running stats so infer-mode BN actually does something
         for bn in (p.expand_bn, p.dw_bn, p.project_bn):
-            bn.running_mean[:] = rng.standard_normal(bn.channels) * 0.1
-            bn.running_var[:] = 1.0 + rng.random(bn.channels)
+            bn.running_mean[:] = rng.standard_normal(bn.gamma.shape) * 0.1
+            bn.running_var[:] = 1.0 + rng.random(bn.gamma.shape)
         x = t4(rng.standard_normal((1, 8, 8, 8)))
         got = B.mbconv_forward(x, p, T.INFER, rng)[0].data
 
@@ -374,8 +374,8 @@ class TestResidualBlock:
         rng = np.random.default_rng(19)
         p = B.init_res_block(rng, 3, 5, dtype=np.float64)
         for bn in (p.bn1, p.bn2):
-            bn.running_mean[:] = rng.standard_normal(bn.channels) * 0.2
-            bn.running_var[:] = 0.5 + rng.random(bn.channels)
+            bn.running_mean[:] = rng.standard_normal(bn.gamma.shape) * 0.2
+            bn.running_var[:] = 0.5 + rng.random(bn.gamma.shape)
         x = t4(rng.standard_normal((1, 3, 6, 6)))
         got = B.residual_block_forward(x, p, T.INFER)[0].data
 

@@ -3,10 +3,12 @@
 import collections
 import dataclasses
 import functools
+import hashlib
 import inspect
 import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from earunet import blocks as B
 from earunet import losses
 from earunet import model as M
 from earunet.checkpoint import (
+    VERSION,
     AdamMoments,
     Checkpoint,
     load_checkpoint,
@@ -247,13 +250,13 @@ class TestForward:
         # decoder doubles the bottleneck resolution five times, and each level
         # gates the output of its skip stage (deepest first)
         assert len(gate_inputs) == len(M.SKIP_STAGES)
-        assert gate_inputs[0][1].h == 2 * (64 // 32)
+        assert gate_inputs[0][1].dims[2] == 2 * (64 // 32)
         for (skip, up, _), stage in zip(gate_inputs, reversed(M.SKIP_STAGES)):
             assert skip is stage_out[stage]
-            assert skip.h == up.h
+            assert skip.dims[2] == up.dims[2]
         for (a, _, _), (b, _, _) in zip(gate_inputs, gate_inputs[1:]):
-            assert b.h == 2 * a.h
-        assert gate_inputs[-1][0].h == 64
+            assert b.dims[2] == 2 * a.dims[2]
+        assert gate_inputs[-1][0].dims[2] == 64
 
     def test_forward_determinism(self, desk):
         cfg, params = desk
@@ -457,6 +460,24 @@ class TestLeanTape:
             checked += 1
         assert checked >= 5
 
+    def test_infer_forward_keeps_no_mbconv_context(self, desk, monkeypatch):
+        # infer mode drops each block's context, and with it the block's
+        # input, when the block returns: none is alive at the next block's start
+        cfg, params = desk
+        ctxs, alive, mbconv_forward = [], [], B.mbconv_forward
+
+        def watched(*args):
+            alive.append(sum(r() is not None for r in ctxs))
+            y, ctx = mbconv_forward(*args)
+            ctxs.append(weakref.ref(ctx))
+            return y, ctx
+
+        monkeypatch.setattr(B, "mbconv_forward", watched)
+        x = Tensor4(np.random.default_rng(4).random((2, 1, 64, 64), dtype=np.float32))
+        M.forward(params, cfg, x, INFER)
+        assert alive == [0] * sum(map(len, params.stages))
+        assert all(r() is None for r in ctxs)
+
     def test_train_step_updates_each_running_stat_once(self, monkeypatch):
         cfg = M.preset_config("micro")
         params = M.build_model(cfg, np.random.default_rng(0), dtype=np.float64)
@@ -639,6 +660,22 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         return cfg, params, ckpt, path
+
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            ("micro", "75583722b33078a1796416306c61be8e19de871ce1e8890be3175f754a26252f"),
+            ("desk", "4a030cd01cf7da140bc866b34ff0004e15450b7af8a192ee3553c0164ee11e8a"),
+        ],
+    )
+    def test_array_layout_is_pinned(self, preset, digest):
+        # a checkpoint names its arrays: a rename, reorder, reshape or dtype
+        # change breaks every saved file, even one that keeps the sorted name
+        # order the gradient canary compares in. Such a change raises VERSION
+        # and pins the new digest of the "name dtype shape" lines
+        params = M.build_model(M.preset_config(preset), np.random.default_rng(0))
+        lines = "".join(f"{k} {a.dtype} {a.shape}\n" for k, a in M.named_state(params).items())
+        assert (VERSION, hashlib.sha256(lines.encode()).hexdigest()) == (4, digest)
 
     def test_round_trip_bit_exact_forward(self, tmp_path):
         cfg, params, ckpt, path = self.make(tmp_path)

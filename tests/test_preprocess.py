@@ -181,6 +181,13 @@ def test_hist_equalize_matches_naive(levels):
     assert np.array_equal(got.voxels, hist_equalize_naive(vox, EQUALIZE_BINS))
 
 
+def test_hist_equalize_of_no_volume_fails():
+    # an empty `of` counts no voxel, and a cdf over zero counts is 0/0: NaN
+    v = CtVolume(np.full((2, 3, 3), 0.5, dtype=np.float32), (1.0, 1.0, 1.0))
+    with pytest.raises(InputError, match="counted no voxel"):
+        hist_equalize(v, of=[])
+
+
 @pytest.mark.parametrize(
     "depth,first,last,want",
     [
@@ -215,6 +222,8 @@ def _phantom_hu(shape, dtype, seed=4):
         ((4, 70, 45), 16),  # both sides over 2*size; 16 divides neither
         ((6, 37, 100), 12),  # one side each way
         ((3, 64, 64), 64),  # same size: identity taps
+        ((3, 20, 48), 64),  # both sides under size: in-plane upsampling
+        ((2, 2, 90), 16),  # one side under size, the other over 2*size
     ],
 )
 def test_preprocess_volume_is_the_stage_chain(dtype, shape, size):

@@ -138,24 +138,15 @@ def resample_z(v: CtVolume | LabelVolume, kind: str = "linear"):
     return CtVolume(out, spacing)
 
 
-def crop_liver_range(v: CtVolume, m: LabelVolume) -> tuple[CtVolume, LabelVolume, tuple[int, int]]:
-    """Keep CROP_MARGIN_SLICES slices either side of the labeled range, clamped.
-
-    Only the slice counts must agree: the image may already be resized
-    in-plane while the mask keeps the grid its range is read from.
-    """
-    if v.dims[0] != m.dims[0]:
-        raise ShapeError(f"image dims {v.dims} and mask dims {m.dims} differ in slice count")
+def crop_liver_range(m: LabelVolume) -> tuple[int, int]:
+    """First and last kept slice: CROP_MARGIN_SLICES either side of the
+    labeled range, clamped to the volume."""
     nonzero = np.flatnonzero(m.voxels.any(axis=(1, 2)))
     if nonzero.size == 0:
         raise InputError("mask has no foreground slices; cannot locate the organ range")
     lo = max(0, int(nonzero[0]) - CROP_MARGIN_SLICES)
-    hi = min(v.dims[0] - 1, int(nonzero[-1]) + CROP_MARGIN_SLICES)
-    return (
-        CtVolume(v.voxels[lo : hi + 1].copy(), v.spacing),
-        LabelVolume(m.voxels[lo : hi + 1].copy(), m.spacing),
-        (lo, hi),
-    )
+    hi = min(m.dims[0] - 1, int(nonzero[-1]) + CROP_MARGIN_SLICES)
+    return lo, hi
 
 
 def _bilinear_combine(img, y0, y1, fy, x0, x1, fx) -> np.ndarray:
@@ -272,29 +263,21 @@ def preprocess_case(
     """Full training chain: window, equalize, resample z, crop to the
     labeled organ range (plus margin), resize, emit one pair per slice.
 
-    The image takes ``preprocess_volume``'s chain and is cropped after its
-    resize.  The organ range is read from one foreground flag per source
+    The organ range is read first, from one foreground flag per source
     slice, z-resampled as a (d, 1, 1) mask, so it is the range of the
-    z-resampled full-resolution mask.  The mask is resized in-plane
-    before it is z-resampled and cropped: no array of the mask's size is
-    made.
+    z-resampled full-resolution mask and an empty mask fails before any
+    image pass.  The image then takes ``preprocess_volume``'s chain.  The
+    mask is resized in-plane before it is z-resampled: no array of the
+    mask's size is made.  Each pair's image and mask are views of those
+    two volumes over the range.
     """
     if image.dims != mask.dims:
         raise ShapeError(f"image dims {image.dims} do not match mask dims {mask.dims}")
     if image.spacing != mask.spacing:
         raise ShapeError(f"image spacing {image.spacing} != mask spacing {mask.spacing}")
-    v = preprocess_volume(image, size)
     fg = np.array([plane.any() for plane in mask.voxels])[:, None, None]
     flags = _stage("resample_z", resample_z, LabelVolume(fg, mask.spacing), "nearest")
-    v, _, (lo, _) = _stage("crop_liver_range", crop_liver_range, v, flags)
+    lo, hi = _stage("crop_liver_range", crop_liver_range, flags)
+    v = preprocess_volume(image, size).voxels
     m = _stage("resample_z", resample_z, resize_slices(mask, size), "nearest").voxels
-    m = m[lo : lo + v.dims[0]]
-    return [
-        SlicePair(
-            image=v.voxels[i],
-            mask=m[i],
-            case_id=case_id,
-            slice_index=lo + i,
-        )
-        for i in range(v.dims[0])
-    ]
+    return [SlicePair(v[i], m[i], case_id, i) for i in range(lo, hi + 1)]

@@ -14,6 +14,7 @@ from earunet.augment import (
     flip_pair,
     zoom_pair,
 )
+from earunet.errors import ParameterError
 from earunet.preprocess import SlicePair
 from oracles import warp_naive, zoom_naive
 
@@ -35,6 +36,12 @@ def _run(p: SlicePair, spec, seed: int) -> SlicePair:
 
 def test_seven_subsets():
     assert len(SUBSETS) == 7 and len(set(SUBSETS)) == 7
+
+
+@pytest.mark.parametrize("spec,match", [((), "at least one"), (("rotate",), "unknown")])
+def test_bad_spec_fails(spec, match):
+    with pytest.raises(ParameterError, match=match):
+        _run(_pair(0), spec, 0)
 
 
 @pytest.mark.parametrize("spec", SUBSETS, ids="+".join)

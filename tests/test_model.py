@@ -734,6 +734,21 @@ class TestCheckpoint:
             restore_params(live, ckpt)
         assert {k: v.tobytes() for k, v in live.items()} == before
 
+    @pytest.mark.parametrize("case", ["other preset", "reshaped array"])
+    def test_restore_rejects_other_arrays_and_restores_nothing(self, tmp_path, case):
+        cfg, _, ckpt, _ = self.make(tmp_path)
+        if case == "other preset":
+            desk = M.build_model(M.preset_config("desk"), np.random.default_rng(0))
+            ckpt.arrays, match = M.named_state(desk), "do not match model"
+        else:
+            ckpt.arrays["head.conv.weight"] = ckpt.arrays["head.conv.weight"].ravel()
+            match = "head.conv.weight: checkpoint shape"
+        live = M.named_state(M.build_model(cfg, np.random.default_rng(999)))
+        before = {k: v.tobytes() for k, v in live.items()}
+        with pytest.raises(FormatError, match=match):
+            restore_params(live, ckpt)
+        assert {k: v.tobytes() for k, v in live.items()} == before
+
     def test_loaded_arrays_are_writable_and_restore_casts(self, tmp_path):
         cfg, params, _, path = self.make(tmp_path)
         loaded = load_checkpoint(path)

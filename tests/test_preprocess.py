@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from earunet import preprocess
-from earunet.errors import InputError, ParameterError
+from earunet.errors import InputError, ParameterError, ShapeError
 from earunet.preprocess import (
     CROP_MARGIN_SLICES,
     EQUALIZE_BINS,
@@ -199,14 +199,9 @@ def test_hist_equalize_of_no_volume_fails():
 )
 def test_crop_keeps_a_margin_clamped_to_the_volume(depth, first, last, want):
     assert CROP_MARGIN_SLICES == 20
-    vox = np.random.default_rng(7).random((depth, 3, 4), dtype=np.float32)
-    mask = np.zeros(vox.shape, dtype=np.uint8)
+    mask = np.zeros((depth, 3, 4), dtype=np.uint8)
     mask[first, 1, 2] = mask[last, 0, 0] = 1
-    unit = (1.0, 1.0, 1.0)
-    v, m, (lo, hi) = crop_liver_range(CtVolume(vox, unit), LabelVolume(mask, unit))
-    assert (lo, hi) == want
-    assert np.array_equal(v.voxels, vox[lo : hi + 1])
-    assert np.array_equal(m.voxels, mask[lo : hi + 1])
+    assert crop_liver_range(LabelVolume(mask, (1.0, 1.0, 1.0))) == want
 
 
 def _phantom_hu(shape, dtype, seed=4):
@@ -248,8 +243,9 @@ def test_preprocess_case_is_the_stage_chain():
 
     v = resample_z(hist_equalize(hu_window(image)))
     m = resample_z(labels, kind="nearest")
-    v, m, (lo, hi) = crop_liver_range(v, m)
-    v, m = resize_slices(v, 8), resize_slices(m, 8)
+    lo, hi = crop_liver_range(m)
+    v = resize_slices(CtVolume(v.voxels[lo : hi + 1], v.spacing), 8)
+    m = resize_slices(LabelVolume(m.voxels[lo : hi + 1], m.spacing), 8)
     pairs = preprocess_case(image, labels, size=8)
 
     assert (lo, hi) == (4, 61)
@@ -274,7 +270,9 @@ def test_preprocess_case_range_is_the_resampled_masks():
 
     v = resample_z(hist_equalize(hu_window(image)))
     m = resample_z(labels, kind="nearest")
-    v, m, (lo, hi) = crop_liver_range(v, m)
+    lo, hi = crop_liver_range(m)
+    v = CtVolume(v.voxels[lo : hi + 1], v.spacing)
+    m = LabelVolume(m.voxels[lo : hi + 1], m.spacing)
     pairs = preprocess_case(image, labels, size=8)
 
     assert (lo, hi) == (35 - CROP_MARGIN_SLICES, 39 + CROP_MARGIN_SLICES)
@@ -309,6 +307,31 @@ def _small_case():
     mask = np.zeros(image.dims, dtype=np.uint8)
     mask[2:4, 3:8, 2:7] = 1
     return image, LabelVolume(mask, spacing)
+
+
+def test_empty_mask_fails_before_any_pass(monkeypatch):
+    image, labels = _small_case()
+    monkeypatch.setattr(preprocess, "hu_window", lambda *a, **k: pytest.fail("a pass ran"))
+    empty = LabelVolume(np.zeros(labels.dims, dtype=np.uint8), labels.spacing)
+    with pytest.raises(InputError, match=r"^crop_liver_range: mask has no foreground"):
+        preprocess_case(image, empty, size=8)
+
+
+@pytest.mark.parametrize(
+    "depth,spacing,match", [(5, (2.5, 0.9, 0.8), "dims"), (6, (2.0, 0.9, 0.8), "spacing")]
+)
+def test_case_mask_off_the_image_grid_fails(depth, spacing, match):
+    image, labels = _small_case()
+    with pytest.raises(ShapeError, match=match):
+        preprocess_case(image, LabelVolume(labels.voxels[:depth], spacing), size=8)
+
+
+def test_one_slice_fails_in_z_resampling():
+    image = CtVolume(_phantom_hu((1, 12, 10), np.int16), (2.5, 0.9, 0.8))
+    with pytest.raises(InputError, match="at least 2 slices"):
+        resample_z(image)
+    with pytest.raises(InputError, match=r"^resample_z: .*at least 2 slices"):
+        preprocess_volume(image, size=8)
 
 
 ENTRY_POINTS = {

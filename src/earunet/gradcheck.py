@@ -95,7 +95,7 @@ def check_entries(
 
 MODEL_STEP = 1e-5
 MODEL_SEED = 0  # weights, input, output gradient and sampled entries
-MODEL_BATCH = 2  # two images, so train-mode batch norm has batch statistics
+MODEL_BATCH = 2  # micro's bottleneck is 1x1, so train mode needs 2 images (model._check_input)
 
 
 def check_model(

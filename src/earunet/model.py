@@ -3,10 +3,11 @@ skip connections, five-level residual decoder, sigmoid head.
 
 The encoder follows the stage plan in ``BASE_STAGES`` (strides
 1,2,1,2,2,2,1,2,1, so a 256 input passes 256-128-128-64-32-16-16-8-8).
-Skips tap the outputs of stages 1, 3, 4, 5 and 7 - the last features at
-each resolution above the bottleneck.  Each decoder level upsamples 2x,
-gates the matching skip, concatenates and applies a residual block; the
-head is a 1x1 convolution to one channel followed by a sigmoid.
+Skips tap the output of each stage that a stride-2 stage follows - the
+last features at each resolution above the bottleneck.  Each decoder
+level, deepest first, upsamples 2x, pops the deepest skip left and gates
+it, concatenates and applies a residual block; the head is a 1x1
+convolution to one channel followed by a sigmoid.
 
 Training keeps a lean tape: each conv unit keeps BN's normalized input,
 and backward recomputes the activations, the SE products and each decoder
@@ -27,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import blocks as B
-from .errors import ConfigError, InputError, ParameterError, ShapeError
+from .errors import ConfigError, DegenerateBatchError, InputError, ParameterError, ShapeError
 from .tensor import (
     INFER,
     TRAIN,
@@ -57,7 +58,7 @@ BASE_STAGES = (
 )
 
 BASE_DECODER_CHANNELS = (256, 128, 64, 32, 16)
-SKIP_STAGES = (1, 3, 4, 5, 7)  # 1-based stage indices, shallowest first
+SKIP_STAGES = tuple(s for s, nxt in enumerate(BASE_STAGES[1:], start=1) if nxt[2] == 2)
 DROP_CONNECT_RATE = 0.2  # drop rate of the last mbconv block; linear from 0 at the first
 
 PRESETS = {
@@ -151,8 +152,7 @@ class ModelParams:
     stages: list[list[B.MbConvParams]]  # stages 2..8
     head_conv9: ConvParams
     head_bn9: BatchNormState
-    gates: list[B.AttentionGateParams]  # decoder levels, deepest first
-    decoder: list[B.ResBlockParams]
+    levels: list[tuple[B.AttentionGateParams, B.ResBlockParams]]  # deepest first
     out_conv: ConvParams
 
 
@@ -167,7 +167,7 @@ def iter_params(params: ModelParams) -> Iterator[tuple[str, np.ndarray, bool]]:
             yield from B.named_arrays(blk, f"encoder.stage{si}.block{bi}")
     yield from B.named_arrays(params.head_conv9, "encoder.stage9.conv")
     yield from B.named_arrays(params.head_bn9, "encoder.stage9.bn")
-    for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
+    for li, (gate, res) in enumerate(params.levels, start=1):
         yield from B.named_arrays(gate, f"decoder.level{li}.gate")
         yield from B.named_arrays(res, f"decoder.level{li}.res")
     yield from B.named_arrays(params.out_conv, "head.conv")
@@ -222,13 +222,12 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
     head_bn9 = B.init_bn(head.out_channels, dtype)
 
     skip_channels = [specs[s - 1].out_channels for s in SKIP_STAGES]  # shallowest first
-    gates: list[B.AttentionGateParams] = []
-    decoder: list[B.ResBlockParams] = []
+    levels = []
     gate_in = head.out_channels  # decoder features entering level 1
-    for level, dec_c in enumerate(cfg.decoder_channels):
-        skip_c = skip_channels[-1 - level]  # deepest skip first
-        gates.append(B.init_attention_gate(rng, skip_c, gate_in, dtype=dtype))
-        decoder.append(B.init_res_block(rng, skip_c + gate_in, dec_c, dtype=dtype))
+    for dec_c in cfg.decoder_channels:
+        skip_c = skip_channels.pop()
+        gate = B.init_attention_gate(rng, skip_c, gate_in, dtype=dtype)
+        levels.append((gate, B.init_res_block(rng, skip_c + gate_in, dec_c, dtype=dtype)))
         gate_in = dec_c
 
     out_conv = B.init_conv(rng, cfg.decoder_channels[-1], 1, 1, bias=True, dtype=dtype)
@@ -238,8 +237,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
         stages=stages,
         head_conv9=head_conv9,
         head_bn9=head_bn9,
-        gates=gates,
-        decoder=decoder,
+        levels=levels,
         out_conv=out_conv,
     )
 
@@ -266,12 +264,16 @@ Step = Callable[[np.ndarray, B.GradDict], np.ndarray]  # (grad_out, grads) -> in
 Tape = list[Step]
 
 
-def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype) -> None:
+def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype, mode: str) -> None:
     s = cfg.input_size
     if x.dims[1:] != (1, s, s):
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
-    if not x.n:  # train-mode BN has no batch statistics, and the SE gate no mean
+    if not x.n:  # the SE gate has no mean; for train mode's BN, see below
         raise InputError(f"input {x.dims} has no images")
+    side = s // math.prod(stage[2] for stage in BASE_STAGES)  # the bottleneck's side
+    if mode == TRAIN and x.n * side * side < 2:  # train-mode BN needs 2 values per channel
+        raise DegenerateBatchError(f"a train batch of {x.n} at {s}x{s} gives BN one value per "
+                                   f"channel at the {side}x{side} bottleneck; it needs 2")
     if x.data.dtype != dtype:  # the kernels compute in the input's dtype
         raise InputError(f"input dtype {x.data.dtype} does not match the parameters' dtype {dtype}")
     bad = x.data.size - np.count_nonzero(np.isfinite(x.data))
@@ -362,16 +364,16 @@ def _run_forward(
     """
     if mode not in (TRAIN, INFER):
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    _check_input(cfg, x, params.stem_conv.weight.dtype)
+    _check_input(cfg, x, params.stem_conv.weight.dtype, mode)
     tape: Tape | None = [] if mode == TRAIN else None
     if tape is not None and rng is None:
         raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
-    skips: dict[int, Tensor4] = {}
+    skips: list[Tensor4] = []
 
     def tap(stage: int, feats: Tensor4) -> None:
         """Keep a skip stage's output for its decoder level."""
         if stage in SKIP_STAGES:
-            skips[stage] = feats
+            skips.append(feats)
             if tape is not None:
                 tape.append(partial(_tap_step, feats.data))
 
@@ -386,9 +388,8 @@ def _run_forward(
         tap(si, feats)
 
     feats = _unit(tape, feats, params.head_conv9, params.head_bn9, mode)
-    for li, (gate, res) in enumerate(zip(params.gates, params.decoder), start=1):
-        si = SKIP_STAGES[-li]
-        feats = _decoder_level(tape, feats, skips.pop(si), gate, res, mode)
+    for gate, res in params.levels:
+        feats = _decoder_level(tape, feats, skips.pop(), gate, res, mode)
 
     y = activate(conv2d(feats, params.out_conv), "sigmoid")[0]
     np.clip(y.data, np.finfo(y.data.dtype).tiny, np.nextafter(y.data.dtype.type(1), 0), out=y.data)

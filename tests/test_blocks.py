@@ -317,6 +317,12 @@ class TestAttentionGate:
         with pytest.raises(ShapeError):
             B.attention_gate_forward(t4(np.zeros((1, 3, 8, 8))), t4(np.zeros((1, 5, 4, 4))), p)
 
+    def test_inter_widths_must_agree(self):
+        p = B.init_attention_gate(np.random.default_rng(15), 3, 5)
+        wx = T.ConvParams(weight=np.zeros((p.wx.out_channels + 1, 3, 1, 1), np.float32))
+        with pytest.raises(ShapeError, match="inter channels"):
+            B.AttentionGateParams(p.wg, wx, p.psi)
+
     def test_gradients(self):
         rng = np.random.default_rng(16)
         x0 = rng.standard_normal((1, 3, 4, 4))

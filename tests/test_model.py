@@ -25,7 +25,8 @@ from earunet.checkpoint import (
     save_checkpoint,
 )
 from earunet.errors import (
-    ConfigError, EarUnetError, FormatError, InputError, ParameterError, ShapeError,
+    ConfigError, DegenerateBatchError, EarUnetError, FormatError, InputError, ParameterError,
+    ShapeError,
 )
 from earunet.tensor import INFER, TRAIN, ConvParams, Tensor4
 from oracles import max_rel_err
@@ -41,6 +42,7 @@ class TestConfig:
         assert tuple(s.out_channels for s in cfg.stage_specs) == TABLE_CHANNELS
         assert tuple(s.layers for s in cfg.stage_specs) == TABLE_LAYERS
         assert tuple(s.stride for s in cfg.stage_specs) == TABLE_STRIDES
+        assert M.SKIP_STAGES == (1, 3, 4, 5, 7)  # each stage a stride-2 stage follows
 
     def test_width_scaling_rounds_to_8(self):
         cfg = M.ModelConfig(64, 0.25, 0.25)
@@ -218,6 +220,24 @@ class TestForward:
             M.forward(params, cfg, Tensor4(np.zeros((0, 1, 32, 32), np.float32)), mode,
                       np.random.default_rng(0))
         assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
+
+    @pytest.mark.parametrize("entry", ["forward", "forward_training"])
+    def test_train_batch_too_small_for_the_bottleneck(self, entry):
+        # micro's bottleneck is 1x1, so one image gives train-mode BN one value
+        # per channel there: stage 8 used to fail only after 19 batch norms had
+        # moved their running stats. Infer mode runs the same batch.
+        cfg = M.preset_config("micro")
+        params = M.build_model(cfg, np.random.default_rng(0))
+        x = Tensor4(np.random.default_rng(5).random((1, 1, 32, 32), dtype=np.float32))
+        before = {k: v.tobytes() for k, v in M.named_state(params).items()}
+        run = {"forward": lambda: M.forward(params, cfg, x, TRAIN, np.random.default_rng(0)),
+               "forward_training": lambda: M.forward_training(params, cfg, x,
+                                                              np.random.default_rng(0))}[entry]
+        with pytest.raises(DegenerateBatchError) as info:
+            run()
+        assert {k: v.tobytes() for k, v in M.named_state(params).items()} == before
+        assert info.match("batch of 1 at 32x32 .* 1x1 bottleneck")
+        assert M.forward(params, cfg, x).dims == (1, 1, 32, 32)
 
     def test_batch_independence_infer(self, desk):
         cfg, params = desk
@@ -403,6 +423,14 @@ class TestBackward:
         cfg, _ = micro64
         report = check_model(cfg, tensors=10, entries_per_tensor=2)
         assert report.max_rel_err < 1e-3, report.worst
+        assert report.passed
+
+    def test_check_report_passes_only_below_tol(self):
+        # CI's exit decision for the full gradient check
+        from earunet.gradcheck import TOL, CheckReport
+
+        assert not CheckReport(max_rel_err=TOL).passed
+        assert CheckReport(max_rel_err=np.nextafter(TOL, 0)).passed
 
 
 def reachable_arrays(obj) -> list[np.ndarray]:
@@ -610,10 +638,9 @@ class TestSubnormals:
         # float32 near tiny, so x*alpha is subnormal, and flushed, where |x| < 0.7
         cfg = M.preset_config("micro")
         params = M.build_model(cfg, np.random.default_rng(0))
-        gate = params.gates[-1]
+        gate, res = params.levels[-1]
         gate.psi.weight[:] = 0
         gate.psi.bias[:] = -87.0
-        res = params.decoder[-1]
         seen = {}
         forward, backward = B.residual_block_forward, B.residual_block_backward
 

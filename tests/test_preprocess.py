@@ -11,6 +11,7 @@ from earunet.preprocess import (
     CROP_MARGIN_SLICES,
     EQUALIZE_BINS,
     TARGET_SLICE_SPACING_MM,
+    SlicePair,
     crop_liver_range,
     hist_equalize,
     hu_window,
@@ -60,6 +61,11 @@ def test_resample_z_linear_matches_naive(num, den):
     assert got.voxels.dtype == np.float32
     assert got.spacing == (target, 0.8, 0.9)
     assert np.array_equal(got.voxels, want.astype(np.float32))
+
+
+def test_resample_z_rejects_an_unknown_kind():
+    with pytest.raises(ParameterError, match="cubic"):
+        resample_z(CtVolume(np.zeros((3, 2, 2), np.float32), (2.5, 1.0, 1.0)), "cubic")
 
 
 # z ratios 2.5, 0.5, 0.625 and 4; at 4 output slice i reads source slice
@@ -324,6 +330,13 @@ def test_case_mask_off_the_image_grid_fails(depth, spacing, match):
     image, labels = _small_case()
     with pytest.raises(ShapeError, match=match):
         preprocess_case(image, LabelVolume(labels.voxels[:depth], spacing), size=8)
+
+
+@pytest.mark.parametrize("image,mask", [((4, 4), (4, 5)), ((2, 4, 4), (2, 4, 4))],
+                         ids=["shapes-differ", "3-d"])
+def test_slice_pair_needs_equal_2d_arrays(image, mask):
+    with pytest.raises(ShapeError, match="must be equal 2-D"):
+        SlicePair(np.zeros(image, np.float32), np.zeros(mask, np.uint8), "case", 0)
 
 
 def test_one_slice_fails_in_z_resampling():

@@ -108,6 +108,21 @@ class TestConv2d:
         with pytest.raises(ParameterError, match="groups"):
             T.ConvParams(weight=np.zeros(shape), groups=groups)
 
+    @pytest.mark.parametrize(
+        "make,error",
+        [
+            (lambda: T.Tensor4(np.zeros((4, 4))), ShapeError),
+            (lambda: T.ConvParams(weight=np.zeros((2, 3, 3))), ShapeError),
+            (lambda: T.ConvParams(weight=np.zeros((2, 2, 3, 3)), stride=0), ParameterError),
+            (lambda: T.ConvParams(weight=np.zeros((2, 2, 3, 3)), padding=-1), ParameterError),
+            (lambda: T.ConvParams(weight=np.zeros((2, 2, 3, 3)), bias=np.zeros(3)), ShapeError),
+        ],
+        ids=["tensor4-2d", "weight-3d", "stride-0", "padding-negative", "bias-length"],
+    )
+    def test_bad_operands_are_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
+
     def test_channel_mismatch_reports_both_shapes(self):
         x = t4(np.zeros((1, 3, 4, 4)))
         p = T.ConvParams(weight=np.zeros((2, 2, 3, 3)))
@@ -538,6 +553,20 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             T.batchnorm2d(t4(np.ones((1, 3, 2, 2))), fresh_bn(4))
 
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [("beta", np.zeros(3), ShapeError), ("running_var", np.array([1.0, 0.0]), ParameterError)],
+    )
+    def test_state_rejects_bad_arrays(self, field, value, error):
+        arrays = {f.name: getattr(fresh_bn(2), f.name) for f in dataclasses.fields(T.BatchNormState)}
+        with pytest.raises(error):
+            T.BatchNormState(**{**arrays, field: value})
+
+    def test_grad_out_shape_error(self):
+        _, saved = T.batchnorm2d(t4(np.arange(8.0).reshape(2, 1, 2, 2)), fresh_bn(1))
+        with pytest.raises(ShapeError):
+            T.batchnorm2d_backward(saved, fresh_bn(1), np.zeros((2, 1, 2, 3)))
+
     def test_mode_is_not_stored(self):
         s = fresh_bn(2)
         assert "mode" not in {f.name for f in dataclasses.fields(s)} and s.mode == T.TRAIN
@@ -644,6 +673,12 @@ class TestActivations:
             T.activate(t4(np.zeros((1, 1, 1, 1))), "tanh")
         with pytest.raises(ParameterError):
             T.activate_backward(np.zeros((1, 1, 1, 1)), "tanh", np.zeros((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("kind", ["relu", "swish", "sigmoid"])
+    def test_grad_out_shape_error(self, kind):
+        saved = T.activate(t4(np.zeros((1, 2, 3, 3))), kind)[1]
+        with pytest.raises(ShapeError):
+            T.activate_backward(saved, kind, np.zeros((1, 2, 3, 4)))
 
     def test_saved_holds_no_extra_array(self):
         # relu and sigmoid save their output; swish saves (sigmoid(t), output)
@@ -838,6 +873,10 @@ class TestUpsampleBilinear2x:
             return float(np.sum(go * T.upsample_bilinear_2x(t4(x)).data))
 
         assert max_rel_err(g, numeric_grad(loss, x0)) < GRAD_TOL
+
+    def test_grad_out_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.upsample_bilinear_2x_backward(t4(np.zeros((1, 2, 3, 4))), np.zeros((1, 2, 6, 6)))
 
     @pytest.mark.parametrize("h", [1, 3, 8])
     @pytest.mark.parametrize("w", [1, 3, 8])

@@ -209,19 +209,25 @@ def test_round_trip_is_bit_exact(tmp_path, dtype):
 
 
 @pytest.mark.parametrize(
-    "volume,match",
+    "volume,header,match",
     [
-        (CtVolume(np.zeros((2, 3, 4), np.int16), (1e39, 1.0, 1.0)), "overflows the float32 pixdim"),
-        (CtVolume(np.zeros((2, 3, 4), np.int16), (1.0, 1e-46, 1.0)), "rounds to 0 .*pixdim"),
-        (LabelVolume(np.zeros((40_000, 1, 1), np.uint8), (1.0, 1.0, 1.0)), "int16 dim field"),
+        (CtVolume(np.zeros((2, 3, 4), np.int16), (1e39, 1.0, 1.0)), None,
+         "overflows the float32 pixdim"),
+        (CtVolume(np.zeros((2, 3, 4), np.int16), (1.0, 1e-46, 1.0)), None, "rounds to 0 .*pixdim"),
+        (LabelVolume(np.zeros((40_000, 1, 1), np.uint8), (1.0, 1.0, 1.0)), None, "int16 dim field"),
+        (CtVolume(np.zeros((2, 3, 4), np.float64), (1.0, 1.0, 1.0)), None,
+         "cannot write dtype float64"),
+        (CtVolume(np.zeros((2, 3, 4), np.int16), (1.0, 1.0, 1.0)), bytes(100),
+         "348 bytes, got 100"),
     ],
-    ids=["spacing-overflows-float32", "spacing-rounds-to-zero", "dim-over-int16"],
+    ids=["spacing-overflows-float32", "spacing-rounds-to-zero", "dim-over-int16",
+         "dtype-float64", "template-header-100-bytes"],
 )
-def test_write_rejects_what_the_header_cannot_hold(tmp_path, volume, match):
+def test_write_rejects_what_the_header_cannot_hold(tmp_path, volume, header, match):
     path = tmp_path / "old.nii"
     path.write_bytes(b"previous contents")
     with pytest.raises(FormatError, match=match):
-        write_nifti(volume, path)
+        write_nifti(volume, path, header)
     assert path.read_bytes() == b"previous contents"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.nii"]
 

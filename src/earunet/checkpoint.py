@@ -26,13 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, VersionError
-from .model import ModelConfig
+from .model import DTYPES, ModelConfig
 from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
 VERSION = 4
 
-_DTYPES = ("float32", "float64")
 _HEADER_KEYS = {"config", "epoch", "rng_state", "adam_t", "arrays", "m", "v"}
 
 
@@ -76,7 +75,7 @@ def _read_arrays(entries, payload: memoryview, pos: int) -> tuple[dict[str, np.n
         if not isinstance(name, str) or name in arrays:
             raise ValueError(f"array name {name!r} is not a str or repeats")
         dims_ok = isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-        if dtype not in _DTYPES or not dims_ok:
+        if dtype not in DTYPES or not dims_ok:
             raise ValueError(f"array {name!r} has unknown dtype {dtype!r} or bad shape {shape!r}")
         dt = np.dtype(dtype)
         end = pos + math.prod(shape) * dt.itemsize  # Python ints: no overflow
@@ -97,7 +96,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     for key, group in (("arrays", ckpt.arrays), ("m", m.m if m else {}), ("v", m.v if m else {})):
         head[key] = []
         for name, a in group.items():
-            if not isinstance(name, str) or a.dtype.name not in _DTYPES:
+            if not isinstance(name, str) or a.dtype.name not in DTYPES:
                 raise FormatError(f"checkpoint cannot hold array {name!r} of dtype {a.dtype}")
             head[key].append([name, a.dtype.name, list(a.shape)])
             # its own buffer, copied only if it is not little-endian and contiguous

@@ -1,13 +1,15 @@
 """Full segmentation network: nine-stage encoder, five attention-gated
 skip connections, five-level residual decoder, sigmoid head.
 
-The encoder follows the stage plan in ``BASE_STAGES`` (strides
-1,2,1,2,2,2,1,2,1, so a 256 input passes 256-128-128-64-32-16-16-8-8).
-Skips tap the output of each stage that a stride-2 stage follows - the
-last features at each resolution above the bottleneck.  Each decoder
-level, deepest first, upsamples 2x, pops the deepest skip left and gates
-it, concatenates and applies a residual block; the head is a 1x1
-convolution to one channel followed by a sigmoid.
+The encoder is the stage plan in ``BASE_STAGES``: each row decides its
+stage's kind, a conv unit (the stem and stage 9) or a list of MBConv
+blocks, and its stride (1,2,1,2,2,2,1,2,1, so a 256 input passes
+256-128-128-64-32-16-16-8-8).  Skips tap the output of each stage that a
+stride-2 stage follows - the last features at each resolution above the
+bottleneck.  Each decoder level, deepest first, upsamples 2x, pops the
+deepest skip left and gates it, concatenates and applies a residual
+block; the head is a 1x1 convolution to one channel followed by a
+sigmoid.
 
 Training keeps a lean tape: each conv unit keeps BN's normalized input,
 and backward recomputes the activations, the SE products and each decoder
@@ -59,6 +61,8 @@ BASE_STAGES = (
 
 BASE_DECODER_CHANNELS = (256, 128, 64, 32, 16)
 SKIP_STAGES = tuple(s for s, nxt in enumerate(BASE_STAGES[1:], start=1) if nxt[2] == 2)
+OUTPUT_STRIDE = math.prod(row[2] for row in BASE_STAGES)  # input side / bottleneck side
+DTYPES = ("float32", "float64")  # the dtypes the kernels compute in and checkpoints store
 DROP_CONNECT_RATE = 0.2  # drop rate of the last mbconv block; linear from 0 at the first
 
 PRESETS = {
@@ -102,8 +106,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         size = self.input_size
         whole = isinstance(size, numbers.Integral) and not isinstance(size, bool)
-        if not (whole and size > 0 and size % 32 == 0):
-            raise ConfigError(f"input size must be a positive int multiple of 32, got {size!r}")
+        if not (whole and size > 0 and size % OUTPUT_STRIDE == 0):
+            raise ConfigError(f"input size must be a positive int multiple of {OUTPUT_STRIDE}, "
+                              f"got {size!r}")
         object.__setattr__(self, "input_size", int(size))
         for name in ("width_mult", "depth_mult"):
             v = getattr(self, name)
@@ -147,11 +152,8 @@ def preset_config(name: str) -> ModelConfig:
 
 @dataclass
 class ModelParams:
-    stem_conv: ConvParams
-    stem_bn: BatchNormState
-    stages: list[list[B.MbConvParams]]  # stages 2..8
-    head_conv9: ConvParams
-    head_bn9: BatchNormState
+    # one entry per BASE_STAGES row: a "conv" row's unit, an "mbconv" row's blocks
+    stages: list[tuple[ConvParams, BatchNormState] | list[B.MbConvParams]]
     levels: list[tuple[B.AttentionGateParams, B.ResBlockParams]]  # deepest first
     out_conv: ConvParams
 
@@ -160,13 +162,13 @@ def iter_params(params: ModelParams) -> Iterator[tuple[str, np.ndarray, bool]]:
     """Yield (name, array, trainable) for every parameter blob, in a stable
     order; arrays are the live objects, not copies.  Below each layer prefix
     the names are the block dataclass's field paths (``B.named_arrays``)."""
-    yield from B.named_arrays(params.stem_conv, "encoder.stage1.conv")
-    yield from B.named_arrays(params.stem_bn, "encoder.stage1.bn")
-    for si, stage in enumerate(params.stages, start=2):
-        for bi, blk in enumerate(stage):
-            yield from B.named_arrays(blk, f"encoder.stage{si}.block{bi}")
-    yield from B.named_arrays(params.head_conv9, "encoder.stage9.conv")
-    yield from B.named_arrays(params.head_bn9, "encoder.stage9.bn")
+    for si, ((kind, *_), stage) in enumerate(zip(BASE_STAGES, params.stages), start=1):
+        if kind == "conv":
+            yield from B.named_arrays(stage[0], f"encoder.stage{si}.conv")
+            yield from B.named_arrays(stage[1], f"encoder.stage{si}.bn")
+        else:
+            for bi, blk in enumerate(stage):
+                yield from B.named_arrays(blk, f"encoder.stage{si}.block{bi}")
     for li, (gate, res) in enumerate(params.levels, start=1):
         yield from B.named_arrays(gate, f"decoder.level{li}.gate")
         yield from B.named_arrays(res, f"decoder.level{li}.res")
@@ -187,43 +189,43 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
     Conv weights are He-normal (fan-out), batch norms start at identity,
     fully connected layers are uniform +-1/sqrt(fan_in).  The construction
     order is fixed, so a given seed always produces the same parameters.
+    The dtype must be one of ``DTYPES``.
     """
+    try:
+        known = np.dtype(dtype).name in DTYPES
+    except TypeError:  # not a dtype at all
+        known = False
+    if not known:
+        raise ParameterError(f"parameter dtype must be one of {DTYPES}, got {dtype!r}")
     specs = cfg.stage_specs
-    stem = specs[0]
-    stem_conv = B.init_conv(rng, 1, stem.out_channels, stem.kernel, stride=stem.stride, dtype=dtype)
-    stem_bn = B.init_bn(stem.out_channels, dtype)
-
     mb_total = sum(s.layers for s in specs if s.kind == "mbconv")
     mb_index = 0
-    stages: list[list[B.MbConvParams]] = []
-    in_c = stem.out_channels
-    for spec in specs[1:-1]:
-        blocks: list[B.MbConvParams] = []
-        for layer in range(spec.layers):
-            survive = 1.0 - DROP_CONNECT_RATE * mb_index / (mb_total - 1)
-            blocks.append(
+    stages = []
+    in_c = 1  # the slice's one channel
+    for spec in specs:
+        if spec.kind == "conv":  # one unit, never repeated
+            conv = B.init_conv(rng, in_c, spec.out_channels, spec.kernel, spec.stride, dtype=dtype)
+            stages.append((conv, B.init_bn(spec.out_channels, dtype)))
+        else:
+            stages.append([
                 B.init_mbconv(
                     rng,
-                    in_c,
+                    in_c if layer == 0 else spec.out_channels,
                     spec.out_channels,
                     kernel=spec.kernel,
                     stride=spec.stride if layer == 0 else 1,
                     expansion=spec.expansion,
-                    survive_p=survive,
+                    survive_p=1.0 - DROP_CONNECT_RATE * (mb_index + layer) / (mb_total - 1),
                     dtype=dtype,
                 )
-            )
-            in_c = spec.out_channels
-            mb_index += 1
-        stages.append(blocks)
-
-    head = specs[-1]
-    head_conv9 = B.init_conv(rng, in_c, head.out_channels, head.kernel, dtype=dtype)
-    head_bn9 = B.init_bn(head.out_channels, dtype)
+                for layer in range(spec.layers)
+            ])
+            mb_index += spec.layers
+        in_c = spec.out_channels
 
     skip_channels = [specs[s - 1].out_channels for s in SKIP_STAGES]  # shallowest first
     levels = []
-    gate_in = head.out_channels  # decoder features entering level 1
+    gate_in = in_c  # decoder features entering level 1
     for dec_c in cfg.decoder_channels:
         skip_c = skip_channels.pop()
         gate = B.init_attention_gate(rng, skip_c, gate_in, dtype=dtype)
@@ -231,15 +233,7 @@ def build_model(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32) ->
         gate_in = dec_c
 
     out_conv = B.init_conv(rng, cfg.decoder_channels[-1], 1, 1, bias=True, dtype=dtype)
-    return ModelParams(
-        stem_conv=stem_conv,
-        stem_bn=stem_bn,
-        stages=stages,
-        head_conv9=head_conv9,
-        head_bn9=head_bn9,
-        levels=levels,
-        out_conv=out_conv,
-    )
+    return ModelParams(stages=stages, levels=levels, out_conv=out_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +264,7 @@ def _check_input(cfg: ModelConfig, x: Tensor4, dtype: np.dtype, mode: str) -> No
         raise ShapeError(f"input {x.dims} does not match expected (n, 1, {s}, {s})")
     if not x.n:  # the SE gate has no mean; for train mode's BN, see below
         raise InputError(f"input {x.dims} has no images")
-    side = s // math.prod(stage[2] for stage in BASE_STAGES)  # the bottleneck's side
+    side = s // OUTPUT_STRIDE  # the bottleneck's side
     if mode == TRAIN and x.n * side * side < 2:  # train-mode BN needs 2 values per channel
         raise DegenerateBatchError(f"a train batch of {x.n} at {s}x{s} gives BN one value per "
                                    f"channel at the {side}x{side} bottleneck; it needs 2")
@@ -320,14 +314,6 @@ def _head_step(
     return g
 
 
-def _unit(tape: Tape | None, x: Tensor4, conv: ConvParams, bn: BatchNormState, mode: str) -> Tensor4:
-    """A swish conv unit as its own layer; its tape step holds its input."""
-    out, unit = B.conv_bn_act(x, conv, bn, mode, "swish")
-    if tape is not None:
-        tape.append(partial(unit.backward, x))
-    return out
-
-
 def _decoder_level(
     tape: Tape | None,
     feats: Tensor4,
@@ -364,30 +350,29 @@ def _run_forward(
     """
     if mode not in (TRAIN, INFER):
         raise ParameterError(f"mode must be '{TRAIN}' or '{INFER}', got {mode!r}")
-    _check_input(cfg, x, params.stem_conv.weight.dtype, mode)
+    _check_input(cfg, x, params.out_conv.weight.dtype, mode)
     tape: Tape | None = [] if mode == TRAIN else None
     if tape is not None and rng is None:
         raise ParameterError("a train-mode forward needs an rng for stochastic depth, got rng=None")
     skips: list[Tensor4] = []
-
-    def tap(stage: int, feats: Tensor4) -> None:
-        """Keep a skip stage's output for its decoder level."""
-        if stage in SKIP_STAGES:
+    feats = x
+    for si, ((kind, *_), stage) in enumerate(zip(BASE_STAGES, params.stages), start=1):
+        if kind == "conv":  # a swish conv unit; its tape step holds its input
+            out, unit = B.conv_bn_act(feats, *stage, mode, "swish")
+            if tape is not None:
+                tape.append(partial(unit.backward, feats))
+            feats = out
+        else:
+            for blk in stage:
+                feats, ctx = B.mbconv_forward(feats, blk, mode, rng)
+                if tape is not None:
+                    tape.append(partial(B.mbconv_backward, ctx))
+                del ctx
+        if si in SKIP_STAGES:  # keep its output for its decoder level
             skips.append(feats)
             if tape is not None:
                 tape.append(partial(_tap_step, feats.data))
 
-    feats = _unit(tape, x, params.stem_conv, params.stem_bn, mode)
-    tap(1, feats)
-    for si, stage in enumerate(params.stages, start=2):
-        for blk in stage:
-            feats, ctx = B.mbconv_forward(feats, blk, mode, rng)
-            if tape is not None:
-                tape.append(partial(B.mbconv_backward, ctx))
-            del ctx
-        tap(si, feats)
-
-    feats = _unit(tape, feats, params.head_conv9, params.head_bn9, mode)
     for gate, res in params.levels:
         feats = _decoder_level(tape, feats, skips.pop(), gate, res, mode)
 
@@ -431,6 +416,9 @@ def backward_from_context(
     recorded with another model's params.  The tape is consumed: each step
     is popped off it as it runs, so its saved arrays are freed once its
     gradient is taken, and the tape is empty afterwards."""
+    if not ctx:  # a recorded tape is never empty
+        raise ParameterError("the tape is empty: a backward consumes its tape, so each backward "
+                             "needs a new forward_training")
     grads: B.GradDict = {}
     g = grad_out
     while ctx:

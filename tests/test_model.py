@@ -28,7 +28,7 @@ from earunet.errors import (
     ConfigError, DegenerateBatchError, EarUnetError, FormatError, InputError, ParameterError,
     ShapeError,
 )
-from earunet.tensor import INFER, TRAIN, ConvParams, Tensor4
+from earunet.tensor import INFER, TRAIN, BatchNormState, ConvParams, Tensor4
 from oracles import max_rel_err
 
 TABLE_CHANNELS = (48, 24, 32, 56, 112, 160, 272, 448, 1792)
@@ -43,6 +43,7 @@ class TestConfig:
         assert tuple(s.layers for s in cfg.stage_specs) == TABLE_LAYERS
         assert tuple(s.stride for s in cfg.stage_specs) == TABLE_STRIDES
         assert M.SKIP_STAGES == (1, 3, 4, 5, 7)  # each stage a stride-2 stage follows
+        assert M.OUTPUT_STRIDE == 32
 
     def test_width_scaling_rounds_to_8(self):
         cfg = M.ModelConfig(64, 0.25, 0.25)
@@ -107,7 +108,28 @@ class TestBuild:
     def test_stage9_default_channels(self):
         cfg = M.ModelConfig(64, 1.0, 0.1)
         params = M.build_model(cfg, np.random.default_rng(0))
-        assert params.head_conv9.out_channels == 1792
+        conv9, _ = params.stages[8]
+        assert conv9.out_channels == 1792
+
+    @pytest.mark.parametrize("preset", ["micro", "desk"])
+    def test_each_stage_has_its_plan_rows_kind(self, preset):
+        params = M.build_model(M.preset_config(preset), np.random.default_rng(0))
+        assert len(params.stages) == len(M.BASE_STAGES)
+        for (kind, *_), stage in zip(M.BASE_STAGES, params.stages):
+            if kind == "conv":
+                conv, bn = stage
+                assert isinstance(conv, ConvParams) and isinstance(bn, BatchNormState)
+            else:
+                assert kind == "mbconv" and isinstance(stage, list) and stage
+                assert all(isinstance(blk, B.MbConvParams) for blk in stage)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_unsupported_dtype_is_rejected_before_any_draw(self, dtype):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError, match=np.dtype(dtype).name):
+            M.build_model(M.preset_config("micro"), rng, dtype=dtype)
+        assert rng.bit_generator.state == state
 
     def test_seed_determinism(self):
         cfg = M.preset_config("micro")
@@ -141,7 +163,7 @@ class TestBuild:
     def test_survive_p_schedule(self):
         cfg = M.preset_config("desk")
         params = M.build_model(cfg, np.random.default_rng(0))
-        survives = [b.survive_p for stage in params.stages for b in stage]
+        survives = [b.survive_p for stage in params.stages[1:-1] for b in stage]
         assert survives[0] == 1.0
         assert abs(survives[-1] - 0.8) < 1e-12
         assert all(survives[i] >= survives[i + 1] for i in range(len(survives) - 1))
@@ -265,8 +287,9 @@ class TestForward:
         x = Tensor4(np.random.default_rng(2).random((1, 1, 64, 64), dtype=np.float32))
         M.forward_training(params, cfg, x, np.random.default_rng(0))
         # a stage's output is the input of the next stage's first block
-        first = np.cumsum([0] + [len(stage) for stage in params.stages])
-        stage_out = {s: block_inputs[first[s - 1]][0] for s in range(1, len(params.stages) + 1)}
+        mbconv = params.stages[1:-1]  # stages 2..8
+        first = np.cumsum([0] + [len(stage) for stage in mbconv])
+        stage_out = {s: block_inputs[first[s - 1]][0] for s in range(1, len(mbconv) + 1)}
         # decoder doubles the bottleneck resolution five times, and each level
         # gates the output of its skip stage (deepest first)
         assert len(gate_inputs) == len(M.SKIP_STAGES)
@@ -390,7 +413,7 @@ class TestBackward:
         _, tape = M.forward_training(params, cfg, x, np.random.default_rng(12))
         M.backward_from_context(params, tape, go)
         assert tape == []
-        with pytest.raises(ParameterError, match="encoder.stage1.conv.weight"):
+        with pytest.raises(ParameterError, match="tape is empty.*new forward_training"):
             M.backward_from_context(params, tape, go)
 
     def test_tape_of_other_params_is_rejected(self, micro64):
@@ -503,7 +526,7 @@ class TestLeanTape:
         monkeypatch.setattr(B, "mbconv_forward", watched)
         x = Tensor4(np.random.default_rng(4).random((2, 1, 64, 64), dtype=np.float32))
         M.forward(params, cfg, x, INFER)
-        assert alive == [0] * sum(map(len, params.stages))
+        assert alive == [0] * sum(map(len, params.stages[1:-1]))
         assert all(r() is None for r in ctxs)
 
     def test_train_step_updates_each_running_stat_once(self, monkeypatch):

@@ -8,7 +8,9 @@ The header is one object: `config` (the ModelConfig JSON dict), `epoch`
 null for no optimizer moments) and three lists `arrays`, `m` and `v` of
 `[name, dtype, shape]`, dtype "float32" or "float64". The little-endian
 bytes of every array follow in header order. Names are unique within a
-list; m and v name the same arrays, and are empty when adam_t is null.
+list; every m and v entry repeats an arrays entry (name, dtype and
+shape), m and v name the same arrays, and both are empty when adam_t is
+null.
 
 Writes are atomic (temp file + rename); a load parses the whole file
 before it returns, so a corrupt file never yields partial state.
@@ -37,7 +39,8 @@ _HEADER_KEYS = {"config", "epoch", "rng_state", "adam_t", "arrays", "m", "v"}
 
 @dataclass
 class AdamMoments:
-    """First/second moment arrays keyed like the trainable parameters."""
+    """First/second moment arrays keyed like the trainable parameters, and
+    the step count ``t``; ``train.adam_step`` advances them."""
 
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -65,6 +68,11 @@ def _check_fields(head: dict) -> None:
         raise ValueError("m and v must be empty when adam_t is null")
     if {e[0] for e in head["m"]} != {e[0] for e in head["v"]}:
         raise ValueError("m and v name different arrays")
+    arrays = {name: [dtype, shape] for name, dtype, shape in head["arrays"]}
+    for key in ("m", "v"):
+        for name, dtype, shape in head[key]:
+            if arrays.get(name) != [dtype, shape]:
+                raise ValueError(f"{key} entry {name!r} ({dtype}, {shape}) is not an arrays entry")
 
 
 def _read_arrays(entries, payload: memoryview, pos: int) -> tuple[dict[str, np.ndarray], int]:

@@ -379,3 +379,19 @@ def surface_distances_edt(pred, gt, spacing):
     d_ba = ndimage.distance_transform_edt(~sa, sampling=spacing)[sb]
     assd = float((d_ab.sum() + d_ba.sum()) / (d_ab.size + d_ba.size))
     return assd, float(max(d_ab.max(), d_ba.max()))
+
+
+# ---------------------------------------------------------------------------
+# optimizer: Adam
+
+
+def adam_naive(a, g, m, v, t, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Step t of Adam as Algorithm 1 of Kingma & Ba (arXiv:1412.6980) writes
+    it, in float64: the new (a, m, v) from the parameter a, its gradient g
+    and the moments m and v after step t - 1."""
+    a, g, m, v = (np.asarray(z, dtype=np.float64) for z in (a, g, m, v))
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g**2
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return a - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

@@ -127,13 +127,18 @@ def _config(edit):
         (_with_fields(_set("step", 1)), "keys"),
         (_with_header(lambda raw: b"[" + raw + b"]"), "keys"),
         (_with_header(lambda raw: b"[" * 100_000 + b"]" * 100_000), "RecursionError"),
+        (_with_fields(lambda head: [head[k][0].__setitem__(0, "nope") for k in ("m", "v")]),
+         "m entry 'nope' .* is not an arrays entry"),
+        (_with_fields(lambda head: head["m"][0].__setitem__(2, [3, 2])),
+         r"m entry 'a.weight' \(float32, \[3, 2\]\) is not an arrays entry"),
     ],
     ids=["config-string-width", "config-nan-depth", "config-size-one-entry",
          "config-size-not-multiple-of-32", "config-size-pair", "config-missing-input-size",
          "config-leftover-stage-specs", "rng-not-json", "rng-not-object", "rng-state-string",
          "epoch-negative", "epoch-bool", "epoch-float", "adam-t-negative", "adam-t-bool",
          "adam-t-string", "moments-without-adam-t", "key-missing", "key-unknown",
-         "header-not-object", "header-nested-too-deep"],
+         "header-not-object", "header-nested-too-deep", "moment-names-unknown-array",
+         "moment-shape-differs"],
 )
 def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, edit, match):
     with pytest.raises(FormatError, match=f"checkpoint header is malformed.*{match}"):
@@ -158,9 +163,18 @@ def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob, vers
         ({"arrays": {"ints": np.zeros(1, np.int32)}}, "array 'ints' of dtype int32"),
         ({"rng_state": {"seed": np.uint64(5)}}, "not JSON serializable"),
         ({"rng_state": [1, 2]}, "rng_state must be a dict"),
+        ({"moments": AdamMoments(3, {"nope": np.zeros(3)}, {"nope": np.zeros(3)})},
+         "m entry 'nope' .* is not an arrays entry"),
+        ({"moments": AdamMoments(1, {"a.weight": np.zeros((3, 2), np.float32)},
+                                 {"a.weight": np.zeros((2, 3), np.float32)})},
+         r"m entry 'a.weight' \(float32, \[3, 2\]\)"),
+        ({"moments": AdamMoments(1, {"a.weight": np.zeros((2, 3), np.float32)},
+                                 {"a.weight": np.zeros((2, 3))})},
+         r"v entry 'a.weight' \(float64"),
     ],
     ids=["epoch-negative", "moment-step-negative", "moment-without-v", "dtype-int32",
-         "rng-state-not-json", "rng-state-not-dict"],
+         "rng-state-not-json", "rng-state-not-dict", "moment-names-unknown-array",
+         "moment-shape-differs", "moment-dtype-differs"],
 )
 def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
     path = tmp_path / "old.ckpt"
@@ -172,15 +186,17 @@ def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
 
 
 # values that format 3's u32 epoch, u16 name lengths and u32 dims could not
-# hold, and arrays that are neither little-endian nor contiguous
+# hold, and arrays that are neither little-endian nor contiguous (without
+# moments, which may name only arrays the checkpoint holds)
 @pytest.mark.parametrize(
     "fields",
     [
         {"epoch": 2**32},
-        {"arrays": {"a" * 70_000: np.ones(3, np.float32)}},
-        {"arrays": {"wide": np.zeros((0, 2**32), np.float32)}},
+        {"arrays": {"a" * 70_000: np.ones(3, np.float32)}, "moments": None},
+        {"arrays": {"wide": np.zeros((0, 2**32), np.float32)}, "moments": None},
         {"arrays": {"big_endian": np.random.default_rng(3).standard_normal((3, 4)).astype(">f4"),
-                    "transposed": np.random.default_rng(4).standard_normal((5, 3)).T}},
+                    "transposed": np.random.default_rng(4).standard_normal((5, 3)).T},
+         "moments": None},
     ],
     ids=["epoch-over-u32", "name-over-u16", "dim-over-u32", "byte-order-and-strides"],
 )

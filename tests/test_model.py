@@ -123,11 +123,15 @@ class TestBuild:
                 assert kind == "mbconv" and isinstance(stage, list) and stage
                 assert all(isinstance(blk, B.MbConvParams) for blk in stage)
 
-    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
-    def test_unsupported_dtype_is_rejected_before_any_draw(self, dtype):
+    @pytest.mark.parametrize(
+        "dtype,match",
+        [(np.float16, "float16"), (np.int32, "int32"), ("not-a-dtype", "got 'not-a-dtype'")],
+        ids=["float16", "int32", "not-a-dtype"],
+    )
+    def test_unsupported_dtype_is_rejected_before_any_draw(self, dtype, match):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ParameterError, match=np.dtype(dtype).name):
+        with pytest.raises(ParameterError, match=match):
             M.build_model(M.preset_config("micro"), rng, dtype=dtype)
         assert rng.bit_generator.state == state
 

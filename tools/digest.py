@@ -9,7 +9,9 @@ Prints one line per preset and part:
 - ``train.*`` (``desk`` n=8 and ``micro`` n=4): one train step through
   ``combo_loss`` 1:1 and ``backward_from_context``: its output, loss,
   input gradient, every parameter gradient and every running statistic
-  after the step.
+  after the step;
+- ``train.adam`` (``micro`` n=4): the trainable arrays and the Adam moments
+  after three ``train_step`` + ``adam_step`` steps.
 
 Run from the repository root:
 
@@ -30,7 +32,8 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from earunet import losses, model  # noqa: E402
+from earunet import losses, model, train  # noqa: E402
+from earunet.checkpoint import AdamMoments  # noqa: E402
 from earunet.tensor import Tensor4  # noqa: E402
 
 
@@ -79,6 +82,19 @@ def train_digests(preset: str, n: int) -> dict[str, str]:
     }
 
 
+def adam_digest(preset: str, n: int) -> str:
+    cfg = model.preset_config(preset)
+    params = model.build_model(cfg, np.random.default_rng(0))
+    trainable, moments = model.named_trainable(params), AdamMoments()
+    rng = np.random.default_rng(1)
+    s = cfg.input_size
+    for _ in range(3):
+        x = rng.random((n, 1, s, s), dtype=np.float32)
+        target = (rng.random(x.shape) < 0.3).astype(np.float32)
+        train.adam_step(trainable, train.train_step(params, cfg, x, target, rng)[1], moments)
+    return sha(named_arrays(trainable), named_arrays(moments.m), named_arrays(moments.v))
+
+
 def main() -> None:
     for preset in ("micro", "desk"):
         params = model.build_model(model.preset_config(preset), np.random.default_rng(0))
@@ -87,6 +103,7 @@ def main() -> None:
     for preset, n in (("desk", 8), ("micro", 4)):
         for part, digest in train_digests(preset, n).items():
             print(preset, part, digest)
+    print("micro", "train.adam", adam_digest("micro", 4))
 
 
 if __name__ == "__main__":

@@ -1,16 +1,15 @@
 """Checkpoint file format (integers little-endian):
 
-    b"EARU" | u32 version (4) | payload | u32 CRC32 of payload
+    b"EARU" | u32 version (5) | payload | u32 CRC32 of payload
     payload = u32 n | n bytes of UTF-8 JSON header | raw array bytes
 
 The header is one object: `config` (the ModelConfig JSON dict), `epoch`
-(an int >= 0), `rng_state` (a dict or null), `adam_t` (the Adam step, or
-null for no optimizer moments) and three lists `arrays`, `m` and `v` of
-`[name, dtype, shape]`, dtype "float32" or "float64". The little-endian
-bytes of every array follow in header order. Names are unique within a
-list; every m and v entry repeats an arrays entry (name, dtype and
-shape), m and v name the same arrays, and both are empty when adam_t is
-null.
+(an int >= 0), `rng_state` (a dict or null), `adam_t` (the Adam step,
+an int >= 0) and three lists `arrays`, `m` and `v` of `[name, dtype,
+shape]`, dtype "float32" or "float64". The little-endian bytes of every
+array follow in header order. Names are unique within a list; every m
+and v entry repeats an arrays entry (name, dtype and shape), m and v
+name the same arrays, and both are empty exactly when adam_t is 0.
 
 Writes are atomic (temp file + rename); a load parses the whole file
 before it returns, so a corrupt file never yields partial state.
@@ -32,7 +31,7 @@ from .model import DTYPES, ModelConfig
 from .volume_io import _atomic_write
 
 MAGIC = b"EARU"
-VERSION = 4
+VERSION = 5
 
 _HEADER_KEYS = {"config", "epoch", "rng_state", "adam_t", "arrays", "m", "v"}
 
@@ -51,22 +50,23 @@ class AdamMoments:
 class Checkpoint:
     config: ModelConfig
     arrays: dict[str, np.ndarray]  # every named parameter blob
-    moments: AdamMoments | None = None
+    moments: AdamMoments = field(default_factory=AdamMoments)
     rng_state: dict | None = None
     epoch: int = 0
 
 
 def _check_fields(head: dict) -> None:
     """ValueError naming the first scalar or m/v header field the format cannot hold."""
-    t, rng = head["adam_t"], head["rng_state"]
-    for key, value in (("epoch", head["epoch"]), ("adam_t", 0 if t is None else t)):
+    t, rng, m, v = head["adam_t"], head["rng_state"], head["m"], head["v"]
+    for key, value in (("epoch", head["epoch"]), ("adam_t", t)):
         if type(value) is not int or value < 0:  # type(), not isinstance: True is no count
             raise ValueError(f"{key} must be an int >= 0, got {value!r}")
     if rng is not None and not isinstance(rng, dict):
         raise ValueError(f"rng_state must be a dict or null, got {type(rng).__name__}")
-    if t is None and (head["m"] or head["v"]):
-        raise ValueError("m and v must be empty when adam_t is null")
-    if {e[0] for e in head["m"]} != {e[0] for e in head["v"]}:
+    if (t == 0) != (not m and not v):
+        raise ValueError(f"m and v must be empty exactly when adam_t is 0: adam_t {t}, "
+                         f"{len(m)} m and {len(v)} v entries")
+    if {e[0] for e in m} != {e[0] for e in v}:
         raise ValueError("m and v name different arrays")
     arrays = {name: [dtype, shape] for name, dtype, shape in head["arrays"]}
     for key in ("m", "v"):
@@ -99,9 +99,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
     hold raises FormatError before anything is written."""
     m = ckpt.moments
     head = {"config": ckpt.config.to_json_dict(), "epoch": ckpt.epoch, "rng_state": ckpt.rng_state,
-            "adam_t": None if m is None else m.t}
+            "adam_t": m.t}
     parts = []
-    for key, group in (("arrays", ckpt.arrays), ("m", m.m if m else {}), ("v", m.v if m else {})):
+    for key, group in (("arrays", ckpt.arrays), ("m", m.m), ("v", m.v)):
         head[key] = []
         for name, a in group.items():
             if not isinstance(name, str) or a.dtype.name not in DTYPES:
@@ -150,8 +150,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise FormatError(f"checkpoint header is malformed: {type(e).__name__}: {e}") from e
     if pos != len(payload):
         raise FormatError(f"checkpoint arrays end at payload byte {pos}, the payload has {len(payload)}")
-    moments = None if head["adam_t"] is None else AdamMoments(head["adam_t"], m, v)
-    return Checkpoint(config, arrays, moments, head["rng_state"], head["epoch"])
+    return Checkpoint(config, arrays, AdamMoments(head["adam_t"], m, v), head["rng_state"], head["epoch"])
 
 
 def restore_params(params_arrays: dict[str, np.ndarray], ckpt: Checkpoint) -> None:

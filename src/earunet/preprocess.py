@@ -52,13 +52,16 @@ class SlicePair:
 
 
 def hu_window(v: CtVolume) -> CtVolume:
-    """Clamp Hounsfield values to HU_WINDOW = [lo, hi] and map affinely onto [0,1]."""
+    """Clamp Hounsfield values to HU_WINDOW = [lo, hi] and map affinely onto
+    [0,1]; a non-finite voxel stays non-finite, so equalization rejects it."""
     lo, hi = HU_WINDOW
     # one slice at a time: the float64 arithmetic stays slice-sized
     out = np.empty(v.voxels.shape, dtype=np.float32)
     for k, plane in enumerate(v.voxels):
         # clip with float bounds already returns float64 for integer planes
         out[k] = (np.clip(plane, lo, hi).astype(np.float64, copy=False) - lo) / (hi - lo)
+        if plane.dtype.kind == "f":  # clip maps +-inf into the window; NaN stays NaN
+            np.copyto(out[k], plane, where=np.isinf(plane))
     return CtVolume(out, v.spacing)
 
 

@@ -87,8 +87,8 @@ def read_volume(path: str | os.PathLike) -> CtVolume | LabelVolume:
     # reference reader; slope 0 means unscaled and the intercept is ignored.
     slope, inter = (v if np.isfinite(v) else 0.0 for v in struct.unpack_from("<2f", hdr, 112))
     offset = int(vox_offset)
-    if offset < NIFTI_HEADER_SIZE:
-        raise FormatError(f"{path}: vox_offset {vox_offset} inside the header")
+    if offset < NIFTI_HEADER_SIZE + 4:  # the 4-byte extension flag follows the header
+        raise FormatError(f"{path}: vox_offset {vox_offset} is inside the header or its extension flag")
     needed = nx * ny * nz * dt.itemsize
     have = os.path.getsize(path) - offset
     if have < needed:
@@ -120,9 +120,9 @@ def write_nifti(
     """Write v as single-file NIfTI-1.
 
     A template header contributes its other fields (pixdim[0], qform,
-    sform, descriptions); spacing, dims, datatype and identity scaling
-    always come from v.  A volume the header cannot hold raises
-    FormatError before anything is written.
+    sform, descriptions); sizeof_hdr, dims, datatype, spacing, identity
+    scaling, vox_offset and magic are always stamped.  A volume the header
+    cannot hold raises FormatError before anything is written.
     """
     vox = np.ascontiguousarray(v.voxels)
     if vox.dtype.name not in _NIFTI_CODES:
@@ -144,8 +144,8 @@ def write_nifti(
         hdr = bytearray(template_header)
     else:
         hdr = bytearray(NIFTI_HEADER_SIZE)
-        struct.pack_into("<i", hdr, 0, NIFTI_HEADER_SIZE)
         struct.pack_into("<f", hdr, 76, 1.0)  # pixdim[0]: qfac
+    struct.pack_into("<i", hdr, 0, NIFTI_HEADER_SIZE)  # sizeof_hdr, little-endian
     hdr[80:92] = pixdim  # pixdim[1:4]
     struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope, scl_inter
     struct.pack_into("<8h", hdr, 40, 3, w, h, d, 1, 1, 1, 1)

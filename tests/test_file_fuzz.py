@@ -122,7 +122,8 @@ def _config(edit):
         (_with_fields(_set("adam_t", -1)), "adam_t"),
         (_with_fields(_set("adam_t", False)), "adam_t"),
         (_with_fields(_set("adam_t", "2")), "adam_t"),
-        (_with_fields(_set("adam_t", None)), "empty when adam_t is null"),
+        (_with_fields(_set("adam_t", None)), "adam_t must be an int >= 0, got None"),
+        (_with_fields(_set("adam_t", 0)), "m and v must be empty exactly when adam_t is 0: adam_t 0"),
         (_with_fields(lambda head: head.pop("epoch")), "keys"),
         (_with_fields(_set("step", 1)), "keys"),
         (_with_header(lambda raw: b"[" + raw + b"]"), "keys"),
@@ -136,7 +137,7 @@ def _config(edit):
          "config-size-not-multiple-of-32", "config-size-pair", "config-missing-input-size",
          "config-leftover-stage-specs", "rng-not-json", "rng-not-object", "rng-state-string",
          "epoch-negative", "epoch-bool", "epoch-float", "adam-t-negative", "adam-t-bool",
-         "adam-t-string", "moments-without-adam-t", "key-missing", "key-unknown",
+         "adam-t-string", "moments-without-adam-t", "moments-at-adam-t-0", "key-missing", "key-unknown",
          "header-not-object", "header-nested-too-deep", "moment-names-unknown-array",
          "moment-shape-differs"],
 )
@@ -145,9 +146,10 @@ def test_checkpoint_malformed_json_blob(tmp_path, checkpoint_blob, edit, match):
         _load(tmp_path, "bad", edit(checkpoint_blob))
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob, version):
-    # format 2 stored input_size as an (h, w) pair; format 3 packed binary records
+    # format 2 stored input_size as an (h, w) pair; format 3 packed binary
+    # records; format 4 wrote adam_t null for no optimizer state
     blob = checkpoint_blob[:4] + struct.pack("<I", version) + checkpoint_blob[8:]
     with pytest.raises(VersionError, match=f"version {version}"):
         _load(tmp_path, f"v{version}", blob)
@@ -171,10 +173,14 @@ def test_version_2_checkpoint_is_a_version_error(tmp_path, checkpoint_blob, vers
         ({"moments": AdamMoments(1, {"a.weight": np.zeros((2, 3), np.float32)},
                                  {"a.weight": np.zeros((2, 3))})},
          r"v entry 'a.weight' \(float64"),
+        ({"moments": AdamMoments(0, {"a.weight": np.zeros((2, 3), np.float32)},
+                                 {"a.weight": np.zeros((2, 3), np.float32)})},
+         "m and v must be empty exactly when adam_t is 0: adam_t 0"),
+        ({"moments": AdamMoments(3, {}, {})}, "m and v must be empty exactly when adam_t is 0: adam_t 3"),
     ],
     ids=["epoch-negative", "moment-step-negative", "moment-without-v", "dtype-int32",
          "rng-state-not-json", "rng-state-not-dict", "moment-names-unknown-array",
-         "moment-shape-differs", "moment-dtype-differs"],
+         "moment-shape-differs", "moment-dtype-differs", "moments-at-step-0", "no-moments-at-step-3"],
 )
 def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
     path = tmp_path / "old.ckpt"
@@ -192,11 +198,11 @@ def test_save_rejects_what_the_format_cannot_hold(tmp_path, fields, match):
     "fields",
     [
         {"epoch": 2**32},
-        {"arrays": {"a" * 70_000: np.ones(3, np.float32)}, "moments": None},
-        {"arrays": {"wide": np.zeros((0, 2**32), np.float32)}, "moments": None},
+        {"arrays": {"a" * 70_000: np.ones(3, np.float32)}, "moments": AdamMoments()},
+        {"arrays": {"wide": np.zeros((0, 2**32), np.float32)}, "moments": AdamMoments()},
         {"arrays": {"big_endian": np.random.default_rng(3).standard_normal((3, 4)).astype(">f4"),
                     "transposed": np.random.default_rng(4).standard_normal((5, 3)).T},
-         "moments": None},
+         "moments": AdamMoments()},
     ],
     ids=["epoch-over-u32", "name-over-u16", "dim-over-u32", "byte-order-and-strides"],
 )
@@ -210,6 +216,17 @@ def test_round_trip_bit_exact(tmp_path, fields):
         assert got.dtype.isnative and got.flags.writeable, name
         assert (got.dtype, got.shape) == (native.dtype, native.shape), name
         assert got.tobytes() == native.tobytes(), name
+
+
+def test_no_optimizer_state_is_empty_moments_at_step_0(tmp_path):
+    ckpt = replace(_tiny_checkpoint(), moments=AdamMoments())
+    assert Checkpoint(ckpt.config, ckpt.arrays).moments == AdamMoments(0, {}, {})
+    save_checkpoint(ckpt, tmp_path / "fresh.ckpt")
+    blob = (tmp_path / "fresh.ckpt").read_bytes()
+    assert _load(tmp_path, "fresh", blob).moments == AdamMoments(0, {}, {})
+    # only adam_t is edited, so the arrays and their bytes still agree
+    with pytest.raises(FormatError, match="header is malformed.*m and v must be empty exactly when adam_t is 0"):
+        _load(tmp_path, "step-2", _with_fields(_set("adam_t", 2))(blob))
 
 
 def _entry(group, i, field, value):

@@ -696,7 +696,7 @@ class TestCheckpoint:
     def make(self, tmp_path, with_moments=False):
         cfg = M.preset_config("micro")
         params = M.build_model(cfg, np.random.default_rng(9))
-        moments = None
+        moments = AdamMoments()
         if with_moments:
             tr = M.named_trainable(params)
             moments = AdamMoments(
@@ -729,7 +729,7 @@ class TestCheckpoint:
         # and pins the new digest of the "name dtype shape" lines
         params = M.build_model(M.preset_config(preset), np.random.default_rng(0))
         lines = "".join(f"{k} {a.dtype} {a.shape}\n" for k, a in M.named_state(params).items())
-        assert (VERSION, hashlib.sha256(lines.encode()).hexdigest()) == (4, digest)
+        assert (VERSION, hashlib.sha256(lines.encode()).hexdigest()) == (5, digest)
 
     def test_round_trip_bit_exact_forward(self, tmp_path):
         cfg, params, ckpt, path = self.make(tmp_path)

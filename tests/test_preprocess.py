@@ -88,26 +88,33 @@ def test_resize_plane_bilinear_matches_naive(shape, out):
     assert np.array_equal(got, resize_bilinear_naive(img, *out))
 
 
-def test_nan_voxel_fails_in_named_stage():
+# a voxel that is NaN or infinite fails in equalization, whose check names it
+non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+@non_finite
+def test_nan_voxel_fails_in_named_stage(bad):
     hu = np.zeros((4, 6, 6), dtype=np.float32)
-    hu[2, 3, 1] = np.nan
+    hu[2, 3, 1] = bad
     with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
         preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=8)
 
 
-def test_nan_off_the_resize_taps_fails_in_named_stage():
+@non_finite
+def test_nan_off_the_resize_taps_fails_in_named_stage(bad):
     # equalization reads every voxel, not only the pixels the resize reads
     hu = np.zeros((3, 40, 40), dtype=np.float32)
-    hu[1, 0, 0] = np.nan  # rows 0-3 and columns 0-3 feed no 4x4 output pixel
+    hu[1, 0, 0] = bad  # rows 0-3 and columns 0-3 feed no 4x4 output pixel
     with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
         preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=4)
 
 
-def test_nan_in_a_partial_last_slab_fails_in_named_stage():
+@non_finite
+def test_nan_in_a_partial_last_slab_fails_in_named_stage(bad):
     # windowing and counting go in slabs of about 2**18 voxels, here 113
     # slices of 48x48: the depth of 300 leaves a partial last slab
     hu = np.zeros((300, 48, 48), dtype=np.float32)
-    hu[-1, 0, 0] = np.nan  # off the 4x4 resize taps too
+    hu[-1, 0, 0] = bad  # off the 4x4 resize taps too
     with pytest.raises(InputError, match=r"^hist_equalize: .*non-finite"):
         preprocess_volume(CtVolume(hu, (2.0, 1.0, 1.0)), size=4)
 

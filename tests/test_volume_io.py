@@ -34,6 +34,17 @@ def test_template_header_keeps_geometry_not_spacing_or_scaling(tmp_path):
     assert hdr[252:344] == template[252:344]
 
 
+@pytest.mark.parametrize("sizeof_hdr", ["<i", ">i"], ids=["zeros", "big-endian-sizeof-hdr"])
+def test_template_sizeof_hdr_is_stamped(tmp_path, sizeof_hdr):
+    # a template of 348 zero bytes, or one whose sizeof_hdr reads as big-endian
+    template = bytearray(NIFTI_HEADER_SIZE)
+    struct.pack_into(sizeof_hdr, template, 0, NIFTI_HEADER_SIZE if sizeof_hdr == ">i" else 0)
+    vox = np.arange(2 * 3 * 4, dtype=np.int16).reshape(2, 3, 4)
+    path = tmp_path / "ct.nii"
+    write_nifti(CtVolume(vox, (1.0, 1.0, 1.0)), path, template_header=bytes(template))
+    assert np.array_equal(read_volume(path).voxels, vox)
+
+
 def test_read_applies_intensity_scaling(tmp_path):
     path = tmp_path / "ct.nii"
     write_nifti(CtVolume(np.ones((2, 3, 4), dtype=np.int16), (1.0, 1.0, 1.0)), path)
@@ -281,9 +292,12 @@ def test_unsupported_datatype_is_a_format_error(tmp_path):
         read_volume(_corrupt(tmp_path, "<h", 70, 8))  # int32
 
 
-def test_vox_offset_inside_header_is_a_format_error(tmp_path):
+# a single-file .nii holds a 4-byte extension flag after the 348-byte
+# header: data at 348-351 would read those bytes as voxels
+@pytest.mark.parametrize("offset", [100.0, 348.0, 351.0])
+def test_vox_offset_inside_header_is_a_format_error(tmp_path, offset):
     with pytest.raises(FormatError, match="vox_offset"):
-        read_volume(_corrupt(tmp_path, "<f", 108, 100.0))
+        read_volume(_corrupt(tmp_path, "<f", 108, offset))
 
 
 @pytest.mark.parametrize("cut", [1, 2 * 6 * 6])

@@ -7,9 +7,9 @@ Prints one line per preset and part:
 - ``infer`` (``desk``, n=16): the infer output, after every running
   statistic is drawn at random so that the folded batch norms do work;
 - ``train.*`` (``desk`` n=8 and ``micro`` n=4): one train step through
-  ``combo_loss`` 1:1 and ``backward_from_context``: its output, loss,
-  input gradient, every parameter gradient and every running statistic
-  after the step;
+  ``combo_loss`` at ``train.LOSS`` (1:1) and ``backward_from_context``:
+  its output, loss, input gradient, every parameter gradient and every
+  running statistic after the step;
 - ``train.adam`` (``micro`` n=4): the trainable arrays and the Adam moments
   after three ``train_step`` + ``adam_step`` steps.
 
@@ -71,7 +71,7 @@ def train_digests(preset: str, n: int) -> dict[str, str]:
     x = Tensor4(rng.random((n, 1, s, s), dtype=np.float32))
     target = Tensor4((rng.random(x.dims) < 0.3).astype(np.float32))
     y, tape = model.forward_training(params, cfg, x, rng)
-    loss, grad = losses.combo_loss(y, target, losses.LossWeights(1.0, 1.0))
+    loss, grad = losses.combo_loss(y, target, train.LOSS)
     grads, gx = model.backward_from_context(params, tape, grad)
     return {
         "train.output": sha(y.data),

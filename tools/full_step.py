@@ -38,7 +38,7 @@ def main() -> int:
     blas_env = limit_blas_threads(nproc)  # before numpy is imported
     import numpy as np
 
-    from earunet import losses, model
+    from earunet import losses, model, train
     from earunet.tensor import Tensor4
 
     cfg = model.preset_config("full")
@@ -50,7 +50,7 @@ def main() -> int:
     t0 = time.perf_counter()
     y, tape = model.forward_training(params, cfg, x, rng)
     t1 = time.perf_counter()
-    _, grad = losses.combo_loss(y, target, losses.LossWeights(1.0, 1.0))
+    _, grad = losses.combo_loss(y, target, train.LOSS)
     t2 = time.perf_counter()
     model.backward_from_context(params, tape, grad)
     t3 = time.perf_counter()
